@@ -24,7 +24,7 @@ from .errors import (
     QuizlabError,
 )
 from .exact import RATIONALS, rational_from_str, rational_to_str
-from .poly import Polynomial, PolynomialRing, evaluate_rational_poly
+from .poly import Polynomial, PolynomialRing
 
 DEFAULT_EXPANSION_CAP = 200_000
 
@@ -115,7 +115,7 @@ class Circuit:
                 elif node.kind == CONST:
                     v = ring.from_rational(node.value)
                 elif node.kind == POLY_PARAM:
-                    v = evaluate_rational_poly(node.payload, params, ring)
+                    v = node.payload.evaluate(params, ring)
                 elif node.kind == ADD:
                     v = ring.add(values[node.a], values[node.b])
                 elif node.kind == SUB:
@@ -288,7 +288,7 @@ def generic_computation(L: int, n: int) -> Circuit:
     (1, X_1..X_n, p_1..p_L); remaining slots are unused padding.
     """
     if L < 0 or n < 1:
-        raise ValueError("need L >= 0 and n >= 1")
+        raise QuizlabError("need L >= 0 and n >= 1")
     r = (L + n + 1) ** 2
     b = CircuitBuilder(n_inputs=n, n_params=r)
     xs = [b.input(i) for i in range(n)]

@@ -53,6 +53,7 @@ from .families import (
 )
 from .identify import (
     IdentificationSequence,
+    minimum_length,
     required_set_size,
     sample_sequence,
     verify_linear_span,
@@ -77,14 +78,9 @@ from .witness import (
     hypercube_lk_matrix,
     lower_bound_report,
     roots_of_unity_matrix,
-    roots_of_unity_rank,
 )
 
 import random
-
-
-def parse_rational(text: str) -> Fraction:
-    return rational_from_str(text)
 
 
 def parse_vector(text: str) -> tuple[Fraction, ...]:
@@ -93,11 +89,18 @@ def parse_vector(text: str) -> tuple[Fraction, ...]:
     return tuple(rational_from_str(part) for part in text.split(","))
 
 
+def parse_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise QuizlabError(f"invalid integer {text!r}") from None
+
+
 def parse_points(text: str) -> tuple[tuple[int, ...], ...]:
     if not text:
         return ()
     return tuple(
-        tuple(int(x) for x in part.split(",")) for part in text.split(";")
+        tuple(parse_int(x) for x in part.split(",")) for part in text.split(";")
     )
 
 
@@ -113,7 +116,7 @@ def parse_germ(text: str) -> GermInstance:
             coeff_part, _, exp_part = term.partition("e")
             coeff_part = coeff_part.rstrip("*").strip()
             coeff = rational_from_str(coeff_part) if coeff_part else Fraction(1)
-            exp = int(exp_part.lstrip("^")) if exp_part else 1
+            exp = parse_int(exp_part.lstrip("^")) if exp_part else 1
             pairs.append((exp, coeff))
         components.append(LaurentSeries.from_pairs(pairs))
     return GermInstance.make(components)
@@ -132,8 +135,8 @@ def family_from_args(args) -> FamilyDescriptor:
     return FamilyDescriptor(args.family, **kwargs)
 
 
-def add_family_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--family", required=True, choices=VARIANTS)
+def add_family_flags(parser: argparse.ArgumentParser, required: bool = True) -> None:
+    parser.add_argument("--family", required=required, choices=VARIANTS)
     parser.add_argument("--task", default=TASK_IDENTITY)
     parser.add_argument("--l", type=int, help="easy-power-sum threshold exponent")
     parser.add_argument("--n", type=int, help="variable count")
@@ -250,7 +253,7 @@ def cmd_idseq_size(args) -> None:
     value = required_set_size(args.delta, args.big_l, args.big_k)
     lines = report_header(args, "idseq size") + [
         f"required_set_size: {value}",
-        f"minimum_length: {4 * args.big_l + 2}",
+        f"minimum_length: {minimum_length(args.big_l)}",
     ]
     emit(args, lines)
 
@@ -304,7 +307,7 @@ def cmd_game_approx(args) -> None:
         germ=germ,
         mode=MODE_NUMERIC if args.numeric else MODE_SYMBOLIC,
         sample_schedule=schedule,
-        cluster_tolerance=parse_rational(args.tolerance),
+        cluster_tolerance=rational_from_str(args.tolerance),
     )
     transcript = run_approx(subject, strategy, config, target)
     body = transcript.export(include_hidden=args.audit).rstrip("\n").split("\n")
@@ -369,6 +372,8 @@ def cmd_witness_hypercube_lk(args) -> None:
 
 
 def cmd_kron_verify(args) -> None:
+    if args.trials < 1:
+        raise QuizlabError(f"need at least one trial, got {args.trials}")
     rng = random.Random(args.seed)
     results = []
     for _ in range(args.trials):
@@ -385,9 +390,9 @@ def cmd_kron_verify(args) -> None:
 
 
 def cmd_kron_charpoly(args) -> None:
-    theta, ops = build_theta_matrix(args.k, parse_rational(args.s), parse_vector(args.u))
+    theta, ops = build_theta_matrix(args.k, rational_from_str(args.s), parse_vector(args.u))
     cp = char_poly(theta)
-    reference = elimination_poly(args.k, parse_rational(args.s), parse_vector(args.u))
+    reference = elimination_poly(args.k, rational_from_str(args.s), parse_vector(args.u))
     lines = report_header(args, "kron charpoly") + [
         f"operations: {ops}",
         f"matches_elimination_poly: {cp == reference}",
@@ -484,12 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, handler in (("eval", cmd_circuit_eval), ("expand", cmd_circuit_expand)):
         sub = new(circuit, name, handler, family=False)
         sub.add_argument("--circuit-file", default=None)
-        sub.add_argument("--family", choices=VARIANTS)
-        sub.add_argument("--task", default=TASK_IDENTITY)
-        sub.add_argument("--l", type=int)
-        sub.add_argument("--n", type=int)
-        sub.add_argument("--d", type=int)
-        sub.add_argument("--k", type=int)
+        add_family_flags(sub, required=False)
         sub.add_argument("--params", required=True)
         if name == "eval":
             sub.add_argument("--inputs", required=True)
@@ -522,12 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--audit", action="store_true", help="include the hidden point")
     sub = new(game, "approx", cmd_game_approx)
     sub.add_argument("--border", action="store_true", help="use the border demo family")
-    sub.add_argument("--family", choices=VARIANTS)
-    sub.add_argument("--task", default=TASK_IDENTITY)
-    sub.add_argument("--l", type=int)
-    sub.add_argument("--n", type=int)
-    sub.add_argument("--d", type=int)
-    sub.add_argument("--k", type=int)
+    add_family_flags(sub, required=False)
     sub.add_argument("--germ", default=None)
     sub.add_argument("--target", default=None, help="target coefficient vector")
     sub.add_argument("--target-support", default=None)
@@ -577,22 +572,12 @@ def build_parser() -> argparse.ArgumentParser:
     approx = groups.add_parser("approx").add_subparsers(dest="command", required=True)
     sub = new(approx, "encode", cmd_approx_encode)
     sub.add_argument("--border", action="store_true")
-    sub.add_argument("--family", choices=VARIANTS)
-    sub.add_argument("--task", default=TASK_IDENTITY)
-    sub.add_argument("--l", type=int)
-    sub.add_argument("--n", type=int)
-    sub.add_argument("--d", type=int)
-    sub.add_argument("--k", type=int)
+    add_family_flags(sub, required=False)
     sub.add_argument("--germ", default=None)
     sub.add_argument("--precision", type=int, default=None)
     sub = new(approx, "demo", cmd_approx_demo)
     sub.add_argument("--border", action="store_true")
-    sub.add_argument("--family", choices=VARIANTS)
-    sub.add_argument("--task", default=TASK_IDENTITY)
-    sub.add_argument("--l", type=int)
-    sub.add_argument("--n", type=int)
-    sub.add_argument("--d", type=int)
-    sub.add_argument("--k", type=int)
+    add_family_flags(sub, required=False)
     sub.add_argument("--germ", default=None)
     sub.add_argument("--depth", type=int, default=10)
 

@@ -39,7 +39,10 @@ def rational_to_str(q: Fraction) -> str:
 
 def rational_from_str(text: str) -> Fraction:
     """Parse ``num/den`` or a bare integer string."""
-    return Fraction(text.strip())
+    try:
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError):
+        raise QuizlabError(f"invalid rational {text!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -223,9 +226,6 @@ class LaurentSeries:
     def is_zero(self) -> bool:
         """True only for the identically-zero exact series."""
         return not self.coeffs and self.bound is None
-
-    def significant_terms(self) -> int:
-        return sum(1 for c in self.coeffs if c != 0)
 
     def coefficient(self, exponent: int) -> Fraction:
         """Coefficient of e^exponent; raises if it lies beyond the bound."""

@@ -45,6 +45,7 @@ from .poly import (
     monomials_below_degree,
     monomials_of_degree,
     multilinear_monomials,
+    product_of_linear_roots,
 )
 
 EASY_POWER_SUM = "easy-power-sum"
@@ -320,25 +321,31 @@ def _expand_multilinear_base(n: int, t: Fraction, u: Sequence[Fraction]) -> Poly
     return Polynomial.make(n, terms)
 
 
-def _product_of_linear_roots(roots: Sequence[Fraction]) -> Polynomial:
-    """prod (Y - root) as a univariate polynomial in Y."""
-    out = Polynomial.constant(1, 1)
-    y = Polynomial.variable(1, 0)
-    for root in roots:
-        out = out * (y - Polynomial.constant(1, root))
-    return out
-
-
-def theta_diagonal_values(k: int, s: Fraction, u: Sequence[Fraction]) -> list[Fraction]:
-    """The 2^k values j + s * prod u_i^[j]_i for j = 0..2^k - 1."""
+def vertex_monomials(k: int, u: Sequence[Fraction]) -> list[Fraction]:
+    """The 2^k values prod_i u_i^[j]_i for j = 0..2^k - 1."""
     values = []
     for j in range(2 ** k):
         prod = Fraction(1)
         for i in range(1, k + 1):
             if binary_digit(j, i):
                 prod *= u[i - 1]
-        values.append(j + s * prod)
+        values.append(prod)
     return values
+
+
+def theta_diagonal_values(k: int, s: Fraction, u: Sequence[Fraction]) -> list[Fraction]:
+    """The 2^k values j + s * prod u_i^[j]_i for j = 0..2^k - 1."""
+    return [j + s * m for j, m in enumerate(vertex_monomials(k, u))]
+
+
+def vertex_elimination(f: Polynomial, n: int) -> Polynomial:
+    """prod over the vertices v of {0,1}^n of (Y - f(v)), over f's ring."""
+    ring = f.ring
+    roots = [
+        f.evaluate([ring.from_rational(Fraction(binary_digit(j, i))) for i in range(1, n + 1)])
+        for j in range(2 ** n)
+    ]
+    return product_of_linear_roots(roots, ring)
 
 
 def expand_family(
@@ -386,7 +393,7 @@ def expand_family(
         return _expand_multilinear_base(desc.n, t, rest)
     # kronecker-diag
     if desc.task == TASK_CHARPOLY:
-        return _product_of_linear_roots(theta_diagonal_values(desc.k, t, rest))
+        return product_of_linear_roots(theta_diagonal_values(desc.k, t, rest))
     return _expand_multilinear_base(desc.k, t, rest)
 
 
@@ -409,13 +416,8 @@ def elimination_poly(
     point = [Fraction(x) for x in u]
     if len(point) != n:
         raise ArityMismatchError(f"expected {n} direction parameters, got {len(point)}")
-    direct = _product_of_linear_roots(theta_diagonal_values(n, t, point))
-    base = _expand_multilinear_base(n, t, point)
-    vertex_values = [
-        base.evaluate([Fraction(binary_digit(j, i)) for i in range(1, n + 1)])
-        for j in range(2 ** n)
-    ]
-    cross = _product_of_linear_roots(vertex_values)
+    direct = product_of_linear_roots(theta_diagonal_values(n, t, point))
+    cross = vertex_elimination(_expand_multilinear_base(n, t, point), n)
     if direct != cross:
         raise InternalCheckError("elimination product paths disagree")
     return direct
@@ -485,7 +487,7 @@ def emit_formula(n: int) -> FormulaReport:
     parenthesis and quantifier keyword counts as one symbol.
     """
     if n < 1:
-        raise ValueError("n must be positive")
+        raise QuizlabError("n must be positive")
     K = 16 * n * n + 2
     rng = random.Random(1_000 + n)  # fixed seed: the emitted formula is canonical
     points = [

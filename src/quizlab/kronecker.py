@@ -13,8 +13,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import CapExceededError, QuizlabError
-from .families import binary_digit, theta_diagonal_values
-from .poly import Polynomial
+from .families import theta_diagonal_values, vertex_monomials
+from .poly import Polynomial, product_of_linear_roots
 
 THETA_CAP = 8
 
@@ -60,9 +60,6 @@ class SquareMatrix:
             for j in range(self.dimension)
             if i != j
         )
-
-    def diagonal_values(self) -> tuple[Fraction, ...]:
-        return tuple(self.entries[i][i] for i in range(self.dimension))
 
     def __add__(self, other: "SquareMatrix") -> "SquareMatrix":
         if self.dimension != other.dimension:
@@ -144,6 +141,23 @@ def char_poly(a: SquareMatrix) -> Polynomial:
     return result
 
 
+def _theta_folds(k: int, u: Sequence) -> tuple[list[Fraction], SquareMatrix, SquareMatrix]:
+    """The coordinates, the Kronecker-sum fold of the diag(0, 2^(k-i)) blocks
+    and the Kronecker-product fold diag(1, u_k) (x) ... (x) diag(1, u_1)."""
+    if k < 1:
+        raise QuizlabError(f"need at least one Kronecker block, got k={k}")
+    coords = [Fraction(x) for x in u]
+    if len(coords) != k:
+        raise QuizlabError(f"expected {k} direction parameters, got {len(coords)}")
+    shift = SquareMatrix.diagonal([0, 2 ** (k - 1)])
+    for i in range(2, k + 1):
+        shift = kron_sum(shift, SquareMatrix.diagonal([0, 2 ** (k - i)]))
+    product = SquareMatrix.diagonal([1, coords[k - 1]])
+    for i in range(k - 1, 0, -1):
+        product = kron_product(product, SquareMatrix.diagonal([1, coords[i - 1]]))
+    return coords, shift, product
+
+
 def build_theta_matrix(
     k: int, s, u: Sequence, cap: int = THETA_CAP
 ) -> tuple[SquareMatrix, int]:
@@ -156,23 +170,8 @@ def build_theta_matrix(
     if k > cap:
         raise CapExceededError(f"theta-matrix cap: k={k} exceeds {cap}")
     s = Fraction(s)
-    coords = [Fraction(x) for x in u]
-    if len(coords) != k:
-        raise QuizlabError(f"expected {k} direction parameters, got {len(coords)}")
-    ops = 0
-    shift = SquareMatrix.diagonal([0, 2 ** (k - 1)])
-    for i in range(2, k + 1):
-        shift = kron_sum(shift, SquareMatrix.diagonal([0, 2 ** (k - i)]))
-        ops += 1
-    product = SquareMatrix.diagonal([1, coords[k - 1]])
-    for i in range(k - 1, 0, -1):
-        product = kron_product(product, SquareMatrix.diagonal([1, coords[i - 1]]))
-        ops += 1
-    scaled = product.scale(s)
-    ops += 1
-    theta = shift + scaled
-    ops += 1
-    return theta, ops
+    _, shift, product = _theta_folds(k, u)
+    return shift + product.scale(s), 2 * k
 
 
 def verify_lemma_identities(
@@ -190,33 +189,9 @@ def verify_lemma_identities(
     if k > cap:
         raise CapExceededError(f"lemma-identity cap: k={k} exceeds {cap}")
     s = Fraction(s)
-    coords = [Fraction(x) for x in u]
-    if len(coords) != k:
-        raise QuizlabError(f"expected {k} direction parameters, got {len(coords)}")
-
-    shift = SquareMatrix.diagonal([0, 2 ** (k - 1)])
-    for i in range(2, k + 1):
-        shift = kron_sum(shift, SquareMatrix.diagonal([0, 2 ** (k - i)]))
+    coords, shift, product = _theta_folds(k, u)
     first = shift == SquareMatrix.diagonal(list(range(2 ** k)))
-
-    product = SquareMatrix.diagonal([1, coords[k - 1]])
-    for i in range(k - 1, 0, -1):
-        product = kron_product(product, SquareMatrix.diagonal([1, coords[i - 1]]))
-    expected_diag = []
-    for j in range(2 ** k):
-        value = Fraction(1)
-        for i in range(1, k + 1):
-            if binary_digit(j, i):
-                value *= coords[i - 1]
-        expected_diag.append(value)
-    second = product == SquareMatrix.diagonal(expected_diag)
-
-    theta, _ = build_theta_matrix(k, s, coords)
-    roots = theta_diagonal_values(k, s, coords)
-    y = Polynomial.variable(1, 0)
-    expected_charpoly = Polynomial.constant(1, 1)
-    for root in roots:
-        expected_charpoly = expected_charpoly * (y - Polynomial.constant(1, root))
-    third = char_poly(theta) == expected_charpoly
-
+    second = product == SquareMatrix.diagonal(vertex_monomials(k, coords))
+    theta = shift + product.scale(s)
+    third = char_poly(theta) == product_of_linear_roots(theta_diagonal_values(k, s, coords))
     return (first, second, third)

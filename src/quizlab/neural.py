@@ -33,6 +33,8 @@ class PolyActivationNet:
     weights: tuple[float, ...]
 
     def __post_init__(self):
+        if self.n < 1:
+            raise QuizlabError("need at least one input, n >= 1")
         if len(self.weights) != self.n + 1:
             raise ArityMismatchError(
                 f"weight vector must have length {self.n + 1}, got {len(self.weights)}"
@@ -126,6 +128,8 @@ class TrainConfig:
     target_weights: tuple[float, ...] | None = None
 
     def __post_init__(self):
+        if self.n < 1:
+            raise QuizlabError("need at least one input, n >= 1")
         if self.learning_rate < 0:
             raise QuizlabError("learning rate must be nonnegative")
         if self.epochs < 1:

@@ -26,10 +26,6 @@ from .exact import RATIONALS, RationalRing
 Monomial = tuple[int, ...]
 
 
-def monomial_degree(m: Monomial) -> int:
-    return sum(m)
-
-
 def graded_lex_key(m: Monomial):
     """Sort key for the canonical graded-lexicographic order."""
     return (sum(m), tuple(-e for e in m))
@@ -112,9 +108,6 @@ class Polynomial:
 
     def support(self) -> tuple[Monomial, ...]:
         return sort_support(self.terms.keys())
-
-    def total_degree(self) -> int:
-        return max((sum(m) for m in self.terms), default=0)
 
     def term_count(self) -> int:
         return len(self.terms)
@@ -209,16 +202,23 @@ class Polynomial:
 
     # -- the module's operations ----------------------------------------------
 
-    def evaluate(self, point: Sequence):
-        """Exact value at a point of ring scalars (length must match arity)."""
+    def evaluate(self, point: Sequence, ring=None):
+        """Exact value at a point of ring scalars (length must match arity).
+
+        With ``ring`` given, a rational polynomial is evaluated over that
+        ring instead (parameter leaves): each coefficient is lifted through
+        ``ring.from_rational`` before it meets the point values.
+        """
         if len(point) != self.nvars:
             raise ArityMismatchError(
                 f"point has arity {len(point)}, polynomial has {self.nvars}"
             )
-        ring = self.ring
+        if ring is None:
+            ring, terms = self.ring, self.terms.items()
+        else:
+            terms = ((m, ring.from_rational(c)) for m, c in self.terms.items())
         total = ring.zero
-        for m, c in self.terms.items():
-            term = c
+        for m, term in terms:
             for e, v in zip(m, point):
                 for _ in range(e):
                     term = ring.mul(term, v)
@@ -290,22 +290,13 @@ def from_coeff_vector(
     return Polynomial.make(nvars, terms, ring)
 
 
-def evaluate_rational_poly(f: Polynomial, point: Sequence, ring) -> object:
-    """Evaluate a rational-coefficient polynomial at a point of another ring.
-
-    Used for parameter leaves: the polynomial's coefficients are mapped
-    through ``ring.from_rational`` before combining with the point values.
-    """
-    if len(point) != f.nvars:
-        raise ArityMismatchError(f"point has arity {len(point)}, expected {f.nvars}")
-    total = ring.zero
-    for m, c in f.terms.items():
-        term = ring.from_rational(c)
-        for e, v in zip(m, point):
-            for _ in range(e):
-                term = ring.mul(term, v)
-        total = ring.add(total, term)
-    return total
+def product_of_linear_roots(roots: Iterable, ring=RATIONALS) -> Polynomial:
+    """prod (Y - root) as a univariate polynomial in Y over ``ring``."""
+    y = Polynomial.variable(1, 0, ring)
+    out = Polynomial.constant(1, ring.one, ring)
+    for root in roots:
+        out = out * (y - Polynomial.constant(1, root, ring))
+    return out
 
 
 @dataclass(frozen=True)

@@ -56,11 +56,12 @@ from .families import (
     FamilyDescriptor,
     build_circuit_cached,
     expand_family,
+    vertex_elimination,
 )
 from .identify import IdentificationSequence, sample_sequence, verify_linear_span
 from .kronecker import build_theta_matrix, char_poly
 from .poly import Monomial, Polynomial, from_coeff_vector
-from .witness import solve_exact
+from .witness import evaluation_matrix, solve_exact
 
 POST_IDENTITY = "identity"
 POST_DIFFERENTIATE = "differentiate"
@@ -249,19 +250,9 @@ def player_interpolate(
     UnderdeterminedSystemError when the points do not pin down the support.
     """
     pts = points.points if isinstance(points, IdentificationSequence) else points
-    pts = [tuple(p) for p in pts]
     if len(values) != len(pts):
         raise ArityMismatchError("one value per question point required")
-    rows = []
-    for point in pts:
-        row = []
-        for mono in support:
-            entry = Fraction(1)
-            for e, x in zip(mono, point):
-                entry *= Fraction(x) ** e
-            row.append(entry)
-        rows.append(row)
-    return solve_exact(rows, list(values))
+    return solve_exact(evaluation_matrix(pts, support).entries, list(values))
 
 
 def apply_post_map(
@@ -284,17 +275,8 @@ def apply_post_map(
         new_support = tuple((j,) for j in range(1, len(support) + 1))
         return new_support, g.coeff_vector(new_support)
     if post in (POST_ELIMINATION, POST_CHARPOLY):
-        degree = 2 ** n_inputs
-        y = Polynomial.variable(1, 0, ring)
-        product = Polynomial.constant(1, ring.one, ring)
-        for j in range(degree):
-            vertex = [
-                ring.from_rational(Fraction((j >> i) & 1)) for i in range(n_inputs)
-            ]
-            root = f.evaluate(vertex)
-            product = product * (y - Polynomial.make(1, {(0,): root}, ring))
-        new_support = tuple((j,) for j in range(degree + 1))
-        return new_support, product.coeff_vector(new_support)
+        new_support = tuple((j,) for j in range(2 ** n_inputs + 1))
+        return new_support, vertex_elimination(f, n_inputs).coeff_vector(new_support)
     raise QuizlabError(f"unknown post map {post!r}")
 
 
@@ -333,13 +315,8 @@ def decide_equal(
 
     def value(enc, point):
         support, coeffs = enc
-        total = Fraction(0)
-        for mono, c in zip(support, coeffs):
-            term = Fraction(c)
-            for e, x in zip(mono, point):
-                term *= Fraction(x) ** e
-            total += term
-        return total
+        (row,) = evaluation_matrix([point], support).entries
+        return sum((Fraction(c) * m for c, m in zip(coeffs, row)), Fraction(0))
 
     for point in pts:
         lhs, rhs = value(f_enc, point), value(g_enc, point)
@@ -434,11 +411,7 @@ def _target_task_encoding(
     elif post == POST_INTEGRATE:
         g = target.integral(0)
     else:
-        y = Polynomial.variable(1, 0)
-        g = Polynomial.constant(1, 1)
-        for j in range(2 ** n_inputs):
-            vertex = [Fraction((j >> i) & 1) for i in range(n_inputs)]
-            g = g * (y - Polynomial.constant(1, target.evaluate(vertex)))
+        g = vertex_elimination(target, n_inputs)
     support = g.support()
     return support, g.coeff_vector(support)
 

@@ -206,17 +206,15 @@ def solve_exact(
 def evaluation_matrix(
     points: Sequence[Sequence[int]], support: Sequence[Monomial]
 ) -> ExactMatrix:
-    """Rows: one per point; columns: monomial values at that point."""
-    rows = []
-    for point in points:
-        row = []
-        for mono in support:
-            value = Fraction(1)
-            for e, x in zip(mono, point):
-                value *= Fraction(x) ** e
-            row.append(value)
-        rows.append(row)
-    return ExactMatrix.from_rows(rows)
+    """Rows: one per point; columns: monomial values at that point.
+
+    Points have integer (or rational) coordinates, so each value is an
+    exact product, made a Fraction once.
+    """
+    return ExactMatrix.from_rows(
+        [Fraction(math.prod(x ** e for e, x in zip(mono, point))) for mono in support]
+        for point in points
+    )
 
 
 def derivative_matrix(
@@ -355,10 +353,6 @@ class WitnessReport:
     achieved_ranks: tuple[int, ...]
     seeds: tuple[int, ...]
     elapsed_seconds: float
-
-    @property
-    def success_rate(self) -> float:
-        return self.success_count / self.trials if self.trials else 0.0
 
     def to_csv(self) -> str:
         lines = ["seed,achieved_rank,expected_rank,success"]

@@ -1,5 +1,6 @@
 """Command-line front end: dispatch, reproducibility, exit codes."""
 
+import os
 import subprocess
 import sys
 
@@ -12,6 +13,18 @@ def run_cli(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_cli_child(argv):
+    """``python -m quizlab.cli`` in a fresh interpreter that imports quizlab
+    from wherever this test process found it."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    return subprocess.run(
+        [sys.executable, "-m", "quizlab.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
 
 
 def test_witness_report_example(capsys):
@@ -72,11 +85,7 @@ def test_version_embedded(capsys):
 
 
 def test_usage_error_exit_code():
-    proc = subprocess.run(
-        [sys.executable, "-m", "quizlab.cli", "witness", "report"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_cli_child(["witness", "report"])
     assert proc.returncode == 2
 
 
@@ -146,3 +155,67 @@ def test_formula_cli(capsys):
     code, out, _ = run_cli(["family", "emit-formula", "--n", "1"], capsys)
     assert code == 0
     assert "equations: 18" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["game", "exact", "--family", "univariate-d", "--d", "2", "--hidden", "1/0"],
+        ["game", "exact", "--family", "univariate-d", "--d", "2", "--hidden", "abc"],
+        ["witness", "rank", "--matrix", ""],
+        ["approx", "encode", "--border", "--germ", "1/2*e^-1;1;x"],
+        ["approx", "encode", "--border", "--germ", "1/2*e^x;1;1"],
+        ["idseq", "verify", "--points", "0,a", "--support", "0,0"],
+        ["kron", "verify", "--k", "0"],
+        ["kron", "verify", "--k", "2", "--trials", "0"],
+        ["circuit", "generic", "--L", "-1", "--n", "1"],
+        ["family", "emit-formula", "--n", "0"],
+        ["neural", "train", "--n", "0"],
+        ["neural", "gradcheck", "--n", "0"],
+    ],
+)
+def test_malformed_value_exits_2(argv):
+    proc = run_cli_child(argv)
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (
+            ["circuit", "eval", "--family", "hypercube-shift", "--n", "2",
+             "--params", "1,1,1", "--inputs", "1,1"],
+            "config: circuit_file=None command=eval d=None family=hypercube-shift "
+            "group=circuit inputs=1,1 k=None l=None n=2 params=1,1,1 seed=0 task=identity",
+        ),
+        (
+            ["circuit", "expand", "--family", "univariate-d", "--d", "3", "--params", "2"],
+            "config: circuit_file=None command=expand d=3 expansion_cap=200000 "
+            "family=univariate-d group=circuit k=None l=None n=None params=2 seed=0 "
+            "task=identity",
+        ),
+        (
+            ["game", "approx", "--border"],
+            "config: audit=False border=True command=approx d=None family=None germ=None "
+            "group=game k=None l=None n=None numeric=False samples=12 seed=0 target=None "
+            "target_support=None task=identity tolerance=1/64",
+        ),
+        (
+            ["approx", "encode", "--border"],
+            "config: border=True command=encode d=None family=None germ=None group=approx "
+            "k=None l=None n=None precision=None seed=0 task=identity",
+        ),
+        (
+            ["approx", "demo", "--border"],
+            "config: border=True command=demo d=None depth=10 family=None germ=None "
+            "group=approx k=None l=None n=None seed=0 task=identity",
+        ),
+    ],
+)
+def test_optional_family_flags_config_line(argv, config, capsys, monkeypatch):
+    monkeypatch.delenv("QUIZLAB_EXPANSION_CAP", raising=False)
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert out.split("\n")[2] == config

@@ -208,7 +208,12 @@ def test_approx_symbolic_border():
 
 
 def test_approx_constant_germ_reduces_to_exact(rng):
-    for desc in (easy_power_sum(2, 2), univariate_d(3, TASK_DERIVATIVE)):
+    for desc in (
+        easy_power_sum(2, 2),
+        univariate_d(3, TASK_DERIVATIVE),
+        hypercube_shift(2, TASK_ELIMINATION),
+        kronecker_diag(2, TASK_CHARPOLY),
+    ):
         strategy = builtin_strategy(desc, seed=3)
         hidden = tuple(random_fraction(rng) for _ in range(desc.param_arity))
         exact = run_exact(desc, hidden, strategy=strategy)
