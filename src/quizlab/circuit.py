@@ -191,7 +191,15 @@ class Circuit:
 
     @staticmethod
     def from_text(text: str) -> "Circuit":
-        doc = json.loads(text)
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise QuizlabError(f"circuit text is not JSON: {exc}") from None
+        if not isinstance(doc, dict):
+            raise QuizlabError("circuit text is not a JSON object")
+        missing = [key for key in ("n", "r", "nodes", "output") if key not in doc]
+        if missing:
+            raise QuizlabError(f"circuit text lacks {', '.join(missing)}")
         n, r = doc["n"], doc["r"]
         nodes: list[Node] = []
         for rec in doc["nodes"]:

@@ -15,7 +15,10 @@ Value syntax on the command line:
   "+"-joined list of terms "c", "c*e" or "c*e^k", e.g. "1/2*e^-1;1;e".
 
 Environment overrides: QUIZLAB_EXPANSION_CAP (circuit expansion term cap)
-and QUIZLAB_ELIMINATION_CAP (hypercube dimension cap).
+and QUIZLAB_ELIMINATION_CAP (elimination-polynomial dimension cap, default
+10).  Every command that takes --family first checks the desk caps
+(hypercube-shift n <= 5, kronecker-diag k <= 5, ...), which neither
+override raises.
 """
 
 from __future__ import annotations
@@ -74,6 +77,7 @@ from .protocol import (
 from .witness import (
     VARIANT_BASE,
     ExactMatrix,
+    check_desk_cap,
     exact_rank,
     hypercube_lk_matrix,
     lower_bound_report,
@@ -132,7 +136,9 @@ def family_from_args(args) -> FamilyDescriptor:
         kwargs.update(n=args.n)
     elif args.family == KRONECKER_DIAG:
         kwargs.update(k=args.k)
-    return FamilyDescriptor(args.family, **kwargs)
+    desc = FamilyDescriptor(args.family, **kwargs)
+    check_desk_cap(desc)
+    return desc
 
 
 def add_family_flags(parser: argparse.ArgumentParser, required: bool = True) -> None:
@@ -219,8 +225,14 @@ def cmd_circuit_build(args) -> None:
 
 def _load_circuit(args) -> Circuit:
     if args.circuit_file:
-        with open(args.circuit_file) as handle:
-            return Circuit.from_text(handle.read())
+        try:
+            with open(args.circuit_file) as handle:
+                text = handle.read()
+        except OSError as exc:
+            raise QuizlabError(f"cannot read circuit file: {exc}") from None
+        except UnicodeDecodeError:
+            raise QuizlabError(f"circuit file {args.circuit_file!r} is not text") from None
+        return Circuit.from_text(text)
     desc = family_from_args(args)
     return build_circuit(desc.base())
 

@@ -134,6 +134,8 @@ class TrainConfig:
             raise QuizlabError("learning rate must be nonnegative")
         if self.epochs < 1:
             raise QuizlabError("need at least one epoch")
+        if not self.batch:
+            raise QuizlabError("batch must be nonempty")
         if self.targets is None and self.target_weights is None:
             raise QuizlabError("either targets or target_weights must be given")
 

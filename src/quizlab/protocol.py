@@ -248,6 +248,8 @@ def player_interpolate(
     rationals or Laurent series.  Raises InconsistentSystemError when the
     values cannot come from the declared support, and
     UnderdeterminedSystemError when the points do not pin down the support.
+    The questions are fixed before the round, so solve_exact eliminates
+    their matrix once and later rounds only apply the compiled map.
     """
     pts = points.points if isinstance(points, IdentificationSequence) else points
     if len(values) != len(pts):
@@ -312,14 +314,14 @@ def decide_equal(
     used only by the numeric approximative mode.
     """
     pts = points.points if isinstance(points, IdentificationSequence) else points
+    f_rows = evaluation_matrix(pts, f_enc[0]).entries
+    g_rows = evaluation_matrix(pts, g_enc[0]).entries
 
-    def value(enc, point):
-        support, coeffs = enc
-        (row,) = evaluation_matrix([point], support).entries
+    def value(coeffs, row):
         return sum((Fraction(c) * m for c, m in zip(coeffs, row)), Fraction(0))
 
-    for point in pts:
-        lhs, rhs = value(f_enc, point), value(g_enc, point)
+    for f_row, g_row in zip(f_rows, g_rows):
+        lhs, rhs = value(f_enc[1], f_row), value(g_enc[1], g_row)
         if tolerance is None:
             if lhs != rhs:
                 return False

@@ -7,14 +7,17 @@ This module assembles those matrices and computes their rank exactly.
 
 Rank over the rationals uses Bareiss fraction-free elimination after
 clearing denominators row by row; rank over a prime field uses plain
-Gaussian elimination.  Root-of-unity matrices are verified modulo a prime
-p = 1 (mod D+1): the entries live in Z[zeta] and reduce to F_p through a
-ring morphism, so a nonzero determinant mod p certifies a nonzero
-determinant over the complex numbers.
+Gaussian elimination.  Linear systems are solved by fraction-free
+Gauss-Jordan elimination, run once per matrix (``compile_system``) and
+then applied to any number of right-hand sides.  Root-of-unity matrices
+are verified modulo a prime p = 1 (mod D+1): the entries live in Z[zeta]
+and reduce to F_p through a ring morphism, so a nonzero determinant mod p
+certifies a nonzero determinant over the complex numbers.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import time
@@ -23,7 +26,13 @@ from fractions import Fraction
 from math import comb
 from typing import Callable, Sequence
 
-from .errors import CapExceededError, NonLinearCurveError, QuizlabError
+from .errors import (
+    CapExceededError,
+    InconsistentSystemError,
+    NonLinearCurveError,
+    QuizlabError,
+    UnderdeterminedSystemError,
+)
 from .exact import (
     PrimeFieldElement,
     modular_root_of_unity,
@@ -109,15 +118,16 @@ def _rank_prime_field(rows: list[list[PrimeFieldElement]], p: int) -> int:
     return rank
 
 
+def _cleared_row(row: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """The lcm s of the row's denominators, and the integer row s * row."""
+    scale = math.lcm(*(x.denominator for x in row))
+    return scale, [x.numerator * (scale // x.denominator) for x in row]
+
+
 def _rank_bareiss(rows: list[list[Fraction]]) -> int:
     # Clear denominators per row (rank-invariant), then run fraction-free
     # elimination: every intermediate entry is a minor, so divisions are exact.
-    grid: list[list[int]] = []
-    for row in rows:
-        lcm = 1
-        for x in row:
-            lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-        grid.append([int(x * lcm) for x in row])
+    grid = [_cleared_row(row)[1] for row in rows]
     m, n = len(grid), len(grid[0])
     rank = 0
     prev_pivot = 1
@@ -150,53 +160,130 @@ def exact_rank(matrix: ExactMatrix) -> int:
     return _rank_bareiss(rows)
 
 
-def solve_exact(
-    matrix_rows: Sequence[Sequence[Fraction]], rhs: Sequence, ring=None
-):
+@dataclass(frozen=True)
+class CompiledSystem:
+    """A rational system A x = b with A fixed, eliminated once for every b.
+
+    ``rows[:rank]`` divided by ``denominators`` form a left inverse of A on
+    ``pivot_cols``; ``rows[rank:]`` span the left null space of A, so b lies
+    in the column space of A exactly when each of them vanishes on b.  All
+    entries are integers: solving applies one integer combination to b and
+    makes one exact division per unknown.
+    """
+
+    unknowns: int
+    pivot_cols: tuple[int, ...]
+    rows: tuple[tuple[int, ...], ...]
+    denominators: tuple[int, ...]
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivot_cols)
+
+    def solve(self, rhs: Sequence) -> list:
+        """The unique x with A x = rhs; rhs entries may be Fractions or any
+        module over the rationals (Laurent series).
+
+        Raises InconsistentSystemError when no solution exists (checked
+        first) and UnderdeterminedSystemError when it is not unique.
+        """
+        b = list(rhs)
+        if len(b) != len(self.rows):
+            raise QuizlabError("matrix and right-hand side differ in length")
+        for row in self.rows[self.rank :]:
+            if _combine(row, b):
+                raise InconsistentSystemError(
+                    "values are not explainable within the declared support"
+                )
+        if self.rank < self.unknowns:
+            raise UnderdeterminedSystemError(
+                f"system rank {self.rank} < {self.unknowns} unknowns"
+            )
+        # Full column rank: the pivot columns are 0..n-1, in order.
+        return [
+            Fraction(1, d) * _combine(row, b)
+            for row, d in zip(self.rows, self.denominators)
+        ]
+
+
+def _combine(coeffs: Sequence[int], values: Sequence):
+    """The sum of c * v over the nonzero c; no compiled row is all zero."""
+    total = None
+    for c, v in zip(coeffs, values):
+        if c:
+            total = c * v if total is None else total + c * v
+    return total
+
+
+def compile_system(matrix_rows: Sequence[Sequence[Fraction]]) -> CompiledSystem:
+    """Eliminate the rational matrix A once, for solving A x = b for many b.
+
+    Each row of A is scaled to integers by the lcm of its denominators s_i,
+    and fraction-free Gauss-Jordan elimination (Bareiss's exact divisions,
+    applied to the rows above the pivot too) runs on [A' | diag(s)].  Every
+    intermediate entry is a minor of that integer matrix, so each division
+    is exact, and every pivot row ends with the same pivot d.  The right
+    block then holds integer rows E with E A = (d-scaled) rref(A) on the
+    pivot rows and E A = 0 on the rest.
+    """
+    a = [[Fraction(x) for x in row] for row in matrix_rows]
+    m = len(a)
+    n = len(a[0]) if a else 0
+    grid: list[list[int]] = []
+    for i, row in enumerate(a):
+        scale, cleared = _cleared_row(row)
+        grid.append(cleared + [scale if j == i else 0 for j in range(m)])
+    pivot_cols: list[int] = []
+    prev = 1
+    for col in range(n):
+        r = len(pivot_cols)
+        pivot = next((i for i in range(r, m) if grid[i][col]), None)
+        if pivot is None:
+            continue
+        grid[r], grid[pivot] = grid[pivot], grid[r]
+        top = grid[r]
+        p = top[col]
+        for i in range(m):
+            if i != r:
+                f = grid[i][col]
+                grid[i] = [(p * x - f * t) // prev for x, t in zip(grid[i], top)]
+        prev = p
+        pivot_cols.append(col)
+        if len(pivot_cols) == m:
+            break
+    rank = len(pivot_cols)
+    rows: list[tuple[int, ...]] = []
+    denominators: list[int] = []
+    for i, row in enumerate(grid):
+        e = row[n:]
+        # Pivot rows carry the common pivot as their denominator; null rows
+        # only need their direction.  Dividing out the content keeps them small.
+        d = prev if i < rank else 0
+        g = math.gcd(d, *e)
+        if d < 0:
+            g = -g
+        rows.append(tuple(x // g for x in e))
+        if i < rank:
+            denominators.append(d // g)
+    return CompiledSystem(n, tuple(pivot_cols), tuple(rows), tuple(denominators))
+
+
+@functools.lru_cache(maxsize=128)
+def _compiled(matrix_rows: tuple[tuple, ...]) -> CompiledSystem:
+    return compile_system(matrix_rows)
+
+
+def solve_exact(matrix_rows: Sequence[Sequence[Fraction]], rhs: Sequence) -> list:
     """Solve A x = b exactly, where A is rational and b lives in any module
     over the rationals (Fractions or Laurent series).
 
     Returns the unique solution.  Raises InconsistentSystemError when no
     solution exists and UnderdeterminedSystemError when the solution is not
-    unique.  Scalar multiplications of b entries use left-multiplication by
-    Fractions, which every supported coefficient type implements.
+    unique.  A is eliminated once and the last 128 distinct matrices are
+    kept, so repeated solves against one A (a game's fixed questions) only
+    apply the compiled map.
     """
-    from .errors import InconsistentSystemError, UnderdeterminedSystemError
-
-    a = [[Fraction(x) for x in row] for row in matrix_rows]
-    b = list(rhs)
-    if len(a) != len(b):
-        raise QuizlabError("matrix and right-hand side differ in length")
-    m = len(a)
-    n = len(a[0]) if a else 0
-    pivot_cols: list[int] = []
-    row = 0
-    for col in range(n):
-        pivot = next((r for r in range(row, m) if a[r][col] != 0), None)
-        if pivot is None:
-            continue
-        a[row], a[pivot] = a[pivot], a[row]
-        b[row], b[pivot] = b[pivot], b[row]
-        inv = 1 / a[row][col]
-        a[row] = [x * inv for x in a[row]]
-        b[row] = inv * b[row]
-        for r in range(m):
-            if r != row and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[row])]
-                b[r] = b[r] - factor * b[row]
-        pivot_cols.append(col)
-        row += 1
-    for r in range(row, m):
-        if b[r]:
-            raise InconsistentSystemError(
-                "values are not explainable within the declared support"
-            )
-    if len(pivot_cols) < n:
-        raise UnderdeterminedSystemError(
-            f"system rank {len(pivot_cols)} < {n} unknowns"
-        )
-    return [b[pivot_cols.index(c)] for c in range(n)]
+    return _compiled(tuple(map(tuple, matrix_rows))).solve(rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ def run_cli_child(argv):
         capture_output=True,
         text=True,
         env=env,
+        timeout=120,
     )
 
 
@@ -157,6 +158,13 @@ def test_formula_cli(capsys):
     assert "equations: 18" in out
 
 
+MALFORMED_CIRCUIT_FILES = {
+    "not-json.txt": "n = 1\n",
+    "array.json": "[1, 2]\n",
+    "no-output.json": '{"n": 1, "r": 1, "nodes": []}\n',
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -172,13 +180,55 @@ def test_formula_cli(capsys):
         ["family", "emit-formula", "--n", "0"],
         ["neural", "train", "--n", "0"],
         ["neural", "gradcheck", "--n", "0"],
+        ["neural", "train", "--n", "2", "--batch-size", "0"],
+        ["neural", "train", "--n", "2", "--batch-size=-3"],
+        ["circuit", "eval", "--circuit-file", "{dir}/missing.json", "--params", "1", "--inputs", "1"],
+        ["circuit", "eval", "--circuit-file", "{dir}", "--params", "1", "--inputs", "1"],
+        ["circuit", "eval", "--circuit-file", "{dir}/not-json.txt", "--params", "1", "--inputs", "1"],
+        ["circuit", "expand", "--circuit-file", "{dir}/array.json", "--params", "1"],
+        ["circuit", "expand", "--circuit-file", "{dir}/no-output.json", "--params", "1"],
     ],
 )
-def test_malformed_value_exits_2(argv):
-    proc = run_cli_child(argv)
+def test_malformed_value_exits_2(argv, tmp_path):
+    for name, text in MALFORMED_CIRCUIT_FILES.items():
+        (tmp_path / name).write_text(text)
+    proc = run_cli_child([arg.replace("{dir}", str(tmp_path)) for arg in argv])
     assert proc.returncode == 2
     assert "error:" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        ["--family", "easy-power-sum", "--l", "4", "--n", "4"],
+        ["--family", "univariate-d", "--d", "200"],
+        ["--family", "kronecker-diag", "--k", "7", "--task", "charpoly"],
+        ["--family", "neural-power", "--n", "9"],
+    ],
+)
+def test_game_exact_over_desk_cap_exits_3(family):
+    proc = run_cli_child(["game", "exact", *family, "--hidden", "1"])
+    assert proc.returncode == 3
+    assert "cap exceeded: desk cap" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["circuit", "build", "--family", "hypercube-shift", "--n", "6"],
+        ["family", "expand", "--family", "hypercube-shift", "--n", "6", "--u", "1,1,1,1,1,1,1"],
+        ["circuit", "build", "--family", "kronecker-diag", "--k", "6"],
+    ],
+)
+def test_desk_cap_ignores_elimination_override(argv, capsys, monkeypatch):
+    # The elimination cap (default 10) may be raised, but --family commands
+    # check the smaller desk cap first.
+    monkeypatch.setenv("QUIZLAB_ELIMINATION_CAP", "12")
+    code, _, err = run_cli(argv, capsys)
+    assert code == 3
+    assert "cap exceeded: desk cap" in err
 
 
 @pytest.mark.parametrize(

@@ -2,10 +2,11 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from quizlab.approx import GermInstance, border_demo_germ, border_family_circuit
+from quizlab.approx import GermInstance, border_demo_germ, border_family_circuit, encode
 from quizlab.errors import (
     InconsistentSystemError,
     NoFiberSamplerError,
@@ -58,6 +59,40 @@ def test_pinned_transcript_d2_t2():
     assert transcript.quizmaster_message == ("7/1", "49/1", "21/1")
     assert transcript.player_message == ("7/1", "14/1", "28/1")
     assert transcript.verdict == "accept"
+
+
+TRANSCRIPTS = Path(__file__).parent / "transcripts"
+
+
+@pytest.mark.parametrize(
+    "name, desc, hidden",
+    [
+        ("exact_univariate_d16_integral.txt", univariate_d(16, TASK_INTEGRAL), [Fraction(-5, 7)]),
+        (
+            "exact_hypercube_shift3_elimination.txt",
+            hypercube_shift(3, TASK_ELIMINATION),
+            [Fraction(2, 3), Fraction(-1, 2), Fraction(5), Fraction(-7, 4)],
+        ),
+    ],
+)
+def test_exact_transcript_bytes_are_pinned(name, desc, hidden):
+    transcript = run_exact(desc, hidden, strategy=builtin_strategy(desc, seed=0))
+    assert transcript.export(include_hidden=True).encode() == (TRANSCRIPTS / name).read_bytes()
+
+
+@pytest.mark.parametrize("mode", [MODE_SYMBOLIC, MODE_NUMERIC])
+def test_border_approx_transcript_bytes_are_pinned(mode):
+    circ = border_family_circuit(2)
+    germ = border_demo_germ()
+    config = ApproxGameConfig(
+        germ=germ,
+        mode=mode,
+        sample_schedule=tuple(Fraction(1, 2 ** k) for k in range(1, 13)),
+        cluster_tolerance=Fraction(1, 64),
+    )
+    transcript = run_approx(circ, border_strategy(), config, encode(germ, circ).h)
+    expected = (TRANSCRIPTS / f"approx_border_{mode}.txt").read_bytes()
+    assert transcript.export().encode() == expected
 
 
 def test_transcript_matches_lagrange_oracle():

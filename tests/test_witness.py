@@ -4,9 +4,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quizlab.errors import CapExceededError, NonLinearCurveError
-from quizlab.exact import PrimeFieldElement
+from quizlab import witness
+from quizlab.errors import (
+    CapExceededError,
+    InconsistentSystemError,
+    NonLinearCurveError,
+    UnderdeterminedSystemError,
+)
+from quizlab.exact import LaurentSeries, PrimeFieldElement
 from quizlab.families import (
     CURVE_FIXED_DIRECTION,
     CURVE_POWER_TOWER,
@@ -24,6 +32,7 @@ from quizlab.witness import (
     VARIANT_DERIVATIVE,
     VARIANT_INTEGRAL,
     ExactMatrix,
+    compile_system,
     derivative_matrix,
     exact_rank,
     expected_rank,
@@ -63,12 +72,112 @@ def test_solve_exact():
     rows = [[1, 0], [1, 1], [1, 2]]
     values = [Fraction(1), Fraction(2), Fraction(3)]
     assert solve_exact(rows, values) == [Fraction(1), Fraction(1)]
-    from quizlab.errors import InconsistentSystemError, UnderdeterminedSystemError
-
     with pytest.raises(InconsistentSystemError):
         solve_exact([[1], [1]], [Fraction(0), Fraction(1)])
     with pytest.raises(UnderdeterminedSystemError):
         solve_exact([[1, 1]], [Fraction(0)])
+
+
+def test_solve_exact_compiles_each_matrix_once(monkeypatch):
+    compiled = []
+
+    def counting_compile(rows):
+        compiled.append(rows)
+        return compile_system(rows)
+
+    monkeypatch.setattr(witness, "compile_system", counting_compile)
+    witness._compiled.cache_clear()
+    rows = [[1, 0], [1, 1], [1, 2]]
+    for k in range(5):
+        assert solve_exact(rows, [Fraction(k), Fraction(k), Fraction(k)]) == [
+            Fraction(k),
+            Fraction(0),
+        ]
+    # An equal matrix given as tuples of Fractions is the same system.
+    same = tuple(tuple(Fraction(x) for x in row) for row in rows)
+    assert solve_exact(same, [Fraction(1), Fraction(2), Fraction(3)]) == [1, 1]
+    assert len(compiled) == 1
+    solve_exact([[1, 0], [0, 1]], [Fraction(1), Fraction(2)])
+    assert len(compiled) == 2
+    witness._compiled.cache_clear()
+
+
+def _matrix(draw, m: int, n: int) -> list[list[int]]:
+    return [draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)) for _ in range(m)]
+
+
+@st.composite
+def linear_systems(draw):
+    """(A, b): A is a small integer matrix, square, tall or wide, and of low
+    rank when it is a product through a narrow middle; b is built from a
+    solution (consistent) or drawn freely, as Fractions or exact Laurent
+    polynomials."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        a = _matrix(draw, m, n)
+    else:
+        k = draw(st.integers(0, min(m, n) - 1))
+        left, right = _matrix(draw, m, k), _matrix(draw, k, n)
+        a = [[sum(x * y for x, y in zip(row, col)) for col in zip(*right)] if k else [0] * n
+             for row in left]
+    coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+    if draw(st.booleans()):
+        scalar = coeffs
+    else:
+        scalar = st.lists(st.tuples(st.integers(-2, 2), coeffs), max_size=3).map(
+            LaurentSeries.from_pairs
+        )
+    if draw(st.booleans()):
+        x = draw(st.lists(scalar, min_size=n, max_size=n))
+        b = [_dot(row, x) for row in a]
+    else:
+        b = draw(st.lists(scalar, min_size=m, max_size=m))
+    return a, b
+
+
+def _dot(row, values):
+    return sum((c * v for c, v in zip(row, values)), Fraction(0))
+
+
+def _coefficient_columns(b) -> list[list[Fraction]]:
+    """One rational column per power of e present in b (the power 0 for Fractions)."""
+    series = [v if isinstance(v, LaurentSeries) else LaurentSeries.from_rational(v) for v in b]
+    powers = sorted({e for s in series for e, _ in s.to_pairs()})
+    return [[s.coefficient(e) for s in series] for e in powers]
+
+
+@settings(max_examples=300, deadline=None)
+@given(linear_systems())
+def test_solve_exact_against_naive_rank(system):
+    a, b = system
+    m, n = len(a), len(a[0])
+    rank = naive_rank(a)
+    columns = _coefficient_columns(b)
+    consistent = not columns or naive_rank(
+        [list(row) + list(extra) for row, extra in zip(a, zip(*columns))]
+    ) == rank
+
+    compiled = compile_system(a)
+    assert compiled.rank == rank
+    assert len(compiled.rows) == m
+    # E A is the reduced row echelon form: the other rows vanish, and the
+    # pivot rows are unit vectors on the pivot columns.
+    for e in compiled.rows[rank:]:
+        assert [_dot(col, e) for col in zip(*a)] == [0] * n
+    for i, (e, d) in enumerate(zip(compiled.rows, compiled.denominators)):
+        reduced = [Fraction(_dot(col, e), d) for col in zip(*a)]
+        assert [reduced[c] for c in compiled.pivot_cols] == [int(i == j) for j in range(rank)]
+
+    if not consistent:
+        with pytest.raises(InconsistentSystemError):
+            solve_exact(a, b)
+    elif rank < n:
+        with pytest.raises(UnderdeterminedSystemError):
+            solve_exact(a, b)
+    else:
+        x = solve_exact(a, b)
+        assert [_dot(row, x) for row in a] == list(b)
+        assert compiled.solve(b) == x
 
 
 def test_derivative_matrix_power_sum():
