@@ -200,20 +200,56 @@ class Circuit:
         missing = [key for key in ("n", "r", "nodes", "output") if key not in doc]
         if missing:
             raise QuizlabError(f"circuit text lacks {', '.join(missing)}")
-        n, r = doc["n"], doc["r"]
-        nodes: list[Node] = []
-        for rec in doc["nodes"]:
-            kind, args = rec["kind"], rec["args"]
-            if kind in (INPUT, PARAM):
-                nodes.append(Node(kind, a=args[0]))
-            elif kind == CONST:
-                nodes.append(Node(kind, value=rational_from_str(args[0])))
-            elif kind == POLY_PARAM:
-                terms = {tuple(m): rational_from_str(c) for m, c in args}
-                nodes.append(Node(kind, payload=Polynomial.make(r, terms)))
-            else:
-                nodes.append(Node(kind, a=args[0], b=args[1]))
-        return Circuit(tuple(nodes), doc["output"], n, r)
+        n = _json_count(doc["n"], "n")
+        r = _json_count(doc["r"], "r")
+        if not isinstance(doc["nodes"], list):
+            raise QuizlabError("circuit text: nodes is not a list")
+        nodes = [_node_from_record(i, rec, r) for i, rec in enumerate(doc["nodes"])]
+        return Circuit(tuple(nodes), _json_count(doc["output"], "output"), n, r)
+
+
+_ARG_COUNTS = {INPUT: 1, PARAM: 1, CONST: 1, ADD: 2, SUB: 2, MUL: 2}
+
+
+def _json_count(value, what: str) -> int:
+    # bool is an int subclass, but JSON true/false is no index
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise QuizlabError(f"circuit text: {what} must be a nonnegative integer, got {value!r}")
+    return value
+
+
+def _json_rational(value, what: str) -> Fraction:
+    if not isinstance(value, str):
+        raise QuizlabError(f"circuit text: {what} must be a rational string, got {value!r}")
+    return rational_from_str(value)
+
+
+def _node_from_record(i: int, rec, r: int) -> Node:
+    """One node of a circuit document; malformed records raise QuizlabError."""
+    if not isinstance(rec, dict) or "kind" not in rec or "args" not in rec:
+        raise QuizlabError(f"circuit text: node {i} is not an object with kind and args")
+    kind, args = rec["kind"], rec["args"]
+    if not isinstance(args, list):
+        raise QuizlabError(f"circuit text: node {i} args is not a list")
+    if kind == POLY_PARAM:
+        terms = {}
+        for pair in args:
+            if not (isinstance(pair, list) and len(pair) == 2 and isinstance(pair[0], list)):
+                raise QuizlabError(f"circuit text: node {i} term is not [exponents, coefficient]")
+            mono = tuple(_json_count(e, f"node {i} exponent") for e in pair[0])
+            terms[mono] = _json_rational(pair[1], f"node {i} coefficient")
+        return Node(kind, payload=Polynomial.make(r, terms))
+    count = _ARG_COUNTS.get(kind) if isinstance(kind, str) else None
+    if count is None:
+        raise QuizlabError(f"node {i} has unknown kind {kind!r}")
+    if len(args) != count:
+        raise QuizlabError(f"circuit text: node {i} ({kind}) needs {count} args, got {len(args)}")
+    if kind == CONST:
+        return Node(kind, value=_json_rational(args[0], f"node {i} constant"))
+    indices = [_json_count(x, f"node {i} argument") for x in args]
+    if kind in _GATE_KINDS:
+        return Node(kind, a=indices[0], b=indices[1])
+    return Node(kind, a=indices[0])
 
 
 class CircuitBuilder:

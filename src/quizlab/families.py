@@ -348,10 +348,45 @@ def vertex_elimination(f: Polynomial, n: int) -> Polynomial:
     return product_of_linear_roots(roots, ring)
 
 
+@functools.lru_cache(maxsize=32)
+def _multinomial_support(n: int, low: int, high: int) -> tuple[tuple[Monomial, int], ...]:
+    """(monomial, multinomial) for every degree low..high monomial, graded-lex."""
+    return tuple(
+        (mono, multinomial(mono))
+        for degree in range(low, high + 1)
+        for mono in monomials_of_degree(n, degree)
+    )
+
+
+def _expand_power_form(
+    n: int, t: Fraction, u: Sequence[Fraction], low: int, high: int
+) -> Polynomial:
+    """t * sum of (u.X)^d over degrees low <= d <= high, by the multinomial theorem."""
+    nums = [[x.numerator ** e for e in range(high + 1)] for x in u]
+    dens = [[x.denominator ** e for e in range(high + 1)] for x in u]
+    terms: dict = {}
+    for mono, weight in _multinomial_support(n, low, high):
+        num, den = t.numerator * weight, t.denominator
+        for i, e in enumerate(mono):
+            if e:
+                num *= nums[i][e]
+                den *= dens[i][e]
+        if num:
+            terms[mono] = Fraction(num, den)
+    return Polynomial.make(n, terms)
+
+
 def expand_family(
     desc: FamilyDescriptor, u: Sequence, cap: int | None = 200_000
 ) -> Polynomial:
-    """Closed-form expansion at parameter point u, computed without circuits."""
+    """Closed-form expansion at parameter point u, computed without circuits.
+
+    easy-power-sum and neural-power use the multinomial theorem with
+    per-parameter power tables: the numerators and denominators of u_i^e,
+    for e up to the family degree, are built once per call as integers, and
+    the (monomial, multinomial) support is cached per (n, degree range).
+    Each coefficient is one integer product made a Fraction once.
+    """
     point = _check_point(desc, u)
     t, rest = point[0], point[1:]
     if desc.variant == EASY_POWER_SUM:
@@ -359,14 +394,7 @@ def expand_family(
         count = math.comb(2 ** l - 1 + n, n)
         if cap is not None and count > cap:
             raise CapExceededError(f"expansion needs {count} terms, cap is {cap}")
-        terms: dict = {}
-        for mono in monomials_below_degree(n, 2 ** l):
-            coeff = t * multinomial(mono)
-            for i, e in enumerate(mono):
-                coeff *= rest[i] ** e
-            if coeff != 0:
-                terms[mono] = coeff
-        return Polynomial.make(n, terms)
+        return _expand_power_form(n, t, rest, 0, 2 ** l - 1)
     if desc.variant == UNIVARIATE_D:
         d = desc.d
         lead = t ** (d + 1) - 1
@@ -378,15 +406,7 @@ def expand_family(
             terms = {(k,): lead * t ** k for k in range(d + 1)}
         return Polynomial.make(1, terms)
     if desc.variant == NEURAL_POWER:
-        n = desc.n
-        terms = {}
-        for mono in monomials_of_degree(n, n):
-            coeff = t * multinomial(mono)
-            for i, e in enumerate(mono):
-                coeff *= rest[i] ** e
-            if coeff != 0:
-                terms[mono] = coeff
-        return Polynomial.make(n, terms)
+        return _expand_power_form(desc.n, t, rest, desc.n, desc.n)
     if desc.variant == HYPERCUBE_SHIFT:
         if desc.task == TASK_ELIMINATION:
             return elimination_poly(desc.n, t, rest)

@@ -1,18 +1,22 @@
 """Kronecker sum/product algebra and exact characteristic polynomials.
 
-Matrices are dense rational grids even though the composed diagonal
-matrices are diagonal: diagonality is something this module verifies, not
-assumes.  Characteristic polynomials use the Faddeev-LeVerrier recurrence,
-which stays inside exact rational arithmetic with only integer divisions.
+Matrices are rational grids even though the composed diagonal matrices are
+diagonal: diagonality is something this module verifies, not assumes.
+Characteristic polynomials use the Faddeev-LeVerrier recurrence on the
+integer matrix c * A, where c clears every denominator of A, and scale
+back through p_A(y) = c^-n * p_{cA}(c * y): the recurrence runs in
+integer arithmetic with exact divisions, and each coefficient becomes a
+Fraction once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import CapExceededError, QuizlabError
+from .errors import CapExceededError, InternalCheckError, QuizlabError
 from .families import theta_diagonal_values, vertex_monomials
 from .poly import Polynomial, product_of_linear_roots
 
@@ -90,9 +94,6 @@ class SquareMatrix:
             rows.append(tuple(acc))
         return SquareMatrix(tuple(rows))
 
-    def trace(self) -> Fraction:
-        return sum(self.entries[i][i] for i in range(self.dimension))
-
     def to_text(self) -> str:
         return "\n".join(
             ",".join(f"{x.numerator}/{x.denominator}" for x in row)
@@ -124,21 +125,36 @@ def kron_sum(a: SquareMatrix, b: SquareMatrix) -> SquareMatrix:
 def char_poly(a: SquareMatrix) -> Polynomial:
     """Monic characteristic polynomial det(Y * Id - A), exactly.
 
-    Faddeev-LeVerrier recurrence: M_1 = Id, c_1 = -tr(A); then
-    M_{k+1} = A M_k + c_k Id and c_{k+1} = -tr(A M_{k+1}) / (k + 1).
-    All divisions are exact over the rationals.
+    Let c be the lcm of the entry denominators and B = c * A, an integer
+    matrix.  Then p_A(y) = c^-n * p_B(c * y), so the coefficient of
+    Y^(n-k) in p_A is c_k(B) / c^k.  The c_k(B) come from the
+    Faddeev-LeVerrier recurrence over the integers: M_1 = Id,
+    c_k = -tr(B M_k) / k and M_{k+1} = B M_k + c_k Id.  Every M_k is an
+    integer matrix and every division by k is exact.
     """
     n = a.dimension
-    y = Polynomial.variable(1, 0)
-    result = y ** n
-    m = SquareMatrix.identity(n)
-    c = Fraction(0)
+    scale = math.lcm(*(x.denominator for row in a.entries for x in row))
+    b = [
+        [(j, x.numerator * (scale // x.denominator)) for j, x in enumerate(row) if x]
+        for row in a.entries
+    ]
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    terms = {(n,): Fraction(1)}
     for k in range(1, n + 1):
-        am = a @ m
-        c = -am.trace() / k
-        result = result + (y ** (n - k)).scale(c)
-        m = am + SquareMatrix.identity(n).scale(c)
-    return result
+        bm = []
+        for row in b:
+            acc = [0] * n
+            for j, x in row:  # skipping zeros keeps sparse instances near-linear
+                acc = [v + x * y for v, y in zip(acc, m[j])]
+            bm.append(acc)
+        c, remainder = divmod(-sum(bm[i][i] for i in range(n)), k)
+        if remainder:
+            raise InternalCheckError(f"Faddeev-LeVerrier trace not divisible by {k}")
+        terms[(n - k,)] = Fraction(c, scale ** k)
+        for i in range(n):
+            bm[i][i] += c
+        m = bm
+    return Polynomial.make(1, terms)
 
 
 def _theta_folds(k: int, u: Sequence) -> tuple[list[Fraction], SquareMatrix, SquareMatrix]:

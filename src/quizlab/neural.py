@@ -65,21 +65,36 @@ def gradient(
     With f = t * s^n, s = u . x:  d/dt = mean 2 (f - y) s^n and
     d/du_j = mean 2 (f - y) t n s^(n-1) x_j.
     """
+    return _loss_and_gradient(net, batch, targets)[1]
+
+
+def _loss_and_gradient(
+    net: PolyActivationNet,
+    batch: Sequence[Sequence[float]],
+    targets: Sequence[float],
+) -> tuple[float, tuple[float, ...]]:
+    """``loss`` and ``gradient`` from one forward evaluation per sample, with
+    the same float operations in the same order as ``loss`` takes."""
     if not batch:
         raise QuizlabError("batch must be nonempty")
     n = net.n
     t, u = net.weights[0], net.weights[1:]
+    squares = []
     grad = [0.0] * (n + 1)
     for x, y in zip(batch, targets):
+        if len(x) != n:
+            raise ArityMismatchError(f"input must have length {n}, got {len(x)}")
         s = sum(ui * xi for ui, xi in zip(u, x))
-        f = t * s ** n
+        power = s ** n
+        f = t * power
+        squares.append((f - y) ** 2)
         residual = 2.0 * (f - y)
-        grad[0] += residual * s ** n
+        grad[0] += residual * power
         common = residual * t * n * s ** (n - 1)
         for j in range(n):
             grad[j + 1] += common * x[j]
     m = len(batch)
-    return tuple(g / m for g in grad)
+    return sum(squares) / m, tuple(g / m for g in grad)
 
 
 def finite_diff_check(
@@ -209,13 +224,13 @@ def train(config: TrainConfig) -> TrainReport:
     else:
         targets = tuple(config.targets)
     net = PolyActivationNet(config.n, weights)
-    curve = [loss(net, config.batch, targets)]
+    current, grad = _loss_and_gradient(net, config.batch, targets)
+    curve = [current]
     status = "completed"
     for _ in range(config.epochs):
-        grad = gradient(net, config.batch, targets)
         weights = tuple(w - config.learning_rate * g for w, g in zip(net.weights, grad))
         net = PolyActivationNet(config.n, weights)
-        current = loss(net, config.batch, targets)
+        current, grad = _loss_and_gradient(net, config.batch, targets)
         curve.append(current)
         if not math.isfinite(current) or current > DIVERGENCE_LIMIT:
             status = "diverged"

@@ -27,6 +27,7 @@ from math import comb
 from typing import Callable, Sequence
 
 from .errors import (
+    ArityMismatchError,
     CapExceededError,
     InconsistentSystemError,
     NonLinearCurveError,
@@ -377,6 +378,28 @@ def roots_of_unity_rank(d_degree: int, variant: str) -> int:
     return exact_rank(matrix)
 
 
+def _hypercube_lk_rows(n: int, cap: int) -> tuple[list[Monomial], list[list[int]]]:
+    """The vertex monomials m_j and, per L_k, the integer coefficient of each m_j."""
+    if n > cap:
+        raise CapExceededError(f"hypercube coefficient cap: n={n} exceeds {cap}")
+    size = 2 ** n
+    # f0 = prod_{j<size} (Y - j) as integer coefficients, degree ascending.
+    f0 = [1]
+    for j in range(size):
+        f0 = [0] + f0
+        f0 = [c - j * f0_next for c, f0_next in zip(f0, f0[1:] + [0])]
+    monos = [tuple((j >> i) & 1 for i in range(n)) for j in range(size)]
+    rows = [[0] * size for _ in range(size)]
+    for j in range(size):
+        # synthetic division f0 / (Y - j): the quotient's Y^(deg-1) coefficient
+        # is carry, and the T-linear part of B_k is -sum_j m_j * quotient_j[size-k]
+        carry = 0
+        for deg in range(size, 0, -1):
+            carry = f0[deg] + j * carry
+            rows[size - deg][j] = -carry
+    return monos, rows
+
+
 def hypercube_lk_coefficients(n: int, cap: int = 5) -> list[Polynomial]:
     """The direction polynomials L_1..L_{2^n} of the hypercube coefficients.
 
@@ -387,44 +410,43 @@ def hypercube_lk_coefficients(n: int, cap: int = 5) -> list[Polynomial]:
     computed by synthetic division of the integer polynomial prod (Y - i).
     Returns [L_1, ..., L_{2^n}] as polynomials in U_1..U_n.
     """
-    if n > cap:
-        raise CapExceededError(f"hypercube coefficient cap: n={n} exceeds {cap}")
-    size = 2 ** n
-    # f0 = prod_{j<size} (Y - j) as integer coefficients, degree ascending.
-    f0 = [Fraction(1)]
-    for j in range(size):
-        f0 = [Fraction(0)] + f0
-        f0 = [c - j * f0_next for c, f0_next in zip(f0, f0[1:] + [Fraction(0)])]
-    # t_linear[d] = coefficient Polynomial (in U) of Y^d in the T-linear part
-    t_linear: list[Polynomial] = [Polynomial.zero(n) for _ in range(size)]
-    for j in range(size):
-        # synthetic division: f0 / (Y - j), degree size-1, ascending coeffs
-        quotient = [Fraction(0)] * size
-        carry = Fraction(0)
-        for deg in range(size, 0, -1):
-            carry = f0[deg] + j * carry
-            quotient[deg - 1] = carry
-        mono = tuple((j >> i) & 1 for i in range(n))
-        m_j = Polynomial.make(n, {mono: Fraction(1)})
-        for deg in range(size):
-            if quotient[deg]:
-                t_linear[deg] = t_linear[deg] - m_j.scale(quotient[deg])
-    # B_k multiplies Y^{size-k}; its T-linear part is t_linear[size - k]
-    return [t_linear[size - k] for k in range(1, size + 1)]
+    monos, rows = _hypercube_lk_rows(n, cap)
+    return [
+        Polynomial.make(n, {m: Fraction(c) for m, c in zip(monos, row)}) for row in rows
+    ]
 
 
 def hypercube_lk_matrix(
     n: int, points: Sequence[Sequence[int]], cap: int = 5
 ) -> ExactMatrix:
-    """The matrix (L_k(u_l))_{k,l} at the given 2^n integer points."""
+    """The matrix (L_k(u_l))_{k,l} at the given 2^n integer (or rational) points.
+
+    The L_k have integer coefficients.  Each point is cleared to integers
+    v / s, so an entry is the integer dot product of L_k's coefficients with
+    the monomial values prod v_i^[j]_i * s^(n - |j|), made a Fraction over
+    s^n once.
+    """
     size = 2 ** n
     if len(points) != size:
         raise QuizlabError(f"need exactly {size} points, got {len(points)}")
-    lks = hypercube_lk_coefficients(n, cap=cap)
-    rows = []
-    for lk in lks:
-        rows.append([lk.evaluate([Fraction(x) for x in u]) for u in points])
-    return ExactMatrix.from_rows(rows)
+    monos, rows = _hypercube_lk_rows(n, cap)
+    columns = []
+    for u in points:
+        if len(u) != n:
+            raise ArityMismatchError(f"point has arity {len(u)}, polynomial has {n}")
+        s, v = _cleared_row([Fraction(x) for x in u])
+        values = [
+            math.prod(x for x, e in zip(v, mono) if e) * s ** (n - sum(mono))
+            for mono in monos
+        ]
+        columns.append((s ** n, values))
+    return ExactMatrix.from_rows(
+        [
+            Fraction(sum(c * x for c, x in zip(row, values) if c), scale)
+            for scale, values in columns
+        ]
+        for row in rows
+    )
 
 
 # ---------------------------------------------------------------------------

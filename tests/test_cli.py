@@ -162,6 +162,15 @@ MALFORMED_CIRCUIT_FILES = {
     "not-json.txt": "n = 1\n",
     "array.json": "[1, 2]\n",
     "no-output.json": '{"n": 1, "r": 1, "nodes": []}\n',
+    "empty-node.json": '{"n": 1, "r": 1, "nodes": [{}], "output": 0}\n',
+    "string-n.json": '{"n": "1", "r": 1, "nodes": [{"kind": "input", "args": [0]}], "output": 0}\n',
+    "float-output.json": '{"n": 1, "r": 1, "nodes": [{"kind": "input", "args": [0]}], "output": 0.5}\n',
+    "nodes-object.json": '{"n": 1, "r": 1, "nodes": {"kind": "input"}, "output": 0}\n',
+    "few-args.json": '{"n": 1, "r": 1, "nodes": [{"kind": "input", "args": [0]}, '
+    '{"kind": "add", "args": [0]}], "output": 1}\n',
+    "unknown-kind.json": '{"n": 1, "r": 1, "nodes": [{"kind": "div", "args": [0, 0]}], "output": 0}\n',
+    "int-constant.json": '{"n": 1, "r": 1, "nodes": [{"kind": "const", "args": [3]}], "output": 0}\n',
+    "bad-term.json": '{"n": 1, "r": 1, "nodes": [{"kind": "poly_param", "args": [[1]]}], "output": 0}\n',
 }
 
 
@@ -187,6 +196,14 @@ MALFORMED_CIRCUIT_FILES = {
         ["circuit", "eval", "--circuit-file", "{dir}/not-json.txt", "--params", "1", "--inputs", "1"],
         ["circuit", "expand", "--circuit-file", "{dir}/array.json", "--params", "1"],
         ["circuit", "expand", "--circuit-file", "{dir}/no-output.json", "--params", "1"],
+        ["circuit", "eval", "--circuit-file", "{dir}/empty-node.json", "--params", "1", "--inputs", "1"],
+        ["circuit", "eval", "--circuit-file", "{dir}/string-n.json", "--params", "1", "--inputs", "1"],
+        ["circuit", "eval", "--circuit-file", "{dir}/float-output.json", "--params", "1", "--inputs", "1"],
+        ["circuit", "expand", "--circuit-file", "{dir}/nodes-object.json", "--params", "1"],
+        ["circuit", "expand", "--circuit-file", "{dir}/few-args.json", "--params", "1"],
+        ["circuit", "expand", "--circuit-file", "{dir}/unknown-kind.json", "--params", "1"],
+        ["circuit", "expand", "--circuit-file", "{dir}/int-constant.json", "--params", "1"],
+        ["circuit", "expand", "--circuit-file", "{dir}/bad-term.json", "--params", "1"],
     ],
 )
 def test_malformed_value_exits_2(argv, tmp_path):

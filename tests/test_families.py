@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quizlab.errors import CapExceededError, QuizlabError, UnsupportedTaskError
 from quizlab.families import (
@@ -69,6 +71,48 @@ def test_dual_path_equivalence(rng):
         for _ in range(25):
             point = [random_fraction(rng) for _ in range(desc.param_arity)]
             assert circ.expand(point) == expand_family(desc.base(), point), desc.label()
+
+
+def naive_power_form(desc, point) -> Polynomial:
+    """t * multinomial(m) * prod u_i^m_i over every monomial of the support."""
+    t, u = point[0], point[1:]
+    terms = {}
+    for mono in desc.base_support():
+        coeff = t * math.factorial(sum(mono))
+        for x, e in zip(u, mono):
+            coeff = coeff / math.factorial(e) * x ** e
+        if coeff:
+            terms[mono] = coeff
+    return Polynomial.make(desc.n, terms)
+
+
+@st.composite
+def power_form_cases(draw):
+    """easy-power-sum and neural-power at rational points with t = 0, zero
+    coordinates and negative rationals."""
+    if draw(st.booleans()):
+        desc = easy_power_sum(draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    else:
+        desc = neural_power(draw(st.integers(1, 5)))
+    coordinate = st.one_of(
+        st.just(Fraction(0)),
+        st.integers(-4, 4).map(Fraction),
+        st.fractions(min_value=-3, max_value=3, max_denominator=7),
+    )
+    point = draw(st.lists(coordinate, min_size=desc.param_arity, max_size=desc.param_arity))
+    return desc, point
+
+
+@settings(max_examples=150, deadline=None)
+@given(power_form_cases())
+@example((neural_power(3), [Fraction(0), Fraction(2), Fraction(-1), Fraction(1, 3)]))
+@example((easy_power_sum(2, 2), [Fraction(-1, 2), Fraction(0), Fraction(0)]))
+@example((neural_power(2), [Fraction(-2, 3), Fraction(0), Fraction(3, 5)]))
+def test_power_form_expansion_against_naive_and_circuit(case):
+    desc, point = case
+    expected = naive_power_form(desc, point)
+    assert expand_family(desc, point) == expected
+    assert build_circuit(desc).expand(point) == expected
 
 
 def test_gate_bounds_across_desk_scale():

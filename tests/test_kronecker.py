@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quizlab.errors import CapExceededError
 from quizlab.families import elimination_poly
@@ -128,3 +130,30 @@ def test_charpoly_matches_elimination_poly(rng):
             u = [random_fraction(rng) for _ in range(k)]
             theta, _ = build_theta_matrix(k, s, u)
             assert char_poly(theta) == elimination_poly(k, s, u)
+
+
+@st.composite
+def rational_matrices(draw):
+    """Dense, generally non-diagonal square matrices of dimension 1..5 with
+    mixed denominators and zero entries; sometimes the zero matrix."""
+    n = draw(st.integers(1, 5))
+    if draw(st.integers(0, 9)) == 0:
+        return SquareMatrix.from_rows([[0] * n for _ in range(n)])
+    entry = st.one_of(
+        st.just(Fraction(0)),
+        st.integers(-6, 6).map(Fraction),
+        st.fractions(min_value=-5, max_value=5, max_denominator=12),
+    )
+    return SquareMatrix.from_rows(
+        [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_matrices())
+@example(SquareMatrix.from_rows([[Fraction(-7, 3)]]))
+@example(SquareMatrix.from_rows([[0, 0], [0, 0]]))
+@example(SquareMatrix.from_rows([[Fraction(1, 2), Fraction(1, 3)], [Fraction(2, 5), 0]]))
+def test_char_poly_against_cofactors_on_random_matrices(matrix):
+    # The integer-scaled Faddeev-LeVerrier route against the slow route.
+    assert char_poly(matrix) == charpoly_by_cofactors(matrix)

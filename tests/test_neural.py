@@ -3,9 +3,12 @@
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from quizlab import neural
+from quizlab.cli import main
 from quizlab.errors import QuizlabError
 from quizlab.families import expand_family, neural_power
 from quizlab.identify import verify_linear_span
@@ -15,6 +18,7 @@ from quizlab.neural import (
     finite_diff_check,
     forward,
     gradient,
+    loss,
     polynomial_distance,
     random_batch,
     train,
@@ -42,6 +46,17 @@ def test_gradient_zero_at_fit():
     batch = random_batch(3, 8, seed=0)
     targets = [forward(net, x) for x in batch]
     assert gradient(net, batch, targets) == (0.0,) * 4
+
+
+def test_fused_pass_gives_loss_bit_for_bit():
+    # train records the loss of the fused pass; it must be loss() exactly.
+    rng = random.Random(6)
+    for n in (1, 2, 5):
+        for _ in range(10):
+            net = PolyActivationNet(n, tuple(rng.uniform(-3, 3) for _ in range(n + 1)))
+            batch = random_batch(n, 7, seed=rng.randrange(1000))
+            targets = [rng.uniform(-1, 1) for _ in batch]
+            assert neural._loss_and_gradient(net, batch, targets)[0] == loss(net, batch, targets)
 
 
 def test_finite_diff_examples():
@@ -151,3 +166,22 @@ def test_neural_interpolation_points_identify_span():
         ]
         hits += verify_linear_span(points, support)
     assert hits >= 95
+
+
+TRANSCRIPTS = Path(__file__).parent / "transcripts"
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["neural", "train", "--n", "3", "--seed", "4", "--epochs", "200",
+          "--learning-rate", "0.05"], "neural_train_n3_seed4.txt"),
+        (["neural", "train", "--n", "4", "--seed", "5", "--epochs", "200",
+          "--learning-rate", "50", "--batch-size", "10", "--format", "csv"],
+         "neural_train_n4_diverged.csv"),
+    ],
+)
+def test_train_output_is_pinned(argv, name, capsys):
+    # Loss curve, weights, status and polynomial distance, byte for byte.
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (TRANSCRIPTS / name).read_text()

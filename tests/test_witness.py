@@ -291,6 +291,24 @@ def test_hypercube_lk_matches_symbolic_elimination():
         assert lks[k - 1].evaluate(u) == b_k[1]
 
 
+def test_hypercube_lk_matrix_matches_polynomial_evaluation():
+    rng = random.Random(12)
+    for n in (1, 2, 3, 4):
+        lks = hypercube_lk_coefficients(n)
+        integer_points = [tuple(rng.randint(-9, 40) for _ in range(n)) for _ in range(2 ** n)]
+        rational_points = [
+            tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(n))
+            for _ in range(2 ** n)
+        ]
+        rational_points[0] = (Fraction(0),) * n
+        for points in (integer_points, rational_points):
+            matrix = hypercube_lk_matrix(n, points)
+            expected = tuple(
+                tuple(lk.evaluate([Fraction(x) for x in u]) for u in points) for lk in lks
+            )
+            assert matrix.entries == expected
+
+
 def test_expected_ranks():
     assert expected_rank(easy_power_sum(2, 2)) == 10
     assert expected_rank(neural_power(3)) == 10
