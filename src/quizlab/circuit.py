@@ -14,6 +14,7 @@ evaluation over a polynomial ring with a term-count cap.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -99,33 +100,57 @@ class Circuit:
 
     def evaluate(self, params, inputs, ring=RATIONALS):
         """Value of the final result at (params, inputs), over any ring."""
+        return self.evaluate_points(params, [inputs], ring)[0]
+
+    def evaluate_points(self, params, points, ring=RATIONALS) -> list:
+        """Values of the final result at (params, p) for each input point p.
+
+        The first point runs every node in order; later points reuse the
+        parameter-only nodes (``input_dependence``) and run only the
+        input-dependent ones, so each parameter-only node is evaluated once.
+        """
         if len(params) != self.n_params:
             raise ArityMismatchError(
                 f"expected {self.n_params} parameters, got {len(params)}"
             )
-        if len(inputs) != self.n_inputs:
-            raise ArityMismatchError(f"expected {self.n_inputs} inputs, got {len(inputs)}")
-        values: list = []
-        for i, node in enumerate(self.nodes):
-            try:
-                if node.kind == INPUT:
-                    v = inputs[node.a]
-                elif node.kind == PARAM:
-                    v = params[node.a]
-                elif node.kind == CONST:
-                    v = ring.from_rational(node.value)
-                elif node.kind == POLY_PARAM:
-                    v = node.payload.evaluate(params, ring)
-                elif node.kind == ADD:
-                    v = ring.add(values[node.a], values[node.b])
-                elif node.kind == SUB:
-                    v = ring.sub(values[node.a], values[node.b])
-                else:
-                    v = ring.mul(values[node.a], values[node.b])
-            except ExpansionCapExceededError as exc:
-                raise ExpansionCapExceededError(f"{exc} (at node {i})", node=i) from exc
-            values.append(v)
-        return values[self.output]
+        for inputs in points:
+            if len(inputs) != self.n_inputs:
+                raise ArityMismatchError(
+                    f"expected {self.n_inputs} inputs, got {len(inputs)}"
+                )
+        nodes = self.nodes
+        order = range(len(nodes))
+        values: list = [None] * len(nodes)
+        results = []
+        for inputs in points:
+            for i in order:
+                node = nodes[i]
+                try:
+                    if node.kind == INPUT:
+                        v = inputs[node.a]
+                    elif node.kind == PARAM:
+                        v = params[node.a]
+                    elif node.kind == CONST:
+                        v = ring.from_rational(node.value)
+                    elif node.kind == POLY_PARAM:
+                        v = node.payload.evaluate(params, ring)
+                    elif node.kind == ADD:
+                        v = ring.add(values[node.a], values[node.b])
+                    elif node.kind == SUB:
+                        v = ring.sub(values[node.a], values[node.b])
+                    else:
+                        v = ring.mul(values[node.a], values[node.b])
+                except ExpansionCapExceededError as exc:
+                    raise ExpansionCapExceededError(f"{exc} (at node {i})", node=i) from exc
+                values[i] = v
+            results.append(values[self.output])
+            order = self._input_dependent_nodes
+        return results
+
+    @functools.cached_property
+    def _input_dependent_nodes(self) -> list[int]:
+        """Indices of the nodes that depend on an input, found once per circuit."""
+        return [i for i, dep in enumerate(self.input_dependence()) if dep]
 
     def expand(self, params, cap: int | None = DEFAULT_EXPANSION_CAP) -> Polynomial:
         """Exact polynomial in the inputs at fixed rational parameters."""
@@ -357,8 +382,3 @@ def generic_computation(L: int, n: int) -> Circuit:
     if next_param > r:
         raise QuizlabError("parameter layout exceeded the declared arity")
     return b.finish(out)
-
-
-def generic_parameters_used(L: int, n: int) -> int:
-    """Number of non-padding slots in the generic computation's layout."""
-    return sum(2 * (1 + n + i) for i in range(L)) + (1 + n + L)

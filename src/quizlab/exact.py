@@ -372,36 +372,6 @@ def _normalize(terms: dict[int, Fraction], bound: int | None) -> LaurentSeries:
     return LaurentSeries(low, coeffs, bound)
 
 
-def laurent_arith(
-    a: LaurentSeries,
-    b: LaurentSeries,
-    op: str,
-    precision: int | None = None,
-) -> LaurentSeries:
-    """Public add/sub/mul with the default truncation policy applied.
-
-    Results keep full exactness while they fit in ``precision`` significant
-    terms; longer results are truncated and their bound recorded.  A result
-    with no significant term that is not provably zero raises
-    PrecisionUnderflowError.
-    """
-    precision = DEFAULT_LAURENT_PRECISION if precision is None else precision
-    if op == "add":
-        out = a + b
-    elif op == "sub":
-        out = a - b
-    elif op == "mul":
-        out = a * b
-    else:
-        raise ValueError(f"unknown op {op!r}")
-    out = out.truncate(precision)
-    if not out.coeffs and out.bound is not None:
-        raise PrecisionUnderflowError(
-            f"result has no significant term below O(e^{out.bound}); retry with higher precision"
-        )
-    return out
-
-
 def laurent_limit(a: LaurentSeries) -> Fraction:
     """Value at e = 0 of a series holomorphic at the origin.
 

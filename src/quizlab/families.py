@@ -157,21 +157,25 @@ class FamilyDescriptor:
         if self.variant == EASY_POWER_SUM:
             return monomials_below_degree(self.n, 2 ** self.l)
         if self.variant == UNIVARIATE_D:
-            return tuple((j,) for j in range(self.d + 1))
+            return tuple([(j,) for j in range(self.d + 1)])
         if self.variant == NEURAL_POWER:
             return monomials_of_degree(self.n, self.n)
         return multilinear_monomials(self.input_arity)
 
     def task_support(self) -> tuple[Monomial, ...]:
-        """Monomial support of the task image (univariate in Y for repacks)."""
+        """Monomial support of the task image (univariate in Y for repacks).
+
+        Every game round asks for it, so its tuples are built from lists
+        (see ``protocol._format_values``).
+        """
         if self.task == TASK_IDENTITY:
             return self.base_support()
         if self.task == TASK_DERIVATIVE:
-            return tuple((j,) for j in range(self.d))
+            return tuple([(j,) for j in range(self.d)])
         if self.task == TASK_INTEGRAL:
-            return tuple((j,) for j in range(1, self.d + 2))
+            return tuple([(j,) for j in range(1, self.d + 2)])
         degree = 2 ** self.input_arity
-        return tuple((j,) for j in range(degree + 1))
+        return tuple([(j,) for j in range(degree + 1)])
 
     def label(self) -> str:
         parts = [self.variant]
@@ -393,7 +397,9 @@ def expand_family(
         l, n = desc.l, desc.n
         count = math.comb(2 ** l - 1 + n, n)
         if cap is not None and count > cap:
-            raise CapExceededError(f"expansion needs {count} terms, cap is {cap}")
+            raise CapExceededError(
+                f"expansion needs {count} terms, cap is {cap}; no override"
+            )
         return _expand_power_form(n, t, rest, 0, 2 ** l - 1)
     if desc.variant == UNIVARIATE_D:
         d = desc.d
@@ -428,10 +434,12 @@ def elimination_poly(
     The default dimension cap is 10, overridable per call or through the
     QUIZLAB_ELIMINATION_CAP environment variable.
     """
+    override = "no override"
     if cap is None:
         cap = int(os.environ.get("QUIZLAB_ELIMINATION_CAP", ELIMINATION_CAP))
+        override = "override with QUIZLAB_ELIMINATION_CAP"
     if n > cap:
-        raise CapExceededError(f"elimination cap: n={n} exceeds {cap}")
+        raise CapExceededError(f"elimination cap: n={n} exceeds {cap}; {override}")
     t = Fraction(t)
     point = [Fraction(x) for x in u]
     if len(point) != n:

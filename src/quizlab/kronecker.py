@@ -57,14 +57,6 @@ class SquareMatrix:
     def dimension(self) -> int:
         return len(self.entries)
 
-    def is_diagonal(self) -> bool:
-        return all(
-            self.entries[i][j] == 0
-            for i in range(self.dimension)
-            for j in range(self.dimension)
-            if i != j
-        )
-
     def __add__(self, other: "SquareMatrix") -> "SquareMatrix":
         if self.dimension != other.dimension:
             raise QuizlabError("dimension mismatch in matrix addition")
@@ -184,7 +176,7 @@ def build_theta_matrix(
     (sum_i diag(0, 2^(k-i))) + s * diag(1, u_k) (x) ... (x) diag(1, u_1).
     """
     if k > cap:
-        raise CapExceededError(f"theta-matrix cap: k={k} exceeds {cap}")
+        raise CapExceededError(f"theta-matrix cap: k={k} exceeds {cap}; no override")
     s = Fraction(s)
     _, shift, product = _theta_folds(k, u)
     return shift + product.scale(s), 2 * k
@@ -203,7 +195,7 @@ def verify_lemma_identities(
         prod_j (Y - (j + s * prod_i u_i^[j]_i)).
     """
     if k > cap:
-        raise CapExceededError(f"lemma-identity cap: k={k} exceeds {cap}")
+        raise CapExceededError(f"lemma-identity cap: k={k} exceeds {cap}; no override")
     s = Fraction(s)
     coords, shift, product = _theta_folds(k, u)
     first = shift == SquareMatrix.diagonal(list(range(2 ** k)))

@@ -112,9 +112,6 @@ class Polynomial:
     def term_count(self) -> int:
         return len(self.terms)
 
-    def constant_term(self):
-        return self.terms.get((0,) * self.nvars, self.ring.zero)
-
     def coefficient(self, m: Monomial):
         return self.terms.get(tuple(m), self.ring.zero)
 
@@ -267,7 +264,9 @@ class Polynomial:
                 raise TermOutsideSupportError(
                     f"term {m} lies outside the declared support", m
                 )
-        return tuple(self.terms.get(m, self.ring.zero) for m in support)
+        zero = self.ring.zero
+        # from a list, as in every game round (see protocol._format_values)
+        return tuple([self.terms.get(m, zero) for m in support])
 
     # -- serialization ----------------------------------------------------------
 
@@ -329,7 +328,8 @@ class PolynomialRing:
     def _capped(self, p: Polynomial) -> Polynomial:
         if self.max_terms is not None and p.term_count() > self.max_terms:
             raise ExpansionCapExceededError(
-                f"expansion produced {p.term_count()} terms, cap is {self.max_terms}"
+                f"expansion produced {p.term_count()} terms, cap is {self.max_terms}; "
+                "QUIZLAB_EXPANSION_CAP overrides it for circuit expand"
             )
         return p
 

@@ -25,7 +25,7 @@ byte-identical redacted transcripts.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -61,7 +61,14 @@ from .families import (
 from .identify import IdentificationSequence, sample_sequence, verify_linear_span
 from .kronecker import build_theta_matrix, char_poly
 from .poly import Monomial, Polynomial, from_coeff_vector
-from .witness import evaluation_matrix, solve_exact
+from .witness import (
+    CompiledSystem,
+    cleared_row,
+    compile_system,
+    evaluation_matrix,
+    monomial_values,
+    solve_exact,
+)
 
 POST_IDENTITY = "identity"
 POST_DIFFERENTIATE = "differentiate"
@@ -86,17 +93,32 @@ VERDICT_REJECT = "reject"
 
 @dataclass(frozen=True)
 class Strategy:
-    """The player's strategy: fixed questions, declared support, re-encoding."""
+    """The player's strategy: fixed questions, declared support, re-encoding.
+
+    ``system`` is the questions' evaluation matrix on the support, eliminated
+    on first use and kept for every later round; it takes no part in
+    equality or hashing.
+    """
 
     question_points: IdentificationSequence
     target_support: tuple[Monomial, ...]
     post_map: str = POST_IDENTITY
+    _system: CompiledSystem | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if len(self.target_support) > self.question_points.length:
             raise QuizlabError(
                 "need at least as many question points as support monomials"
             )
+
+    @property
+    def system(self) -> CompiledSystem:
+        if self._system is None:
+            matrix = evaluation_matrix(self.question_points.points, self.target_support)
+            object.__setattr__(self, "_system", compile_system(matrix.entries))
+        return self._system
 
 
 @dataclass(frozen=True)
@@ -241,6 +263,7 @@ def player_interpolate(
     values: Sequence,
     points: IdentificationSequence | Sequence[Sequence[int]],
     support: Sequence[Monomial],
+    system: CompiledSystem | None = None,
 ):
     """Unique exact solution of the evaluation system on the support.
 
@@ -248,13 +271,31 @@ def player_interpolate(
     rationals or Laurent series.  Raises InconsistentSystemError when the
     values cannot come from the declared support, and
     UnderdeterminedSystemError when the points do not pin down the support.
-    The questions are fixed before the round, so solve_exact eliminates
-    their matrix once and later rounds only apply the compiled map.
+    The questions are fixed before the round: ``system`` is their matrix
+    already compiled (``Strategy.system``); without it, solve_exact
+    eliminates the matrix once and later calls only apply the compiled map.
     """
     pts = points.points if isinstance(points, IdentificationSequence) else points
     if len(values) != len(pts):
         raise ArityMismatchError("one value per question point required")
-    return solve_exact(evaluation_matrix(pts, support).entries, list(values))
+    if system is None:
+        system = evaluation_matrix(pts, support).entries
+    return solve_exact(system, list(values))
+
+
+def _answers(circ: Circuit, params: Sequence, strategy: Strategy, ring=RATIONALS) -> list:
+    """The quizmaster's answers to the strategy's questions at ``params``."""
+    points = [
+        [ring.from_rational(Fraction(x)) for x in p] for p in strategy.question_points.points
+    ]
+    return circ.evaluate_points(params, points, ring)
+
+
+def _interpolate(strategy: Strategy, values: Sequence) -> list:
+    """The player's interpolation on the strategy's carried system."""
+    return player_interpolate(
+        values, strategy.question_points, strategy.target_support, strategy.system
+    )
 
 
 def apply_post_map(
@@ -266,18 +307,18 @@ def apply_post_map(
 ) -> tuple[tuple[Monomial, ...], tuple]:
     """The player's re-encoding after interpolation."""
     if post == POST_IDENTITY:
-        return tuple(tuple(m) for m in support), tuple(coeffs)
+        return tuple([tuple(m) for m in support]), tuple(coeffs)
     f = from_coeff_vector(support, coeffs, n_inputs, ring)
     if post == POST_DIFFERENTIATE:
         g = f.derivative(0)
-        new_support = tuple((j,) for j in range(max(len(support) - 1, 1)))
+        new_support = tuple([(j,) for j in range(max(len(support) - 1, 1))])
         return new_support, g.coeff_vector(new_support)
     if post == POST_INTEGRATE:
         g = f.integral(0)
-        new_support = tuple((j,) for j in range(1, len(support) + 1))
+        new_support = tuple([(j,) for j in range(1, len(support) + 1)])
         return new_support, g.coeff_vector(new_support)
     if post in (POST_ELIMINATION, POST_CHARPOLY):
-        new_support = tuple((j,) for j in range(2 ** n_inputs + 1))
+        new_support = tuple([(j,) for j in range(2 ** n_inputs + 1)])
         return new_support, vertex_elimination(f, n_inputs).coeff_vector(new_support)
     raise QuizlabError(f"unknown post map {post!r}")
 
@@ -312,20 +353,31 @@ def decide_equal(
     arbitrary points the test is one-sided (False is conclusive, True is
     not).  ``tolerance`` switches to |lhs - rhs| <= tolerance per point,
     used only by the numeric approximative mode.
+
+    Coefficients and the tolerance are rationals (int or Fraction).  Each
+    encoding is cleared once to integer coefficients F / f and G / g,
+    and at an integer point lhs = L / f and rhs = R / g are integer sums of
+    monomial values, so the test is L g = R f, or b |L g - R f| <= a f g for
+    a tolerance a / b.  The points are evaluated here, never through the
+    player's compiled system, so the verdict does not check the player
+    against itself.
     """
     pts = points.points if isinstance(points, IdentificationSequence) else points
-    f_rows = evaluation_matrix(pts, f_enc[0]).entries
-    g_rows = evaluation_matrix(pts, g_enc[0]).entries
-
-    def value(coeffs, row):
-        return sum((Fraction(c) * m for c, m in zip(coeffs, row)), Fraction(0))
-
-    for f_row, g_row in zip(f_rows, g_rows):
-        lhs, rhs = value(f_enc[1], f_row), value(g_enc[1], g_row)
+    (f_support, f_coeffs), (g_support, g_coeffs) = f_enc, g_enc
+    f, big_f = cleared_row(f_coeffs)
+    g, big_g = cleared_row(g_coeffs)
+    if tolerance is not None:
+        a, b = tolerance.numerator, tolerance.denominator
+    same_support = g_support == f_support
+    for point in pts:
+        f_row = monomial_values(point, f_support)
+        g_row = f_row if same_support else monomial_values(point, g_support)
+        left = sum(c * m for c, m in zip(big_f, f_row) if c) * g
+        right = sum(c * m for c, m in zip(big_g, g_row) if c) * f
         if tolerance is None:
-            if lhs != rhs:
+            if left != right:
                 return False
-        elif abs(lhs - rhs) > tolerance:
+        elif b * abs(left - right) > a * f * g:
             return False
     return True
 
@@ -349,8 +401,12 @@ def _verdict_points(
 # Games
 # ---------------------------------------------------------------------------
 
+# A round builds its tuples from lists, never from generators: CPython 3.11
+# grows a generator's tuple by resizing and frees it onto the free list of
+# its final size, which little else drains, so many rounds would keep
+# about a megabyte of dead tuples.
 def _format_values(values, ring) -> tuple[str, ...]:
-    return tuple(ring.to_str(v) for v in values)
+    return tuple([ring.to_str(v) for v in values])
 
 
 def run_exact(
@@ -371,12 +427,9 @@ def run_exact(
             f"hidden point must have arity {desc.param_arity}, got {len(hidden_point)}"
         )
     circ = circuit if circuit is not None else build_circuit_cached(desc.base())
-    values = [
-        circ.evaluate(hidden_point, [Fraction(x) for x in p])
-        for p in strategy.question_points.points
-    ]
+    values = _answers(circ, hidden_point, strategy)
     try:
-        coeffs = player_interpolate(values, strategy.question_points, strategy.target_support)
+        coeffs = _interpolate(strategy, values)
     except UnderdeterminedSystemError as exc:
         raise NonIdentifyingPointsError(str(exc)) from exc
     support_star, v_star = apply_post_map(
@@ -461,19 +514,12 @@ def run_approx(
             )
         precision = config.precision or germ.precision or DEFAULT_LAURENT_PRECISION
         ring = LaurentRing(precision)
-        values = [
-            circ.evaluate(
-                list(germ.components),
-                [ring.from_rational(Fraction(x)) for x in point],
-                ring,
-            )
-            for point in strategy.question_points.points
-        ]
-        coeffs = player_interpolate(values, strategy.question_points, strategy.target_support)
+        values = _answers(circ, list(germ.components), strategy, ring)
+        coeffs = _interpolate(strategy, values)
         support_star, laurent_star = apply_post_map(
             post, strategy.target_support, coeffs, n_inputs, ring
         )
-        v_star = tuple(laurent_limit(c) for c in laurent_star)
+        v_star = tuple([laurent_limit(c) for c in laurent_star])
         check_points = _verdict_points(strategy, support_star, support_ref)
         accepted = decide_equal(
             (support_star, v_star), (support_ref, v_ref), check_points
@@ -488,13 +534,7 @@ def run_approx(
             sequence = sequence_from_germ(config.germ, config.sample_schedule)
         vectors = []
         for u_k in sequence:
-            values_k = [
-                circ.evaluate(u_k, [Fraction(x) for x in p], RATIONALS)
-                for p in strategy.question_points.points
-            ]
-            coeffs_k = player_interpolate(
-                values_k, strategy.question_points, strategy.target_support
-            )
+            coeffs_k = _interpolate(strategy, _answers(circ, u_k, strategy))
             _, v_k = apply_post_map(post, strategy.target_support, coeffs_k, n_inputs)
             vectors.append(tuple(v_k))
         tail = vectors[len(vectors) // 2 :]
@@ -537,9 +577,9 @@ def run_approx(
         post_map=post,
         quizmaster_message=tuple(message),
         player_support=support_star,
-        player_message=tuple(rational_to_str(Fraction(x)) for x in v_star),
+        player_message=tuple([rational_to_str(Fraction(x)) for x in v_star]),
         reference_support=support_ref,
-        reference=tuple(rational_to_str(Fraction(x)) for x in v_ref),
+        reference=tuple([rational_to_str(Fraction(x)) for x in v_ref]),
         verdict=VERDICT_ACCEPT if accepted else VERDICT_REJECT,
         hidden=hidden,
     )
@@ -576,11 +616,7 @@ def fiber_image(
         fiber_point = (Fraction(0),) + tuple(
             Fraction(rng.randint(-8, 8)) for _ in range(desc.param_arity - 1)
         )
-        values = [
-            circ.evaluate(fiber_point, [Fraction(x) for x in p])
-            for p in strategy.question_points.points
-        ]
-        coeffs = player_interpolate(values, strategy.question_points, strategy.target_support)
+        coeffs = _interpolate(strategy, _answers(circ, fiber_point, strategy))
         _, v = apply_post_map(
             strategy.post_map, strategy.target_support, coeffs, desc.input_arity
         )

@@ -119,16 +119,16 @@ def _rank_prime_field(rows: list[list[PrimeFieldElement]], p: int) -> int:
     return rank
 
 
-def _cleared_row(row: Sequence[Fraction]) -> tuple[int, list[int]]:
+def cleared_row(row: Sequence[Fraction]) -> tuple[int, list[int]]:
     """The lcm s of the row's denominators, and the integer row s * row."""
-    scale = math.lcm(*(x.denominator for x in row))
+    scale = math.lcm(*[x.denominator for x in row])
     return scale, [x.numerator * (scale // x.denominator) for x in row]
 
 
 def _rank_bareiss(rows: list[list[Fraction]]) -> int:
     # Clear denominators per row (rank-invariant), then run fraction-free
     # elimination: every intermediate entry is a minor, so divisions are exact.
-    grid = [_cleared_row(row)[1] for row in rows]
+    grid = [cleared_row(row)[1] for row in rows]
     m, n = len(grid), len(grid[0])
     rank = 0
     prev_pivot = 1
@@ -185,14 +185,22 @@ class CompiledSystem:
         """The unique x with A x = rhs; rhs entries may be Fractions or any
         module over the rationals (Laurent series).
 
-        Raises InconsistentSystemError when no solution exists (checked
-        first) and UnderdeterminedSystemError when it is not unique.
+        Rational right-hand sides are cleared to integers b' = s * b once,
+        so each unknown is one integer combination over d * s.  Raises
+        InconsistentSystemError when no solution exists (checked first) and
+        UnderdeterminedSystemError when it is not unique.
         """
         b = list(rhs)
         if len(b) != len(self.rows):
             raise QuizlabError("matrix and right-hand side differ in length")
+        rational = all(isinstance(x, (int, Fraction)) for x in b)
+        if rational:
+            scale, b = cleared_row(b)
+            combine = _dot
+        else:
+            combine = _combine
         for row in self.rows[self.rank :]:
-            if _combine(row, b):
+            if combine(row, b):
                 raise InconsistentSystemError(
                     "values are not explainable within the declared support"
                 )
@@ -201,10 +209,19 @@ class CompiledSystem:
                 f"system rank {self.rank} < {self.unknowns} unknowns"
             )
         # Full column rank: the pivot columns are 0..n-1, in order.
+        if rational:
+            return [
+                Fraction(_dot(row, b), d * scale)
+                for row, d in zip(self.rows, self.denominators)
+            ]
         return [
             Fraction(1, d) * _combine(row, b)
             for row, d in zip(self.rows, self.denominators)
         ]
+
+
+def _dot(coeffs: Sequence[int], values: Sequence[int]) -> int:
+    return sum(c * v for c, v in zip(coeffs, values) if c)
 
 
 def _combine(coeffs: Sequence[int], values: Sequence):
@@ -232,7 +249,7 @@ def compile_system(matrix_rows: Sequence[Sequence[Fraction]]) -> CompiledSystem:
     n = len(a[0]) if a else 0
     grid: list[list[int]] = []
     for i, row in enumerate(a):
-        scale, cleared = _cleared_row(row)
+        scale, cleared = cleared_row(row)
         grid.append(cleared + [scale if j == i else 0 for j in range(m)])
     pivot_cols: list[int] = []
     prev = 1
@@ -274,22 +291,33 @@ def _compiled(matrix_rows: tuple[tuple, ...]) -> CompiledSystem:
     return compile_system(matrix_rows)
 
 
-def solve_exact(matrix_rows: Sequence[Sequence[Fraction]], rhs: Sequence) -> list:
+def solve_exact(
+    matrix_rows: Sequence[Sequence[Fraction]] | CompiledSystem, rhs: Sequence
+) -> list:
     """Solve A x = b exactly, where A is rational and b lives in any module
     over the rationals (Fractions or Laurent series).
 
     Returns the unique solution.  Raises InconsistentSystemError when no
     solution exists and UnderdeterminedSystemError when the solution is not
-    unique.  A is eliminated once and the last 128 distinct matrices are
-    kept, so repeated solves against one A (a game's fixed questions) only
-    apply the compiled map.
+    unique.  A may be given already compiled (a game strategy carries its
+    questions' system); otherwise it is eliminated once and the last 128
+    distinct matrices are kept, so repeated solves against one A only apply
+    the compiled map.
     """
+    if isinstance(matrix_rows, CompiledSystem):
+        return matrix_rows.solve(rhs)
     return _compiled(tuple(map(tuple, matrix_rows))).solve(rhs)
 
 
 # ---------------------------------------------------------------------------
 # Witness matrices
 # ---------------------------------------------------------------------------
+
+def monomial_values(point: Sequence[int], support: Sequence[Monomial]) -> list:
+    """The value of each support monomial at the point: integers at an
+    integer point, Fractions at a rational one."""
+    return [math.prod(x ** e for e, x in zip(mono, point)) for mono in support]
+
 
 def evaluation_matrix(
     points: Sequence[Sequence[int]], support: Sequence[Monomial]
@@ -300,8 +328,7 @@ def evaluation_matrix(
     exact product, made a Fraction once.
     """
     return ExactMatrix.from_rows(
-        [Fraction(math.prod(x ** e for e, x in zip(mono, point))) for mono in support]
-        for point in points
+        [Fraction(x) for x in monomial_values(point, support)] for point in points
     )
 
 
@@ -381,7 +408,9 @@ def roots_of_unity_rank(d_degree: int, variant: str) -> int:
 def _hypercube_lk_rows(n: int, cap: int) -> tuple[list[Monomial], list[list[int]]]:
     """The vertex monomials m_j and, per L_k, the integer coefficient of each m_j."""
     if n > cap:
-        raise CapExceededError(f"hypercube coefficient cap: n={n} exceeds {cap}")
+        raise CapExceededError(
+            f"hypercube coefficient cap: n={n} exceeds {cap}; no override"
+        )
     size = 2 ** n
     # f0 = prod_{j<size} (Y - j) as integer coefficients, degree ascending.
     f0 = [1]
@@ -434,7 +463,7 @@ def hypercube_lk_matrix(
     for u in points:
         if len(u) != n:
             raise ArityMismatchError(f"point has arity {len(u)}, polynomial has {n}")
-        s, v = _cleared_row([Fraction(x) for x in u])
+        s, v = cleared_row([Fraction(x) for x in u])
         values = [
             math.prod(x for x, e in zip(v, mono) if e) * s ** (n - sum(mono))
             for mono in monos
@@ -497,12 +526,16 @@ def expected_rank(desc: FamilyDescriptor) -> int:
 def check_desk_cap(desc: FamilyDescriptor) -> None:
     if desc.variant == EASY_POWER_SUM:
         if desc.n * desc.l > 8:
-            raise CapExceededError(f"desk cap n*l <= 8 exceeded: n*l = {desc.n * desc.l}")
+            raise CapExceededError(
+                f"desk cap n*l <= 8 exceeded: n*l = {desc.n * desc.l}; no override"
+            )
         return
     name, cap = DESK_CAPS[desc.variant]
     value = {"n": desc.n, "k": desc.k, "d": desc.d}[name]
     if value > cap:
-        raise CapExceededError(f"desk cap {name} <= {cap} exceeded: {name} = {value}")
+        raise CapExceededError(
+            f"desk cap {name} <= {cap} exceeded: {name} = {value}; no override"
+        )
 
 
 def _sample_distinct(rng: random.Random, count: int, box: int) -> list[int]:

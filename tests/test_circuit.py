@@ -4,22 +4,28 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quizlab.circuit import (
     Circuit,
     CircuitBuilder,
     generic_computation,
-    generic_parameters_used,
 )
 from quizlab.errors import ArityMismatchError, ExpansionCapExceededError
-from quizlab.exact import LaurentRing, LaurentSeries
+from quizlab.exact import RATIONALS, LaurentRing, LaurentSeries
 from quizlab.families import (
+    TASK_CHARPOLY,
+    TASK_ELIMINATION,
     build_circuit,
     easy_power_sum,
     expand_family,
+    hypercube_shift,
+    kronecker_diag,
+    neural_power,
     univariate_d,
 )
-from quizlab.poly import Polynomial
+from quizlab.poly import Polynomial, PolynomialRing
 from conftest import random_fraction
 
 
@@ -119,7 +125,9 @@ def test_generic_computation_shape():
             c = generic_computation(L, n)
             assert c.n_params == (L + n + 1) ** 2
             assert sum(c.essential_mul_flags()) == L
-            assert generic_parameters_used(L, n) <= c.n_params
+            # non-padding slots: two affine forms per step, then the output form
+            used = sum(2 * (1 + n + i) for i in range(L)) + (1 + n + L)
+            assert used <= c.n_params
 
 
 def test_generic_affine_case():
@@ -194,3 +202,81 @@ def test_serialization_roundtrip():
         assert clone.expand(params) == circ.expand(params)
     g = generic_computation(2, 2)
     assert Circuit.from_text(g.to_text()).to_text() == g.to_text()
+
+
+FAMILY_CIRCUITS = [
+    easy_power_sum(2, 2),
+    univariate_d(5),
+    neural_power(2),
+    hypercube_shift(2, TASK_ELIMINATION),
+    kronecker_diag(2, TASK_CHARPOLY),
+]
+small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(FAMILY_CIRCUITS), st.data())
+def test_evaluate_points_matches_per_point_evaluate(desc, data):
+    circ = build_circuit(desc.base())
+    r, n = circ.n_params, circ.n_inputs
+    params = data.draw(st.lists(small_fractions, min_size=r, max_size=r))
+    points = data.draw(
+        st.lists(st.lists(small_fractions, min_size=n, max_size=n), max_size=5)
+    )
+    values = circ.evaluate_points(params, points)
+    assert values == [circ.evaluate(params, p) for p in points]
+    oracle = expand_family(desc.base(), params)
+    assert values == [oracle.evaluate(p) for p in points]
+
+    # Over Laurent scalars, with a precision that keeps every value exact,
+    # so substituting e = 1/7 must commute with the evaluation.
+    slopes = data.draw(st.lists(small_fractions, min_size=r, max_size=r))
+    germ = [LaurentSeries.from_pairs([(0, c), (1, a)]) for c, a in zip(params, slopes)]
+    ring = LaurentRing(64)
+    lifted = [[ring.from_rational(x) for x in p] for p in points]
+    laurent = circ.evaluate_points(germ, lifted, ring)
+    assert laurent == [circ.evaluate(germ, p, ring) for p in lifted]
+    at = Fraction(1, 7)
+    substituted = [g.substitute(at) for g in germ]
+    assert [v.substitute(at) for v in laurent] == circ.evaluate_points(substituted, points)
+
+
+def _first_failure(circ, params, points, ring):
+    """Per-point evaluation until the first cap hit: (values, error or None)."""
+    values = []
+    for p in points:
+        try:
+            values.append(circ.evaluate(params, p, ring))
+        except ExpansionCapExceededError as exc:
+            return values, exc
+    return values, None
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(FAMILY_CIRCUITS), st.integers(1, 40), st.booleans())
+@example(FAMILY_CIRCUITS[3], 1, True)  # a parameter-only node, first point
+@example(FAMILY_CIRCUITS[3], 2, True)  # an input-dependent node, second point
+@example(FAMILY_CIRCUITS[0], 1, False)  # an input-dependent node, third point
+def test_evaluate_points_cap_hit_keeps_node_index(desc, cap, symbolic_params):
+    # Constant inputs first, then the input variables: a cap hit can come
+    # from a parameter-only node on the first point or from an
+    # input-dependent node on a later one.
+    circ = build_circuit(desc.base())
+    r, n = circ.n_params, circ.n_inputs
+    ring = PolynomialRing(r + n, RATIONALS, cap)
+    if symbolic_params:
+        params = [ring.variable(j) for j in range(r)]
+    else:
+        params = [ring.from_rational(Fraction(j + 2)) for j in range(r)]
+    points = [
+        [ring.from_rational(Fraction(k))] * n for k in (1, -2)
+    ] + [[ring.variable(r + i) for i in range(n)]]
+    values, error = _first_failure(circ, params, points, ring)
+    if error is None:
+        assert circ.evaluate_points(params, points, ring) == values
+        return
+    with pytest.raises(ExpansionCapExceededError) as info:
+        circ.evaluate_points(params, points, ring)
+    assert info.value.node == error.node
+    assert str(info.value) == str(error)
+    assert str(error).endswith(f"(at node {error.node})")

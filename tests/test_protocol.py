@@ -5,7 +5,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from quizlab import protocol, witness
 from quizlab.approx import GermInstance, border_demo_germ, border_family_circuit, encode
 from quizlab.errors import (
     InconsistentSystemError,
@@ -29,7 +32,7 @@ from quizlab.families import (
     univariate_d,
 )
 from quizlab.identify import IdentificationSequence
-from quizlab.poly import Polynomial
+from quizlab.poly import Polynomial, monomials_below_degree
 from quizlab.protocol import (
     MODE_NUMERIC,
     MODE_SYMBOLIC,
@@ -43,6 +46,7 @@ from quizlab.protocol import (
     run_exact,
     symmetric_integer_points,
 )
+from quizlab.witness import evaluation_matrix
 from conftest import lagrange_interpolate, random_fraction
 
 
@@ -95,6 +99,64 @@ def test_border_approx_transcript_bytes_are_pinned(mode):
     assert transcript.export().encode() == expected
 
 
+def _germ(constants, slopes):
+    """The germ with components c + a*e."""
+    return GermInstance.make(
+        [LaurentSeries.from_pairs([(0, c), (1, a)]) for c, a in zip(constants, slopes)]
+    )
+
+
+F = Fraction
+# One exact round for every family and task of the benchmark's exact set, and
+# one symbolic round with a moving germ for each of its symbolic families.
+PINNED_EXACT = [
+    ("exact_univariate_d16.txt", univariate_d(16), [F(-3, 4)]),
+    ("exact_univariate_d16_derivative.txt", univariate_d(16, TASK_DERIVATIVE), [F(5, 3)]),
+    ("exact_univariate_d16_integral_2.txt", univariate_d(16, TASK_INTEGRAL), [F(7, 9)]),
+    ("exact_easy_power_sum_l2_n2.txt", easy_power_sum(2, 2), [F(2, 5), F(-1, 3), F(4)]),
+    ("exact_neural_power3.txt", neural_power(3), [F(-6, 7), F(1, 2), F(3), F(-2, 9)]),
+    (
+        "exact_hypercube_shift3_elimination_2.txt",
+        hypercube_shift(3, TASK_ELIMINATION),
+        [F(-1, 6), F(3, 2), F(-4), F(5, 8)],
+    ),
+    (
+        "exact_kronecker_diag3_charpoly.txt",
+        kronecker_diag(3, TASK_CHARPOLY),
+        [F(3, 7), F(-2), F(1, 5), F(9, 4)],
+    ),
+]
+PINNED_SYMBOLIC = [
+    ("symbolic_univariate_d8.txt", univariate_d(8), [F(-2, 3)], [F(1, 2)]),
+    (
+        "symbolic_easy_power_sum_l2_n2.txt",
+        easy_power_sum(2, 2),
+        [F(3, 4), F(-1), F(2, 7)],
+        [F(-1, 3), F(2), F(0)],
+    ),
+    (
+        "symbolic_hypercube_shift2_elimination.txt",
+        hypercube_shift(2, TASK_ELIMINATION),
+        [F(5, 2), F(-3, 8), F(6)],
+        [F(1), F(0), F(-5, 4)],
+    ),
+]
+
+
+@pytest.mark.parametrize("name, desc, hidden", PINNED_EXACT)
+def test_benchmark_exact_transcripts_are_pinned(name, desc, hidden):
+    transcript = run_exact(desc, hidden, strategy=builtin_strategy(desc, seed=0))
+    assert transcript.export(include_hidden=True).encode() == (TRANSCRIPTS / name).read_bytes()
+
+
+@pytest.mark.parametrize("name, desc, constants, slopes", PINNED_SYMBOLIC)
+def test_benchmark_symbolic_transcripts_are_pinned(name, desc, constants, slopes):
+    config = ApproxGameConfig(germ=_germ(constants, slopes), mode=MODE_SYMBOLIC)
+    target = expand_family(desc.base(), constants)
+    transcript = run_approx(desc, builtin_strategy(desc, seed=0), config, target)
+    assert transcript.export().encode() == (TRANSCRIPTS / name).read_bytes()
+
+
 def test_transcript_matches_lagrange_oracle():
     # independent route: Lagrange interpolation at the same points
     values = [Fraction(7), Fraction(49), Fraction(21)]
@@ -144,6 +206,102 @@ def test_decide_equal_examples():
     x = (((1,),), (Fraction(1),))
     x_squared = (((2,),), (Fraction(1),))
     assert not decide_equal(x, x_squared, [(0,), (1,), (2,)])
+
+
+def fraction_decide_equal(f_enc, g_enc, points, tolerance=None):
+    """The verdict by Fraction sums at each point: the slow reference."""
+    f_rows = evaluation_matrix(points, f_enc[0]).entries
+    g_rows = evaluation_matrix(points, g_enc[0]).entries
+
+    def value(coeffs, row):
+        return sum((Fraction(c) * m for c, m in zip(coeffs, row)), Fraction(0))
+
+    for f_row, g_row in zip(f_rows, g_rows):
+        lhs, rhs = value(f_enc[1], f_row), value(g_enc[1], g_row)
+        if tolerance is None:
+            if lhs != rhs:
+                return False
+        elif abs(lhs - rhs) > tolerance:
+            return False
+    return True
+
+
+small_fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@st.composite
+def verdict_cases(draw):
+    """Two encodings of one polynomial (permuted, padded with zeros), or of
+    two polynomials that differ by a small or a free perturbation, with
+    integer or rational points and an optional tolerance."""
+    nvars = draw(st.integers(1, 2))
+    monos = monomials_below_degree(nvars, 4)
+    support = draw(st.lists(st.sampled_from(monos), unique=True, max_size=6))
+    coeffs = draw(st.lists(small_fractions, min_size=len(support), max_size=len(support)))
+    terms = list(zip(support, coeffs))
+    kind = draw(st.sampled_from(["equal", "perturbed", "free"]))
+    if kind == "equal":
+        other = draw(st.permutations(terms))
+        spare = [m for m in monos if m not in support]
+        if spare and draw(st.booleans()):
+            other.append((draw(st.sampled_from(spare)), Fraction(0)))
+    elif kind == "perturbed" and terms:
+        other = list(terms)
+        i = draw(st.integers(0, len(terms) - 1))
+        delta = draw(st.fractions(min_value=-1, max_value=1, max_denominator=200))
+        other[i] = (terms[i][0], terms[i][1] + delta)
+    else:
+        free = draw(st.lists(st.sampled_from(monos), unique=True, max_size=6))
+        other = [(m, draw(small_fractions)) for m in free]
+    coordinate = st.integers(-6, 6) if draw(st.booleans()) else small_fractions
+    points = draw(
+        st.lists(st.tuples(*[coordinate] * nvars), min_size=1, max_size=8)
+    )
+    tolerance = draw(st.none() | st.fractions(min_value=0, max_value=1, max_denominator=64))
+    f_enc = tuple(support), tuple(coeffs)
+    g_enc = tuple(m for m, _ in other), tuple(c for _, c in other)
+    return f_enc, g_enc, points, tolerance
+
+
+@settings(max_examples=400, deadline=None)
+@given(verdict_cases())
+def test_integer_verdict_matches_fraction_reference(case):
+    f_enc, g_enc, points, tolerance = case
+    expected = fraction_decide_equal(f_enc, g_enc, points, tolerance)
+    assert decide_equal(f_enc, g_enc, points, tolerance) == expected
+    assert decide_equal(g_enc, f_enc, points, tolerance) == expected
+
+
+def test_strategy_compiles_its_system_once(monkeypatch, rng):
+    compiled = []
+    compile_system = protocol.compile_system
+
+    def counting_compile(rows):
+        compiled.append(rows)
+        return compile_system(rows)
+
+    monkeypatch.setattr(protocol, "compile_system", counting_compile)
+    witness._compiled.cache_clear()
+    desc = hypercube_shift(2, TASK_ELIMINATION)
+    strategy = builtin_strategy(desc, seed=1)
+    assert compiled == []
+    for _ in range(4):
+        hidden = [random_fraction(rng) for _ in range(desc.param_arity)]
+        assert run_exact(desc, hidden, strategy=strategy).verdict == "accept"
+        target = expand_family(desc.base(), hidden)
+        for mode in (MODE_SYMBOLIC, MODE_NUMERIC):
+            config = ApproxGameConfig(
+                germ=GermInstance.constant(hidden),
+                mode=mode,
+                sample_schedule=tuple(Fraction(1, 2 ** k) for k in range(1, 9)),
+            )
+            assert run_approx(desc, strategy, config, target).verdict == "accept"
+    fiber_image(desc, strategy, (0, 1, 2), samples=3, seed=0)
+    assert len(compiled) == 1
+    assert witness._compiled.cache_info().currsize == 0
+    # the carried system takes no part in equality or hashing
+    fresh = builtin_strategy(desc, seed=1)
+    assert fresh == strategy and hash(fresh) == hash(strategy)
 
 
 def test_winning_strategy_small_sweep(rng):

@@ -180,6 +180,32 @@ def test_solve_exact_against_naive_rank(system):
         assert compiled.solve(b) == x
 
 
+@settings(max_examples=300, deadline=None)
+@given(linear_systems())
+def test_integer_cleared_solve_matches_generic_path(system):
+    # Rational right-hand sides take the integer path; the same values as
+    # constant Laurent series take the generic one.
+    a, b = system
+    rational = [v.coefficient(0) if isinstance(v, LaurentSeries) else v for v in b]
+    mixed = [int(v) if v.denominator == 1 else v for v in rational]
+    lifted = [LaurentSeries.from_rational(v) for v in rational]
+    compiled = compile_system(a)
+
+    def outcome(rhs):
+        try:
+            return compiled.solve(rhs)
+        except (InconsistentSystemError, UnderdeterminedSystemError) as exc:
+            return type(exc)
+
+    fast, generic = outcome(rational), outcome(lifted)
+    assert outcome(mixed) == fast
+    if isinstance(generic, list):
+        assert all(type(x) is Fraction for x in fast)
+        assert fast == [x.coefficient(0) for x in generic]
+    else:
+        assert fast is generic
+
+
 def test_derivative_matrix_power_sum():
     desc = easy_power_sum(1, 1)
     curves = [beta_curve(desc, CURVE_POWER_TOWER, rho) for rho in (1, 2)]
