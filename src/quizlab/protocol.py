@@ -16,6 +16,16 @@ sample schedule (numeric mode: candidate accumulation values are clusters
 covering at least half of the schedule's tail).  A constant germ reproduces
 the exact game bit for bit.
 
+Because the questions are fixed before the round, a round does integer work
+only.  The strategy carries its question matrix, compiled once on first use
+into integer rows (``Strategy.system``), and each round applies it to the
+answers.  The quizmaster answers every question in one
+``Circuit.evaluate_points`` call, so the circuit's parameter-only nodes are
+evaluated once per round.  The verdict clears each encoding's denominators
+once and compares cross-multiplied integer sums point by point; it evaluates
+at its own identification points and never through the player's compiled
+system.
+
 Message order is quizmaster -> player -> quizmaster; questions are fixed up
 front, never adaptive.  Transcripts exported by the quizmaster redact the
 hidden data; two hidden points with the same base polynomial produce
@@ -355,12 +365,12 @@ def decide_equal(
     used only by the numeric approximative mode.
 
     Coefficients and the tolerance are rationals (int or Fraction).  Each
-    encoding is cleared once to integer coefficients F / f and G / g,
-    and at an integer point lhs = L / f and rhs = R / g are integer sums of
-    monomial values, so the test is L g = R f, or b |L g - R f| <= a f g for
-    a tolerance a / b.  The points are evaluated here, never through the
-    player's compiled system, so the verdict does not check the player
-    against itself.
+    encoding is cleared once to integer coefficients F / f and G / g, so
+    lhs = L / f and rhs = R / g with L and R sums of monomial values
+    (integers at an integer point), and the test is L g = R f, or
+    b |L g - R f| <= a f g for a tolerance a / b.  The points are evaluated
+    here, never through the player's compiled system, so the verdict does
+    not check the player against itself.
     """
     pts = points.points if isinstance(points, IdentificationSequence) else points
     (f_support, f_coeffs), (g_support, g_coeffs) = f_enc, g_enc
@@ -401,10 +411,10 @@ def _verdict_points(
 # Games
 # ---------------------------------------------------------------------------
 
-# A round builds its tuples from lists, never from generators: CPython 3.11
-# grows a generator's tuple by resizing and frees it onto the free list of
-# its final size, which little else drains, so many rounds would keep
-# about a megabyte of dead tuples.
+# A round builds its support and message tuples from lists, not from
+# generators: CPython 3.11 grows a generator's tuple by resizing and frees it
+# onto the free list of its final size, which little else drains, so many
+# rounds would keep hundreds of kilobytes of dead tuples.
 def _format_values(values, ring) -> tuple[str, ...]:
     return tuple([ring.to_str(v) for v in values])
 

@@ -193,14 +193,11 @@ class CompiledSystem:
         b = list(rhs)
         if len(b) != len(self.rows):
             raise QuizlabError("matrix and right-hand side differ in length")
-        rational = all(isinstance(x, (int, Fraction)) for x in b)
-        if rational:
+        scale = None
+        if all(isinstance(x, (int, Fraction)) for x in b):
             scale, b = cleared_row(b)
-            combine = _dot
-        else:
-            combine = _combine
         for row in self.rows[self.rank :]:
-            if combine(row, b):
+            if _combine(row, b):
                 raise InconsistentSystemError(
                     "values are not explainable within the declared support"
                 )
@@ -209,19 +206,15 @@ class CompiledSystem:
                 f"system rank {self.rank} < {self.unknowns} unknowns"
             )
         # Full column rank: the pivot columns are 0..n-1, in order.
-        if rational:
+        if scale is not None:
             return [
-                Fraction(_dot(row, b), d * scale)
+                Fraction(_combine(row, b), d * scale)
                 for row, d in zip(self.rows, self.denominators)
             ]
         return [
             Fraction(1, d) * _combine(row, b)
             for row, d in zip(self.rows, self.denominators)
         ]
-
-
-def _dot(coeffs: Sequence[int], values: Sequence[int]) -> int:
-    return sum(c * v for c, v in zip(coeffs, values) if c)
 
 
 def _combine(coeffs: Sequence[int], values: Sequence):
