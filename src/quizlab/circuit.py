@@ -113,16 +113,15 @@ class Circuit:
             raise ArityMismatchError(
                 f"expected {self.n_params} parameters, got {len(params)}"
             )
-        for inputs in points:
-            if len(inputs) != self.n_inputs:
-                raise ArityMismatchError(
-                    f"expected {self.n_inputs} inputs, got {len(inputs)}"
-                )
         nodes = self.nodes
         order = range(len(nodes))
         values: list = [None] * len(nodes)
         results = []
         for inputs in points:
+            if len(inputs) != self.n_inputs:
+                raise ArityMismatchError(
+                    f"expected {self.n_inputs} inputs, got {len(inputs)}"
+                )
             for i in order:
                 node = nodes[i]
                 try:

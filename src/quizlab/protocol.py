@@ -364,7 +364,7 @@ def decide_equal(
     not).  ``tolerance`` switches to |lhs - rhs| <= tolerance per point,
     used only by the numeric approximative mode.
 
-    Coefficients and the tolerance are rationals (int or Fraction).  Each
+    Coefficients are rationals (int or Fraction).  Each
     encoding is cleared once to integer coefficients F / f and G / g, so
     lhs = L / f and rhs = R / g with L and R sums of monomial values
     (integers at an integer point), and the test is L g = R f, or
@@ -377,6 +377,7 @@ def decide_equal(
     f, big_f = cleared_row(f_coeffs)
     g, big_g = cleared_row(g_coeffs)
     if tolerance is not None:
+        tolerance = Fraction(tolerance)
         a, b = tolerance.numerator, tolerance.denominator
     same_support = g_support == f_support
     for point in pts:
