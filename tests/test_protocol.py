@@ -206,6 +206,10 @@ def test_decide_equal_examples():
     x = (((1,),), (Fraction(1),))
     x_squared = (((2,),), (Fraction(1),))
     assert not decide_equal(x, x_squared, [(0,), (1,), (2,)])
+    # a tolerance bound is inclusive
+    third, half = (((0,),), (Fraction(1, 3),)), (((0,),), (Fraction(1, 2),))
+    assert decide_equal(third, half, [(1,)], tolerance=Fraction(1, 6))
+    assert not decide_equal(third, half, [(1,)], tolerance=Fraction(1, 7))
 
 
 def fraction_decide_equal(f_enc, g_enc, points, tolerance=None):
