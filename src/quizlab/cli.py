@@ -80,6 +80,7 @@ from .witness import (
     check_desk_cap,
     exact_rank,
     hypercube_lk_matrix,
+    hypercube_size,
     lower_bound_report,
     roots_of_unity_matrix,
 )
@@ -370,10 +371,10 @@ def cmd_witness_hypercube_lk(args) -> None:
     if args.points:
         points = parse_points(args.points)
     else:
+        size = hypercube_size(args.n)
         rng = random.Random(args.seed)
         points = tuple(
-            tuple(rng.randint(1, 4 * 2 ** args.n) for _ in range(args.n))
-            for _ in range(2 ** args.n)
+            tuple(rng.randint(1, 4 * size) for _ in range(args.n)) for _ in range(size)
         )
     matrix = hypercube_lk_matrix(args.n, points)
     lines = report_header(args, "witness hypercube-lk") + [

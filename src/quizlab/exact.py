@@ -112,11 +112,6 @@ class PrimeFieldElement:
     def __pow__(self, k: int) -> "PrimeFieldElement":
         return PrimeFieldElement(pow(self.residue, k, self.modulus), self.modulus)
 
-    def inverse(self) -> "PrimeFieldElement":
-        if self.residue == 0:
-            raise ZeroDivisionError(f"0 has no inverse mod {self.modulus}")
-        return PrimeFieldElement(pow(self.residue, self.modulus - 2, self.modulus), self.modulus)
-
     def __bool__(self) -> bool:
         return self.residue != 0
 

@@ -114,10 +114,7 @@ def verify_linear_span(
     equal, so the points identify every carrier inside that span.
     """
     pts = points.points if isinstance(points, IdentificationSequence) else points
-    if len(support) > len(pts):
-        return False
-    matrix = evaluation_matrix(pts, support)
-    return exact_rank(matrix) == len(support)
+    return exact_rank(evaluation_matrix(pts, support)) == len(support)
 
 
 def falsify_random(

@@ -5,19 +5,21 @@ finite matrix: a derivative-vector matrix along parameter curves, a scaled
 root-of-unity Vandermonde matrix, or the hypercube coefficient matrix.
 This module assembles those matrices and computes their rank exactly.
 
-Rank over the rationals uses Bareiss fraction-free elimination after
-clearing denominators row by row; rank over a prime field uses plain
-Gaussian elimination.  Linear systems are solved by fraction-free
-Gauss-Jordan elimination, run once per matrix (``compile_system``) and
-then applied to any number of right-hand sides.  Root-of-unity matrices
-are verified modulo a prime p = 1 (mod D+1): the entries live in Z[zeta]
-and reduce to F_p through a ring morphism, so a nonzero determinant mod p
-certifies a nonzero determinant over the complex numbers.
+All elimination runs on integer rows, with one kernel per field.  Over
+the rationals each row is cleared of its denominators, and one
+fraction-free loop (Bareiss 1968) serves both callers: run forward only,
+it gives the rank; run as Gauss-Jordan on [A' | diag(s)], it compiles a
+linear system once (``compile_system``) for any number of right-hand
+sides.  A matrix over F_p carries its prime as ``modulus`` and holds
+integer residues, which plain Gaussian elimination mod p ranks.
+Root-of-unity matrices are verified modulo a prime p = 1 (mod D+1): the
+entries live in Z[zeta] and reduce to F_p through a ring morphism, so a
+nonzero determinant mod p certifies a nonzero determinant over the
+complex numbers.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 import time
@@ -34,11 +36,7 @@ from .errors import (
     QuizlabError,
     UnderdeterminedSystemError,
 )
-from .exact import (
-    PrimeFieldElement,
-    modular_root_of_unity,
-    smallest_prime_modulus,
-)
+from .exact import modular_root_of_unity, smallest_prime_modulus
 from .families import (
     CURVE_FIXED_DIRECTION,
     CURVE_POWER_TOWER,
@@ -68,9 +66,11 @@ DESK_CAPS = {
 
 @dataclass(frozen=True)
 class ExactMatrix:
-    """Rectangular matrix over the rationals or one prime field."""
+    """Rectangular matrix over the rationals, or over F_p when ``modulus``
+    is the prime p (the entries are then integer residues)."""
 
     entries: tuple[tuple, ...]
+    modulus: int | None = None
 
     def __post_init__(self):
         widths = {len(row) for row in self.entries}
@@ -78,8 +78,8 @@ class ExactMatrix:
             raise QuizlabError("ragged matrix")
 
     @staticmethod
-    def from_rows(rows: Sequence[Sequence]) -> "ExactMatrix":
-        return ExactMatrix(tuple(tuple(row) for row in rows))
+    def from_rows(rows: Sequence[Sequence], modulus: int | None = None) -> "ExactMatrix":
+        return ExactMatrix(tuple(tuple(row) for row in rows), modulus)
 
     @property
     def rows(self) -> int:
@@ -89,76 +89,70 @@ class ExactMatrix:
     def cols(self) -> int:
         return len(self.entries[0]) if self.entries else 0
 
-    def rank(self) -> int:
-        return exact_rank(self)
-
-    def to_text(self) -> str:
-        lines = []
-        for row in self.entries:
-            lines.append(",".join(str(x) for x in row))
-        return "\n".join(lines) + "\n"
-
-
-def _rank_prime_field(rows: list[list[PrimeFieldElement]], p: int) -> int:
-    grid = [[e.residue for e in row] for row in rows]
-    m, n = len(grid), len(grid[0])
-    rank = 0
-    for col in range(n):
-        pivot = next((r for r in range(rank, m) if grid[r][col] % p), None)
-        if pivot is None:
-            continue
-        grid[rank], grid[pivot] = grid[pivot], grid[rank]
-        inv = pow(grid[rank][col], p - 2, p)
-        for r in range(rank + 1, m):
-            factor = grid[r][col] * inv % p
-            if factor:
-                grid[r] = [(a - factor * b) % p for a, b in zip(grid[r], grid[rank])]
-        rank += 1
-        if rank == min(m, n):
-            break
-    return rank
-
 
 def cleared_row(row: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """The lcm s of the row's denominators, and the integer row s * row."""
+    """The lcm s of the row's denominators, and the integer row s * row;
+    an int has denominator 1, so integer rows pass through unchanged."""
     scale = math.lcm(*[x.denominator for x in row])
     return scale, [x.numerator * (scale // x.denominator) for x in row]
 
 
-def _rank_bareiss(rows: list[list[Fraction]]) -> int:
-    # Clear denominators per row (rank-invariant), then run fraction-free
-    # elimination: every intermediate entry is a minor, so divisions are exact.
-    grid = [cleared_row(row)[1] for row in rows]
+def _bareiss(grid: list[list[int]], width: int, above: bool) -> tuple[list[int], int]:
+    """Fraction-free elimination (Bareiss 1968) of integer rows, in place.
+
+    Pivots are taken in the first ``width`` columns; every column of a row
+    is updated.  Each intermediate entry is a minor of the input, so every
+    division is exact.  With ``above`` the rows above each pivot are
+    cleared too (Gauss-Jordan), and every pivot row ends with the same
+    pivot.  Returns the pivot columns and the last pivot (1 if none).
+    """
+    m = len(grid)
+    pivot_cols: list[int] = []
+    prev = 1
+    for col in range(width):
+        r = len(pivot_cols)
+        pivot = next((i for i in range(r, m) if grid[i][col]), None)
+        if pivot is None:
+            continue
+        grid[r], grid[pivot] = grid[pivot], grid[r]
+        top = grid[r]
+        p = top[col]
+        for i in range(0 if above else r + 1, m):
+            if i != r:
+                f = grid[i][col]
+                grid[i] = [(p * x - f * t) // prev for x, t in zip(grid[i], top)]
+        prev = p
+        pivot_cols.append(col)
+    return pivot_cols, prev
+
+
+def _rank_prime_field(rows: Sequence[Sequence[int]], p: int) -> int:
+    grid = [[x % p for x in row] for row in rows]
     m, n = len(grid), len(grid[0])
     rank = 0
-    prev_pivot = 1
     for col in range(n):
         pivot = next((r for r in range(rank, m) if grid[r][col]), None)
         if pivot is None:
             continue
         grid[rank], grid[pivot] = grid[pivot], grid[rank]
+        inv = pow(grid[rank][col], -1, p)
         for r in range(rank + 1, m):
-            for c in range(col + 1, n):
-                grid[r][c] = (
-                    grid[rank][col] * grid[r][c] - grid[r][col] * grid[rank][c]
-                ) // prev_pivot
-            grid[r][col] = 0
-        prev_pivot = grid[rank][col]
+            factor = grid[r][col] * inv % p
+            if factor:
+                grid[r] = [(a - factor * b) % p for a, b in zip(grid[r], grid[rank])]
         rank += 1
-        if rank == min(m, n):
-            break
     return rank
 
 
 def exact_rank(matrix: ExactMatrix) -> int:
-    """Rank over the entry field, via exact elimination."""
+    """Rank over the matrix's field: Q, or F_p when it has a modulus."""
     if matrix.rows == 0 or matrix.cols == 0:
         return 0
-    sample = matrix.entries[0][0]
-    if isinstance(sample, PrimeFieldElement):
-        return _rank_prime_field([list(r) for r in matrix.entries], sample.modulus)
-    rows = [[Fraction(x) for x in row] for row in matrix.entries]
-    return _rank_bareiss(rows)
+    if matrix.modulus is not None:
+        return _rank_prime_field(matrix.entries, matrix.modulus)
+    # Clearing denominators row by row does not change the rank.
+    grid = [cleared_row(row)[1] for row in matrix.entries]
+    return len(_bareiss(grid, matrix.cols, above=False)[0])
 
 
 @dataclass(frozen=True)
@@ -237,31 +231,13 @@ def compile_system(matrix_rows: Sequence[Sequence[Fraction]]) -> CompiledSystem:
     block then holds integer rows E with E A = (d-scaled) rref(A) on the
     pivot rows and E A = 0 on the rest.
     """
-    a = [[Fraction(x) for x in row] for row in matrix_rows]
-    m = len(a)
-    n = len(a[0]) if a else 0
+    m = len(matrix_rows)
+    n = len(matrix_rows[0]) if matrix_rows else 0
     grid: list[list[int]] = []
-    for i, row in enumerate(a):
+    for i, row in enumerate(matrix_rows):
         scale, cleared = cleared_row(row)
         grid.append(cleared + [scale if j == i else 0 for j in range(m)])
-    pivot_cols: list[int] = []
-    prev = 1
-    for col in range(n):
-        r = len(pivot_cols)
-        pivot = next((i for i in range(r, m) if grid[i][col]), None)
-        if pivot is None:
-            continue
-        grid[r], grid[pivot] = grid[pivot], grid[r]
-        top = grid[r]
-        p = top[col]
-        for i in range(m):
-            if i != r:
-                f = grid[i][col]
-                grid[i] = [(p * x - f * t) // prev for x, t in zip(grid[i], top)]
-        prev = p
-        pivot_cols.append(col)
-        if len(pivot_cols) == m:
-            break
+    pivot_cols, prev = _bareiss(grid, n, above=True)
     rank = len(pivot_cols)
     rows: list[tuple[int, ...]] = []
     denominators: list[int] = []
@@ -279,11 +255,6 @@ def compile_system(matrix_rows: Sequence[Sequence[Fraction]]) -> CompiledSystem:
     return CompiledSystem(n, tuple(pivot_cols), tuple(rows), tuple(denominators))
 
 
-@functools.lru_cache(maxsize=128)
-def _compiled(matrix_rows: tuple[tuple, ...]) -> CompiledSystem:
-    return compile_system(matrix_rows)
-
-
 def solve_exact(
     matrix_rows: Sequence[Sequence[Fraction]] | CompiledSystem, rhs: Sequence
 ) -> list:
@@ -293,13 +264,12 @@ def solve_exact(
     Returns the unique solution.  Raises InconsistentSystemError when no
     solution exists and UnderdeterminedSystemError when the solution is not
     unique.  A may be given already compiled (a game strategy carries its
-    questions' system); otherwise it is eliminated once and the last 128
-    distinct matrices are kept, so repeated solves against one A only apply
-    the compiled map.
+    questions' system, so repeated solves only apply the compiled map);
+    otherwise it is eliminated for this one solve.
     """
     if isinstance(matrix_rows, CompiledSystem):
         return matrix_rows.solve(rhs)
-    return _compiled(tuple(map(tuple, matrix_rows))).solve(rhs)
+    return compile_system(matrix_rows).solve(rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -318,11 +288,15 @@ def evaluation_matrix(
     """Rows: one per point; columns: monomial values at that point.
 
     Points have integer (or rational) coordinates, so each value is an
-    exact product, made a Fraction once.
+    exact product: an int at an integer point, a Fraction at a rational
+    one.  Every point and monomial must have the same arity.
     """
-    return ExactMatrix.from_rows(
-        [Fraction(x) for x in monomial_values(point, support)] for point in points
-    )
+    arities = {len(mono) for mono in support} | {len(point) for point in points}
+    if len(arities) > 1:
+        raise ArityMismatchError(
+            f"points and support monomials mix arities {sorted(arities)}"
+        )
+    return ExactMatrix.from_rows(monomial_values(point, support) for point in points)
 
 
 def derivative_matrix(
@@ -334,19 +308,22 @@ def derivative_matrix(
     The in-scope families are linear in t along their curves, so the t^1
     coefficient is f(1) - f(0); linearity itself is verified with a second
     difference at t = 2 and violations are reported with the offending
-    degree.
+    degree.  Both are taken on the coefficient vectors over the base
+    support, cleared to integers over one common denominator s.
     """
-    support = desc.base().base_support()
+    base = desc.base()
+    support = base.base_support()
+    n = len(support)
     rows = []
     for curve in curves:
-        f0 = expand_family(desc.base(), curve(Fraction(0)))
-        f1 = expand_family(desc.base(), curve(Fraction(1)))
-        f2 = expand_family(desc.base(), curve(Fraction(2)))
-        if f2 - f1 - f1 + f0 != Polynomial.zero(desc.input_arity):
+        f = [expand_family(base, curve(Fraction(t))) for t in range(3)]
+        s, w = cleared_row([c for g in f for c in g.coeff_vector(support)])
+        w0, w1, w2 = w[:n], w[n : 2 * n], w[2 * n :]
+        if any(a - 2 * b + c for a, b, c in zip(w0, w1, w2)):
             raise NonLinearCurveError(
                 "family expansion is not linear in t along the curve", degree=2
             )
-        rows.append((f1 - f0).coeff_vector(support))
+        rows.append([Fraction(b - a, s) for a, b in zip(w0, w1)])
     return ExactMatrix.from_rows(rows)
 
 
@@ -362,29 +339,30 @@ def roots_of_unity_matrix(d_degree: int, variant: str) -> tuple[ExactMatrix, int
     * derivative: c_k = k,       e_k = k - 1, k = 1..D  (width D)
     * integral:   c_k = 1/(k+1), e_k = k + 1, k = 0..D  (width D+1)
 
-    Returns the matrix over F_p together with p.
+    Returns the matrix of residues in [0, p), carrying p, together with p.
     """
     if variant not in (VARIANT_BASE, VARIANT_DERIVATIVE, VARIANT_INTEGRAL):
         raise QuizlabError(f"unknown roots-of-unity variant {variant!r}")
+    if d_degree < 0:
+        raise QuizlabError(f"need degree D >= 0, got {d_degree}")
     d = d_degree + 1
     p = smallest_prime_modulus(d)
-    zeta = modular_root_of_unity(p, d)
-    lead = PrimeFieldElement(d % p, p)
+    zeta = modular_root_of_unity(p, d).residue
     if variant == VARIANT_BASE:
-        ks = list(range(0, d_degree + 1))
-        scales = [PrimeFieldElement(1, p)] * len(ks)
+        ks = range(0, d)
+        scales = [1] * d
     elif variant == VARIANT_DERIVATIVE:
-        ks = list(range(1, d_degree + 1))
-        scales = [PrimeFieldElement(k % p, p) for k in ks]
+        ks = range(1, d)
+        scales = [k % p for k in ks]
     else:
-        ks = list(range(0, d_degree + 1))
-        scales = [PrimeFieldElement(k + 1, p).inverse() for k in ks]
+        ks = range(0, d)
+        scales = [pow(k + 1, -1, p) for k in ks]
     rows = []
     for j in range(d):
-        root = zeta ** j
-        prefix = lead * root ** d_degree
-        rows.append([prefix * scale * root ** k for scale, k in zip(scales, ks)])
-    return ExactMatrix.from_rows(rows), p
+        root = pow(zeta, j, p)
+        prefix = d * pow(root, d_degree, p)
+        rows.append([prefix * scale * pow(root, k, p) % p for scale, k in zip(scales, ks)])
+    return ExactMatrix.from_rows(rows, p), p
 
 
 def roots_of_unity_rank(d_degree: int, variant: str) -> int:
@@ -398,13 +376,20 @@ def roots_of_unity_rank(d_degree: int, variant: str) -> int:
     return exact_rank(matrix)
 
 
-def _hypercube_lk_rows(n: int, cap: int) -> tuple[list[Monomial], list[list[int]]]:
-    """The vertex monomials m_j and, per L_k, the integer coefficient of each m_j."""
+def hypercube_size(n: int, cap: int = 5) -> int:
+    """2^n, the number of vertex monomials and of points, for 0 <= n <= cap."""
+    if n < 0:
+        raise QuizlabError(f"need n >= 0, got {n}")
     if n > cap:
         raise CapExceededError(
             f"hypercube coefficient cap: n={n} exceeds {cap}; no override"
         )
-    size = 2 ** n
+    return 2 ** n
+
+
+def _hypercube_lk_rows(n: int, cap: int) -> tuple[list[Monomial], list[list[int]]]:
+    """The vertex monomials m_j and, per L_k, the integer coefficient of each m_j."""
+    size = hypercube_size(n, cap)
     # f0 = prod_{j<size} (Y - j) as integer coefficients, degree ascending.
     f0 = [1]
     for j in range(size):
@@ -448,10 +433,9 @@ def hypercube_lk_matrix(
     the monomial values prod v_i^[j]_i * s^(n - |j|), made a Fraction over
     s^n once.
     """
-    size = 2 ** n
-    if len(points) != size:
-        raise QuizlabError(f"need exactly {size} points, got {len(points)}")
     monos, rows = _hypercube_lk_rows(n, cap)
+    if len(points) != len(monos):
+        raise QuizlabError(f"need exactly {len(monos)} points, got {len(points)}")
     columns = []
     for u in points:
         if len(u) != n:
@@ -568,6 +552,8 @@ def lower_bound_report(
     random draw from the integer box [1, 4K] achieves rank K generically.
     The univariate family is deterministic (modular root-of-unity matrix).
     """
+    if trials < 1:
+        raise QuizlabError(f"need at least one trial, got {trials}")
     check_desk_cap(desc)
     k_expected = expected_rank(desc)
     started = time.monotonic()

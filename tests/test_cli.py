@@ -204,6 +204,13 @@ MALFORMED_CIRCUIT_FILES = {
         ["circuit", "expand", "--circuit-file", "{dir}/unknown-kind.json", "--params", "1"],
         ["circuit", "expand", "--circuit-file", "{dir}/int-constant.json", "--params", "1"],
         ["circuit", "expand", "--circuit-file", "{dir}/bad-term.json", "--params", "1"],
+        ["idseq", "verify", "--points=1;2;3", "--support=0,0;1,1"],
+        ["idseq", "verify", "--points=1,2;3", "--support=0,0;1,0"],
+        ["idseq", "verify", "--points=1,2,3;4,5,6", "--support=0;1"],
+        ["witness", "roots-of-unity", "--d=-1"],
+        ["witness", "hypercube-lk", "--n=-1"],
+        ["witness", "report", "--family=neural-power", "--n=2", "--trials", "0"],
+        ["witness", "report", "--family=neural-power", "--n=2", "--trials=-1"],
     ],
 )
 def test_malformed_value_exits_2(argv, tmp_path):
@@ -229,6 +236,13 @@ def test_game_exact_over_desk_cap_exits_3(family):
     assert proc.returncode == 3
     assert "cap exceeded: desk cap" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_hypercube_lk_over_cap_exits_3_before_sampling(capsys):
+    # 2^40 random points would be drawn before the cap check otherwise.
+    code, _, err = run_cli(["witness", "hypercube-lk", "--n", "40"], capsys)
+    assert code == 3
+    assert "hypercube coefficient cap: n=40 exceeds 5" in err
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from quizlab.errors import QuizlabError
+from quizlab.errors import ArityMismatchError, QuizlabError
 from quizlab.families import easy_power_sum, univariate_d
 from quizlab.identify import (
     IdentificationSequence,
@@ -47,6 +47,20 @@ def test_verify_linear_span_examples():
     assert verify_linear_span([(0,), (1,), (2,)], quad)
     assert not verify_linear_span([(0,), (1,)], quad)
     assert not verify_linear_span([(5,), (5,), (5,)], ((0,), (1,)))
+
+
+def test_verify_linear_span_rejects_mixed_arity():
+    # Zipping a point with a monomial of another arity would silently drop
+    # coordinates and certify a span that was never tested.
+    cases = [
+        ([(1,), (2,), (3,)], ((0, 0), (1, 1))),
+        ([(1, 2), (3,)], ((0, 0), (1, 0))),
+        ([(1, 2, 3), (4, 5, 6)], ((0,), (1,))),
+        ([(1,)], ((0,), (1,), (2, 0))),
+    ]
+    for points, support in cases:
+        with pytest.raises(ArityMismatchError):
+            verify_linear_span(points, support)
 
 
 def test_verify_monotone_in_points():

@@ -1,5 +1,6 @@
 """Exact rank computations and the lower-bound witness matrices."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,20 +8,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quizlab import witness
 from quizlab.errors import (
     CapExceededError,
     InconsistentSystemError,
     NonLinearCurveError,
+    QuizlabError,
     UnderdeterminedSystemError,
 )
-from quizlab.exact import LaurentSeries, PrimeFieldElement
+from quizlab.exact import LaurentSeries
 from quizlab.families import (
     CURVE_FIXED_DIRECTION,
     CURVE_POWER_TOWER,
     CURVE_ROOT_SHIFT,
     beta_curve,
     easy_power_sum,
+    expand_family,
     hypercube_shift,
     kronecker_diag,
     neural_power,
@@ -60,12 +62,81 @@ def test_exact_rank_against_naive_gaussian():
 
 
 def test_exact_rank_prime_field():
-    p = 7
-    rows = [
-        [PrimeFieldElement(1, p), PrimeFieldElement(2, p)],
-        [PrimeFieldElement(3, p), PrimeFieldElement(6, p)],
-    ]
-    assert exact_rank(ExactMatrix(tuple(map(tuple, rows)))) == 1
+    assert exact_rank(ExactMatrix(((1, 2), (3, 6)), modulus=7)) == 1
+
+
+def _brute_force_rank_mod_p(rows, p: int) -> int:
+    """The largest k such that some k rows are independent over F_p: rows
+    are independent when no nontrivial combination of them vanishes."""
+    best = 0
+    for mask in range(1, 2 ** len(rows)):
+        chosen = [row for i, row in enumerate(rows) if mask >> i & 1]
+        if len(chosen) <= best:
+            continue
+        dependent = any(
+            all(sum(c * row[j] for c, row in zip(coeffs, chosen)) % p == 0
+                for j in range(len(rows[0])))
+            for coeffs in itertools.product(range(p), repeat=len(chosen))
+            if any(coeffs)
+        )
+        if not dependent:
+            best = len(chosen)
+    return best
+
+
+def test_exact_rank_modulus_selects_the_field():
+    # det = 13 - 6 = 7: singular mod 7, nonsingular over Q.
+    rows = ((1, 2), (3, 13))
+    assert exact_rank(ExactMatrix(rows, modulus=7)) == 1 == _brute_force_rank_mod_p(rows, 7)
+    assert exact_rank(ExactMatrix(rows)) == 2 == naive_rank(rows)
+
+
+@st.composite
+def residue_matrices(draw):
+    """A small prime p and a small integer matrix, not yet reduced mod p."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 3))
+    row = st.lists(st.integers(-12, 12), min_size=n, max_size=n)
+    return p, draw(st.lists(row, min_size=1, max_size=4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(residue_matrices())
+def test_exact_rank_mod_p_against_brute_force(case):
+    p, rows = case
+    matrix = ExactMatrix(tuple(map(tuple, rows)), modulus=p)
+    assert exact_rank(matrix) == _brute_force_rank_mod_p(rows, p)
+
+
+@st.composite
+def rank_matrices(draw):
+    """Tall, wide or square matrices of int and Fraction entries, often
+    sparse, some rows zero, and of low rank when they are a product through
+    a narrow middle.  Zeros in a pivot column test that every row is
+    rescaled at every step, which keeps later divisions exact."""
+    m, n = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    entry = st.one_of(
+        st.just(0),
+        st.integers(-20, 20),
+        st.fractions(min_value=-9, max_value=9, max_denominator=9),
+    )
+    if draw(st.booleans()):
+        rows = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(m)]
+    else:
+        k = draw(st.integers(0, min(m, n)))
+        left = [draw(st.lists(entry, min_size=k, max_size=k)) for _ in range(m)]
+        right = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(k)]
+        rows = [[sum((x * r[j] for x, r in zip(row, right)), Fraction(0)) for j in range(n)]
+                for row in left]
+    for i in draw(st.sets(st.integers(0, m - 1), max_size=m)):
+        rows[i] = [0] * n
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(rank_matrices())
+def test_exact_rank_against_naive_rank_any_shape(rows):
+    assert exact_rank(ExactMatrix.from_rows(rows)) == naive_rank(rows)
 
 
 def test_solve_exact():
@@ -76,30 +147,6 @@ def test_solve_exact():
         solve_exact([[1], [1]], [Fraction(0), Fraction(1)])
     with pytest.raises(UnderdeterminedSystemError):
         solve_exact([[1, 1]], [Fraction(0)])
-
-
-def test_solve_exact_compiles_each_matrix_once(monkeypatch):
-    compiled = []
-
-    def counting_compile(rows):
-        compiled.append(rows)
-        return compile_system(rows)
-
-    monkeypatch.setattr(witness, "compile_system", counting_compile)
-    witness._compiled.cache_clear()
-    rows = [[1, 0], [1, 1], [1, 2]]
-    for k in range(5):
-        assert solve_exact(rows, [Fraction(k), Fraction(k), Fraction(k)]) == [
-            Fraction(k),
-            Fraction(0),
-        ]
-    # An equal matrix given as tuples of Fractions is the same system.
-    same = tuple(tuple(Fraction(x) for x in row) for row in rows)
-    assert solve_exact(same, [Fraction(1), Fraction(2), Fraction(3)]) == [1, 1]
-    assert len(compiled) == 1
-    solve_exact([[1, 0], [0, 1]], [Fraction(1), Fraction(2)])
-    assert len(compiled) == 2
-    witness._compiled.cache_clear()
 
 
 def _matrix(draw, m: int, n: int) -> list[list[int]]:
@@ -230,6 +277,27 @@ def test_derivative_matrix_single_curve():
     assert exact_rank(matrix) == 1
 
 
+def test_derivative_matrix_rational_curves_match_polynomial_slope():
+    # Rational curve parameters give rational coefficients, so the integer
+    # slope must be divided by the common denominator again.
+    cases = [
+        (easy_power_sum(1, 2), CURVE_POWER_TOWER, (Fraction(3, 2), Fraction(-2, 5))),
+        (
+            neural_power(2),
+            CURVE_FIXED_DIRECTION,
+            ((Fraction(1, 3), 2), (Fraction(-5, 4), Fraction(1, 6))),
+        ),
+    ]
+    for desc, kind, params in cases:
+        curves = [beta_curve(desc, kind, param) for param in params]
+        f0, f1 = (
+            [expand_family(desc, curve(Fraction(t))) for curve in curves] for t in (0, 1)
+        )
+        expected = tuple((b - a).coeff_vector(desc.base_support()) for a, b in zip(f0, f1))
+        assert derivative_matrix(desc, curves).entries == expected
+        assert any(x.denominator > 1 for row in expected for x in row)
+
+
 def test_derivative_matrix_rejects_nonlinear():
     desc = univariate_d(3)
     with pytest.raises(NonLinearCurveError) as info:
@@ -269,8 +337,8 @@ def test_roots_of_unity_d1_matrix():
     matrix, p = roots_of_unity_matrix(1, VARIANT_BASE)
     assert p == 5
     # rows 2 * zeta * (1, zeta) for zeta in {1, -1}, reduced mod 5
-    residues = [[e.residue for e in row] for row in matrix.entries]
-    assert residues == [[2, 2], [3, 2]]  # 3 = -2 mod 5
+    assert matrix.entries == ((2, 2), (3, 2))  # 3 = -2 mod 5
+    assert matrix.modulus == 5
     assert exact_rank(matrix) == 2
 
 
@@ -351,6 +419,21 @@ def test_lower_bound_report_runs():
     assert rep.achieved_ranks == (10, 10, 10)
     with pytest.raises(CapExceededError):
         lower_bound_report(easy_power_sum(4, 3), trials=1, seed=1)
+
+
+def test_witness_sizes_are_checked():
+    for trials in (0, -1):
+        with pytest.raises(QuizlabError, match="need at least one trial"):
+            lower_bound_report(neural_power(2), trials=trials, seed=1)
+    with pytest.raises(QuizlabError, match="D >= 0"):
+        roots_of_unity_matrix(-1, VARIANT_BASE)
+    with pytest.raises(QuizlabError, match="n >= 0"):
+        hypercube_lk_matrix(-1, [])
+    with pytest.raises(CapExceededError):
+        hypercube_lk_matrix(6, [])
+    # the smallest sizes are valid
+    assert roots_of_unity_rank(0, VARIANT_BASE) == 1
+    assert exact_rank(hypercube_lk_matrix(0, [()])) == 1
 
 
 def test_report_serialization():
