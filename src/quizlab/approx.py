@@ -139,7 +139,10 @@ def encode(
     """
     validate_instance(germ, desc_or_circuit)
     circ = _circuit_for(desc_or_circuit)
-    precision = precision or germ.precision or DEFAULT_LAURENT_PRECISION
+    if precision is None:
+        precision = germ.precision or DEFAULT_LAURENT_PRECISION
+    if precision < 1:
+        raise QuizlabError(f"encoding precision must be at least 1, got {precision}")
     laurent = LaurentRing(precision)
     ring = PolynomialRing(circ.n_inputs, laurent)
     params = [

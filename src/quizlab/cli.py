@@ -14,9 +14,10 @@ Value syntax on the command line:
 * germs:      semicolon-separated Laurent components; each component is a
   "+"-joined list of terms "c", "c*e" or "c*e^k", e.g. "1/2*e^-1;1;e".
 
-Environment overrides: QUIZLAB_EXPANSION_CAP (circuit expansion term cap)
-and QUIZLAB_ELIMINATION_CAP (elimination-polynomial dimension cap, default
-10).  Every command that takes --family first checks the desk caps
+Environment overrides: QUIZLAB_EXPANSION_CAP (circuit expand's term cap,
+default 200000) and QUIZLAB_ELIMINATION_CAP (elimination-polynomial
+dimension cap, default 10); only the commands that use a cap read it.
+Every command that takes --family first checks the desk caps
 (hypercube-shift n <= 5, kronecker-diag k <= 5, ...), which neither
 override raises.
 """
@@ -24,7 +25,6 @@ override raises.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from fractions import Fraction
 
@@ -36,7 +36,7 @@ from .approx import (
     closure_membership_demo,
     encode,
 )
-from .circuit import Circuit, generic_computation
+from .circuit import DEFAULT_EXPANSION_CAP, Circuit, generic_computation
 from .errors import CapExceededError, InternalCheckError, QuizlabError
 from .exact import LaurentSeries, rational_from_str, rational_to_str
 from .families import (
@@ -52,6 +52,7 @@ from .families import (
     circuit_gate_bound,
     elimination_poly,
     emit_formula,
+    env_int,
     expand_family,
 )
 from .identify import (
@@ -245,6 +246,8 @@ def cmd_circuit_eval(args) -> None:
 
 
 def cmd_circuit_expand(args) -> None:
+    if args.expansion_cap is None:
+        args.expansion_cap = env_int("QUIZLAB_EXPANSION_CAP", DEFAULT_EXPANSION_CAP)
     circ = _load_circuit(args)
     f = circ.expand(parse_vector(args.params), cap=args.expansion_cap)
     emit(args, report_header(args, "circuit expand") + poly_lines(f))
@@ -306,9 +309,15 @@ def cmd_game_approx(args) -> None:
     germ = parse_germ(args.germ) if args.germ else border_demo_germ()
     if args.target:
         target_support = parse_points(args.target_support)
+        values = parse_vector(args.target)
+        if not target_support or len(target_support) != len(values):
+            raise QuizlabError(
+                "--target-support must list one monomial per --target value: "
+                f"{len(values)} values, {len(target_support)} monomials"
+            )
         target = Polynomial.make(
             len(target_support[0]),
-            dict(zip(target_support, parse_vector(args.target))),
+            dict(zip(target_support, values)),
         )
     else:
         enc = encode(germ, subject)
@@ -507,11 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "eval":
             sub.add_argument("--inputs", required=True)
         else:
-            sub.add_argument(
-                "--expansion-cap",
-                type=int,
-                default=int(os.environ.get("QUIZLAB_EXPANSION_CAP", 200_000)),
-            )
+            sub.add_argument("--expansion-cap", type=int, default=None)
     sub = new(circuit, "generic", cmd_circuit_generic)
     sub.add_argument("--big-l", "--L", dest="big_l", type=int, required=True)
     sub.add_argument("--n", type=int, required=True)

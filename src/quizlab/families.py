@@ -65,6 +65,18 @@ TASKS = (TASK_IDENTITY, TASK_DERIVATIVE, TASK_INTEGRAL, TASK_ELIMINATION, TASK_C
 
 ELIMINATION_CAP = 10
 
+
+def env_int(name: str, default: int) -> int:
+    """The integer in environment variable ``name``, or ``default`` if unset."""
+    text = os.environ.get(name)
+    if text is None:
+        return default
+    try:
+        return int(text)
+    except ValueError:
+        raise QuizlabError(f"{name} must be an integer, got {text!r}") from None
+
+
 ParamPoint = tuple[Fraction, ...]
 
 
@@ -436,7 +448,7 @@ def elimination_poly(
     """
     override = "no override"
     if cap is None:
-        cap = int(os.environ.get("QUIZLAB_ELIMINATION_CAP", ELIMINATION_CAP))
+        cap = env_int("QUIZLAB_ELIMINATION_CAP", ELIMINATION_CAP)
         override = "override with QUIZLAB_ELIMINATION_CAP"
     if n > cap:
         raise CapExceededError(f"elimination cap: n={n} exceeds {cap}; {override}")

@@ -1,7 +1,10 @@
-"""Kronecker sum/product algebra and exact characteristic polynomials.
+"""Kronecker sums/products of diagonal matrices, on their diagonals, and
+exact characteristic polynomials.
 
-Matrices are rational grids even though the composed diagonal matrices are
-diagonal: diagonality is something this module verifies, not assumes.
+Both Kronecker folds of the composed matrix are diagonal by construction,
+so they run on lists of 2^k values.  What is verified is that each fold
+equals its closed form, and that char_poly of the composed matrix, as a
+general dense grid, equals the product over its diagonal.
 Characteristic polynomials use the Faddeev-LeVerrier recurrence on the
 integer matrix c * A, where c clears every denominator of A, and scale
 back through p_A(y) = c^-n * p_{cA}(c * y): the recurrence runs in
@@ -40,12 +43,6 @@ class SquareMatrix:
         return SquareMatrix(tuple(tuple(Fraction(x) for x in row) for row in rows))
 
     @staticmethod
-    def identity(n: int) -> "SquareMatrix":
-        return SquareMatrix.from_rows(
-            [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        )
-
-    @staticmethod
     def diagonal(values: Sequence) -> "SquareMatrix":
         vals = [Fraction(v) for v in values]
         n = len(vals)
@@ -56,22 +53,6 @@ class SquareMatrix:
     @property
     def dimension(self) -> int:
         return len(self.entries)
-
-    def __add__(self, other: "SquareMatrix") -> "SquareMatrix":
-        if self.dimension != other.dimension:
-            raise QuizlabError("dimension mismatch in matrix addition")
-        return SquareMatrix(
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            )
-        )
-
-    def scale(self, scalar) -> "SquareMatrix":
-        s = Fraction(scalar)
-        return SquareMatrix(
-            tuple(tuple(s * x for x in row) for row in self.entries)
-        )
 
     def __matmul__(self, other: "SquareMatrix") -> "SquareMatrix":
         if self.dimension != other.dimension:
@@ -86,32 +67,15 @@ class SquareMatrix:
             rows.append(tuple(acc))
         return SquareMatrix(tuple(rows))
 
-    def to_text(self) -> str:
-        return "\n".join(
-            ",".join(f"{x.numerator}/{x.denominator}" for x in row)
-            for row in self.entries
-        ) + "\n"
+
+def kron_product(a: Sequence, b: Sequence) -> list:
+    """Diagonal of diag(a) (x) diag(b), in row-major block order."""
+    return [x * y for x in a for y in b]
 
 
-def kron_product(a: SquareMatrix, b: SquareMatrix) -> SquareMatrix:
-    """Block matrix (a_ij * B), an (nm x nm) square matrix."""
-    n, m = a.dimension, b.dimension
-    rows = []
-    for i in range(n):
-        for k in range(m):
-            row = []
-            for j in range(n):
-                for ell in range(m):
-                    row.append(a.entries[i][j] * b.entries[k][ell])
-            rows.append(tuple(row))
-    return SquareMatrix(tuple(rows))
-
-
-def kron_sum(a: SquareMatrix, b: SquareMatrix) -> SquareMatrix:
-    """A (+) B = A (x) Id_m + Id_n (x) B."""
-    return kron_product(a, SquareMatrix.identity(b.dimension)) + kron_product(
-        SquareMatrix.identity(a.dimension), b
-    )
+def kron_sum(a: Sequence, b: Sequence) -> list:
+    """Diagonal of diag(a) (+) diag(b) = diag(a) (x) Id + Id (x) diag(b)."""
+    return [x + y for x in a for y in b]
 
 
 def char_poly(a: SquareMatrix) -> Polynomial:
@@ -149,21 +113,24 @@ def char_poly(a: SquareMatrix) -> Polynomial:
     return Polynomial.make(1, terms)
 
 
-def _theta_folds(k: int, u: Sequence) -> tuple[list[Fraction], SquareMatrix, SquareMatrix]:
-    """The coordinates, the Kronecker-sum fold of the diag(0, 2^(k-i)) blocks
-    and the Kronecker-product fold diag(1, u_k) (x) ... (x) diag(1, u_1)."""
+def _theta_folds(k: int, s: Fraction, u: Sequence) -> tuple[list, list, list, SquareMatrix]:
+    """The coordinates, the diagonals of the Kronecker-sum fold of the
+    diag(0, 2^(k-i)) blocks and of the Kronecker-product fold
+    diag(1, u_k) (x) ... (x) diag(1, u_1), and the composed matrix
+    diag(shift) + s * diag(product)."""
     if k < 1:
         raise QuizlabError(f"need at least one Kronecker block, got k={k}")
     coords = [Fraction(x) for x in u]
     if len(coords) != k:
         raise QuizlabError(f"expected {k} direction parameters, got {len(coords)}")
-    shift = SquareMatrix.diagonal([0, 2 ** (k - 1)])
+    shift = [0, 2 ** (k - 1)]
     for i in range(2, k + 1):
-        shift = kron_sum(shift, SquareMatrix.diagonal([0, 2 ** (k - i)]))
-    product = SquareMatrix.diagonal([1, coords[k - 1]])
+        shift = kron_sum(shift, [0, 2 ** (k - i)])
+    product = [1, coords[k - 1]]
     for i in range(k - 1, 0, -1):
-        product = kron_product(product, SquareMatrix.diagonal([1, coords[i - 1]]))
-    return coords, shift, product
+        product = kron_product(product, [1, coords[i - 1]])
+    theta = SquareMatrix.diagonal([a + s * b for a, b in zip(shift, product)])
+    return coords, shift, product, theta
 
 
 def build_theta_matrix(
@@ -177,9 +144,7 @@ def build_theta_matrix(
     """
     if k > cap:
         raise CapExceededError(f"theta-matrix cap: k={k} exceeds {cap}; no override")
-    s = Fraction(s)
-    _, shift, product = _theta_folds(k, u)
-    return shift + product.scale(s), 2 * k
+    return _theta_folds(k, Fraction(s), u)[3], 2 * k
 
 
 def verify_lemma_identities(
@@ -197,9 +162,8 @@ def verify_lemma_identities(
     if k > cap:
         raise CapExceededError(f"lemma-identity cap: k={k} exceeds {cap}; no override")
     s = Fraction(s)
-    coords, shift, product = _theta_folds(k, u)
-    first = shift == SquareMatrix.diagonal(list(range(2 ** k)))
-    second = product == SquareMatrix.diagonal(vertex_monomials(k, coords))
-    theta = shift + product.scale(s)
+    coords, shift, product, theta = _theta_folds(k, s, u)
+    first = shift == list(range(2 ** k))
+    second = product == vertex_monomials(k, coords)
     third = char_poly(theta) == product_of_linear_roots(theta_diagonal_values(k, s, coords))
     return (first, second, third)

@@ -161,6 +161,8 @@ class ApproxGameConfig:
             )
             if count < 8:
                 raise QuizlabError("numeric mode requires at least 8 samples")
+        if self.precision is not None and self.precision < 1:
+            raise QuizlabError(f"precision must be at least 1, got {self.precision}")
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,8 @@
 
 These deliberately re-derive results by the dumbest correct method
 available (plain Gaussian elimination, cofactor determinants, Lagrange's
-interpolation formula) so that the library's cleverer paths are checked
-against something with no shared code.
+interpolation formula, Kronecker products entry by entry) so that the
+library's cleverer paths are checked against something with no shared code.
 """
 
 from __future__ import annotations
@@ -77,6 +77,24 @@ def cofactor_determinant(rows) -> Fraction:
         term = rows[0][j] * cofactor_determinant(minor)
         total = total + term if j % 2 == 0 else total - term
     return total
+
+
+def dense_kron_product(a, b):
+    """Block matrix (a_ij * B) of two square grids, entry by entry."""
+    n, m = len(a), len(b)
+    return [
+        [a[i][j] * b[k][ell] for j in range(n) for ell in range(m)]
+        for i in range(n)
+        for k in range(m)
+    ]
+
+
+def dense_kron_sum(a, b):
+    """A (+) B = A (x) Id_m + Id_n (x) B, with dense identity grids."""
+    ident_a = [[int(i == j) for j in range(len(a))] for i in range(len(a))]
+    ident_b = [[int(i == j) for j in range(len(b))] for i in range(len(b))]
+    left, right = dense_kron_product(a, ident_b), dense_kron_product(ident_a, b)
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(left, right)]
 
 
 @pytest.fixture

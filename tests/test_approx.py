@@ -79,6 +79,13 @@ def test_encode_precision_underflow_guidance():
     assert enc.h_prime_leading == Polynomial.make(1, {(1,): Fraction(1)})
 
 
+@pytest.mark.parametrize("precision", [0, -3])
+def test_encode_rejects_precision_below_1(precision):
+    # Precision 0 used to fall back to the germ's precision silently.
+    with pytest.raises(QuizlabError, match=f"got {precision}"):
+        encode(border_demo_germ(), border_family_circuit(2), precision=precision)
+
+
 def test_sequence_from_germ():
     germ = border_demo_germ()
     points = sequence_from_germ(germ, [Fraction(1, 2), Fraction(1, 4)])

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +27,22 @@ def run_cli_child(argv):
         env=env,
         timeout=120,
     )
+
+
+TRANSCRIPTS = Path(__file__).parent / "transcripts"
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["kron", "charpoly", "--k", "4", "--s=-3/2", "--u=2,-1/3,5,7/4"], "kron_charpoly_k4.txt"),
+        (["kron", "verify", "--k", "5", "--trials", "20"], "kron_verify_k5_trials20.txt"),
+    ],
+)
+def test_kron_reports_are_pinned(argv, name, capsys):
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert out == (TRANSCRIPTS / name).read_text()
 
 
 def test_witness_report_example(capsys):
@@ -211,6 +228,11 @@ MALFORMED_CIRCUIT_FILES = {
         ["witness", "hypercube-lk", "--n=-1"],
         ["witness", "report", "--family=neural-power", "--n=2", "--trials", "0"],
         ["witness", "report", "--family=neural-power", "--n=2", "--trials=-1"],
+        ["game", "approx", "--border", "--target=1"],
+        ["game", "approx", "--border", "--target=1", "--target-support="],
+        ["game", "approx", "--border", "--target=0,1,0,5", "--target-support=2,0;1,1;0,2"],
+        ["approx", "encode", "--border", "--precision=-3"],
+        ["approx", "encode", "--border", "--precision=0"],
     ],
 )
 def test_malformed_value_exits_2(argv, tmp_path):
@@ -220,6 +242,59 @@ def test_malformed_value_exits_2(argv, tmp_path):
     assert proc.returncode == 2
     assert "error:" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["approx", "encode", "--border", "--precision=-3"], "got -3"),
+        (["approx", "encode", "--border", "--precision=0"], "got 0"),
+        (["game", "approx", "--border", "--target=1"], "1 values, 0 monomials"),
+        (
+            ["game", "approx", "--border", "--target=0,1,0,5", "--target-support=2,0;1,1;0,2"],
+            "4 values, 3 monomials",
+        ),
+    ],
+)
+def test_malformed_value_message_names_it(argv, message, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("QUIZLAB_EXPANSION_CAP",
+         ["circuit", "expand", "--family", "univariate-d", "--d", "3", "--params", "2"]),
+        ("QUIZLAB_ELIMINATION_CAP", ["kron", "charpoly", "--k", "2", "--s", "1", "--u", "1,2"]),
+    ],
+)
+def test_malformed_cap_variable_exits_2(name, argv, capsys, monkeypatch):
+    monkeypatch.setenv(name, "abc")
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert f"{name} must be an integer, got 'abc'" in err
+    assert "Traceback" not in err
+
+
+def test_unused_cap_variable_is_ignored(capsys, monkeypatch):
+    # Only circuit expand reads the expansion cap; the parser does not.
+    argv = ["kron", "verify", "--k", "2"]
+    monkeypatch.delenv("QUIZLAB_EXPANSION_CAP", raising=False)
+    expected = run_cli(argv, capsys)
+    monkeypatch.setenv("QUIZLAB_EXPANSION_CAP", "abc")
+    assert run_cli(argv, capsys) == expected
+    assert expected[0] == 0
+
+
+def test_expansion_cap_variable_sets_the_default(capsys, monkeypatch):
+    monkeypatch.setenv("QUIZLAB_EXPANSION_CAP", "7")
+    argv = ["circuit", "expand", "--family", "univariate-d", "--d", "3", "--params", "2"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0 and "expansion_cap=7 " in out
+    code, _, err = run_cli(argv + ["--expansion-cap", "2"], capsys)
+    assert code == 3 and "cap is 2" in err
 
 
 @pytest.mark.parametrize(

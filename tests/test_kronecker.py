@@ -1,4 +1,4 @@
-"""Kronecker algebra, characteristic polynomials, and the diagonal identities."""
+"""Kronecker folds on diagonals, characteristic polynomials, and the diagonal identities."""
 
 import random
 from fractions import Fraction
@@ -18,7 +18,7 @@ from quizlab.kronecker import (
     verify_lemma_identities,
 )
 from quizlab.poly import Polynomial
-from conftest import cofactor_determinant, random_fraction
+from conftest import cofactor_determinant, dense_kron_product, dense_kron_sum, random_fraction
 
 
 def diag(*values):
@@ -26,20 +26,36 @@ def diag(*values):
 
 
 def test_kron_product_examples():
-    assert kron_product(diag(1, 5), diag(1, 7)) == diag(1, 7, 5, 35)
-    a = SquareMatrix.from_rows([[1, 2], [3, 4]])
-    assert kron_product(a, SquareMatrix.identity(1)) == a
-    assert kron_product(SquareMatrix.identity(2), SquareMatrix.identity(2)) == SquareMatrix.identity(4)
+    assert kron_product([1, 5], [1, 7]) == [1, 7, 5, 35]
+    assert kron_product([1, 1], [1, 1]) == [1, 1, 1, 1]
 
 
 def test_kron_sum_examples():
-    assert kron_sum(diag(0, 2), diag(0, 1)) == diag(0, 1, 2, 3)
-    b = SquareMatrix.from_rows([[5, 1], [0, 2]])
-    assert kron_sum(SquareMatrix.from_rows([[0]]), b) == b
-    assert kron_sum(diag(1, 2), diag(3, 4, 5)).dimension == 6
+    assert kron_sum([0, 2], [0, 1]) == [0, 1, 2, 3]
+    assert kron_sum([1, 2], [3, 4, 5]) == [4, 5, 6, 5, 6, 7]
+
+
+diagonals = st.lists(
+    st.fractions(min_value=-5, max_value=5, max_denominator=12), min_size=1, max_size=4
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(diagonals, diagonals)
+def test_kron_folds_against_dense_oracle(a, b):
+    # The diagonal folds against the entry-by-entry Kronecker product and sum.
+    dense_a, dense_b = SquareMatrix.diagonal(a).entries, SquareMatrix.diagonal(b).entries
+    product = SquareMatrix.from_rows(dense_kron_product(dense_a, dense_b))
+    assert SquareMatrix.diagonal(kron_product(a, b)) == product
+    total = SquareMatrix.from_rows(dense_kron_sum(dense_a, dense_b))
+    assert SquareMatrix.diagonal(kron_sum(a, b)) == total
 
 
 def test_mixed_product_property(rng):
+    # (A (x) B)(C (x) D) = AC (x) BD checks SquareMatrix.__matmul__.
+    def kron(x, y):
+        return SquareMatrix.from_rows(dense_kron_product(x.entries, y.entries))
+
     for _ in range(20):
         mats = [
             SquareMatrix.from_rows(
@@ -48,9 +64,7 @@ def test_mixed_product_property(rng):
             for _ in range(4)
         ]
         a, b, c, d = mats
-        lhs = kron_product(a, b) @ kron_product(c, d)
-        rhs = kron_product(a @ c, b @ d)
-        assert lhs == rhs
+        assert kron(a, b) @ kron(c, d) == kron(a @ c, b @ d)
 
 
 def charpoly_by_cofactors(matrix: SquareMatrix) -> Polynomial:
@@ -73,7 +87,7 @@ def test_char_poly_examples():
     assert char_poly(diag(0, 1, 2, 3)) == charpoly_by_cofactors(diag(0, 1, 2, 3))
     y = Polynomial.variable(1, 0)
     one = Polynomial.constant(1, 1)
-    assert char_poly(SquareMatrix.identity(2)) == (y - one) * (y - one)
+    assert char_poly(diag(1, 1)) == (y - one) * (y - one)
     theta, _ = build_theta_matrix(1, 1, [2])
     assert char_poly(theta) == (y - one) * (y - Polynomial.constant(1, 3))
 

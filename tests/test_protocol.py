@@ -16,6 +16,7 @@ from quizlab.errors import (
     NonIdentifyingPointsError,
     NoStableClusterError,
     NotHolomorphicAtOriginError,
+    QuizlabError,
     UnderdeterminedSystemError,
 )
 from quizlab.exact import LaurentSeries
@@ -400,6 +401,12 @@ def test_approx_symbolic_border():
     transcript = run_approx(border_family_circuit(2), border_strategy(), config, target)
     assert transcript.verdict == "accept"
     assert transcript.player_message == ("0/1", "1/1", "0/1")
+
+
+@pytest.mark.parametrize("precision", [0, -3])
+def test_approx_config_rejects_precision_below_1(precision):
+    with pytest.raises(QuizlabError, match=f"got {precision}"):
+        ApproxGameConfig(germ=border_demo_germ(), mode=MODE_SYMBOLIC, precision=precision)
 
 
 def test_approx_constant_germ_reduces_to_exact(rng):

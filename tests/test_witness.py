@@ -15,7 +15,7 @@ from quizlab.errors import (
     QuizlabError,
     UnderdeterminedSystemError,
 )
-from quizlab.exact import LaurentSeries
+from quizlab.exact import LaurentSeries, modular_root_of_unity
 from quizlab.families import (
     CURVE_FIXED_DIRECTION,
     CURVE_POWER_TOWER,
@@ -331,6 +331,61 @@ def test_roots_of_unity_ranks_are_the_carrier_dimensions():
         matrix, _ = roots_of_unity_matrix(d, VARIANT_DERIVATIVE)
         assert matrix.rows == d + 1 and matrix.cols == d
         assert roots_of_unity_rank(d, VARIANT_DERIVATIVE) == d
+
+
+def determinant_mod_p(rows, p):
+    """Gaussian elimination over F_p with row swaps; the empty matrix has det 1."""
+    grid = [[x % p for x in row] for row in rows]
+    det = 1
+    for col in range(len(grid)):
+        pivot = next((r for r in range(col, len(grid)) if grid[r][col]), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            grid[col], grid[pivot] = grid[pivot], grid[col]
+            det = -det
+        det = det * grid[col][col] % p
+        inverse = pow(grid[col][col], -1, p)
+        for r in range(col + 1, len(grid)):
+            factor = grid[r][col] * inverse % p
+            grid[r] = [(a - factor * b) % p for a, b in zip(grid[r], grid[col])]
+    return det % p
+
+
+@pytest.mark.parametrize("variant", [VARIANT_BASE, VARIANT_DERIVATIVE, VARIANT_INTEGRAL])
+def test_roots_of_unity_determinant_closed_form(variant):
+    """A second route for criterion 3: the scaled Vandermonde determinant.
+
+    Row j has scale (D+1) * zeta_j^D and entries c_k * zeta_j^k.  For base
+    and integral the determinant is the product of the row scales, the
+    column scales c_k and prod_{i<j} (zeta_j - zeta_i).  The derivative
+    matrix has columns k = 1..D; its minor without row 0 is that product
+    over the kept rows, each times one more zeta_j.
+    """
+    for d_degree in range(32):
+        matrix, p = roots_of_unity_matrix(d_degree, variant)
+        d = d_degree + 1
+        zeta = modular_root_of_unity(p, d).residue
+        roots = [pow(zeta, j, p) for j in range(d)]
+        assert pow(zeta, d, p) == 1 and len(set(roots)) == d
+        if variant == VARIANT_BASE:
+            column_scales, rows, kept = [1] * d, matrix.entries, roots
+        elif variant == VARIANT_INTEGRAL:
+            column_scales = [pow(k + 1, -1, p) for k in range(d)]
+            rows, kept = matrix.entries, roots
+        else:
+            column_scales, rows, kept = list(range(1, d)), matrix.entries[1:], roots[1:]
+        row_power = d_degree + (variant == VARIANT_DERIVATIVE)
+        expected = 1
+        for root in kept:
+            expected *= d * pow(root, row_power, p)
+        for scale in column_scales:
+            expected *= scale
+        for i, j in itertools.combinations(range(len(kept)), 2):
+            expected *= kept[j] - kept[i]
+        expected %= p
+        assert expected != 0
+        assert determinant_mod_p(rows, p) == expected, (variant, d_degree)
 
 
 def test_roots_of_unity_d1_matrix():
