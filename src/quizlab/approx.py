@@ -329,6 +329,8 @@ def closure_membership_demo(
     nonincreasing); where the monomial certificate applies, non-membership
     of the target in the exact image is recorded as well.
     """
+    if depth < 1:
+        raise QuizlabError(f"demo depth must be at least 1, got {depth}")
     enc = encode(germ, desc_or_circuit)
     if not enc.holomorphic or enc.h != target:
         raise QuizlabError("the germ does not encode the requested target")

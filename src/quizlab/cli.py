@@ -295,6 +295,8 @@ def cmd_game_exact(args) -> None:
 
 
 def cmd_game_approx(args) -> None:
+    if args.samples < 1:
+        raise QuizlabError(f"--samples must be at least 1, got {args.samples}")
     if args.border:
         circ = border_family_circuit(2)
         strategy = Strategy(

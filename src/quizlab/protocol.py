@@ -163,6 +163,10 @@ class ApproxGameConfig:
                 raise QuizlabError("numeric mode requires at least 8 samples")
         if self.precision is not None and self.precision < 1:
             raise QuizlabError(f"precision must be at least 1, got {self.precision}")
+        if self.cluster_tolerance < 0:
+            raise QuizlabError(
+                f"cluster tolerance must be nonnegative, got {self.cluster_tolerance}"
+            )
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,13 @@ fraction-free loop (Bareiss 1968) serves both callers: run forward only,
 it gives the rank; run as Gauss-Jordan on [A' | diag(s)], it compiles a
 linear system once (``compile_system``) for any number of right-hand
 sides.  A matrix over F_p carries its prime as ``modulus`` and holds
-integer residues, which plain Gaussian elimination mod p ranks.
+integer residues, which Gaussian elimination mod p ranks row by row,
+stopping once the rank reaches the width.  A rational rank is certified
+mod RANK_PRIME first: every minor mod p is the residue of the integer
+minor, so the rank mod p never exceeds the rank over Q, and full rank mod
+p is exact.  Bareiss runs only on a shortfall.  perfbench checks span
+certificates mod 2^61 - 1, so this prime differs to keep that check
+independent.
 Root-of-unity matrices are verified modulo a prime p = 1 (mod D+1): the
 entries live in Z[zeta] and reduce to F_p through a ring morphism, so a
 nonzero determinant mod p certifies a nonzero determinant over the
@@ -26,7 +32,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     ArityMismatchError,
@@ -54,6 +60,8 @@ from .poly import Monomial, Polynomial
 VARIANT_BASE = "base"
 VARIANT_DERIVATIVE = "derivative"
 VARIANT_INTEGRAL = "integral"
+
+RANK_PRIME = 2 ** 31 - 1  # certifies rational ranks; see the module docstring
 
 DESK_CAPS = {
     EASY_POWER_SUM: ("n*l", 8),
@@ -126,22 +134,26 @@ def _bareiss(grid: list[list[int]], width: int, above: bool) -> tuple[list[int],
     return pivot_cols, prev
 
 
-def _rank_prime_field(rows: Sequence[Sequence[int]], p: int) -> int:
-    grid = [[x % p for x in row] for row in rows]
-    m, n = len(grid), len(grid[0])
-    rank = 0
-    for col in range(n):
-        pivot = next((r for r in range(rank, m) if grid[r][col]), None)
-        if pivot is None:
-            continue
-        grid[rank], grid[pivot] = grid[pivot], grid[rank]
-        inv = pow(grid[rank][col], -1, p)
-        for r in range(rank + 1, m):
-            factor = grid[r][col] * inv % p
-            if factor:
-                grid[r] = [(a - factor * b) % p for a, b in zip(grid[r], grid[rank])]
-        rank += 1
-    return rank
+def _rank_prime_field(
+    rows: Iterable[Sequence[int]], p: int = RANK_PRIME, stop: int | None = None
+) -> int:
+    """Rank over F_p of integer rows, taken one at a time.  Each row is
+    reduced against the pivot rows so far, and the loop stops once the rank
+    reaches the width or ``stop``, so later rows are never even built."""
+    pivots: list[tuple[int, list[int]]] = []
+    for row in rows:
+        r = [x % p for x in row]
+        for col, top in pivots:
+            f = r[col]
+            if f:
+                r = [(a - f * b) % p for a, b in zip(r, top)]
+        col = next((j for j, x in enumerate(r) if x), None)
+        if col is not None:
+            inv = pow(r[col], -1, p)
+            pivots.append((col, [x * inv % p for x in r]))
+            if len(pivots) in (len(r), stop):
+                break
+    return len(pivots)
 
 
 def exact_rank(matrix: ExactMatrix) -> int:
@@ -150,8 +162,11 @@ def exact_rank(matrix: ExactMatrix) -> int:
         return 0
     if matrix.modulus is not None:
         return _rank_prime_field(matrix.entries, matrix.modulus)
-    # Clearing denominators row by row does not change the rank.
+    # Clearing rows does not change the rank; full rank mod p is exact.
     grid = [cleared_row(row)[1] for row in matrix.entries]
+    full = min(matrix.rows, matrix.cols)
+    if _rank_prime_field(grid) == full:
+        return full
     return len(_bareiss(grid, matrix.cols, above=False)[0])
 
 
@@ -282,20 +297,22 @@ def monomial_values(point: Sequence[int], support: Sequence[Monomial]) -> list:
     return [math.prod(x ** e for e, x in zip(mono, point)) for mono in support]
 
 
+def check_arity(points: Sequence[Sequence[int]], support: Sequence[Monomial]) -> None:
+    """Every point and monomial must have the same arity."""
+    arities = {len(mono) for mono in support} | {len(point) for point in points}
+    if len(arities) > 1:
+        raise ArityMismatchError(f"points and support monomials mix arities {sorted(arities)}")
+
+
 def evaluation_matrix(
     points: Sequence[Sequence[int]], support: Sequence[Monomial]
 ) -> ExactMatrix:
     """Rows: one per point; columns: monomial values at that point.
 
     Points have integer (or rational) coordinates, so each value is an
-    exact product: an int at an integer point, a Fraction at a rational
-    one.  Every point and monomial must have the same arity.
+    exact product: an int at an integer point, a Fraction at a rational one.
     """
-    arities = {len(mono) for mono in support} | {len(point) for point in points}
-    if len(arities) > 1:
-        raise ArityMismatchError(
-            f"points and support monomials mix arities {sorted(arities)}"
-        )
+    check_arity(points, support)
     return ExactMatrix.from_rows(monomial_values(point, support) for point in points)
 
 
@@ -515,17 +532,6 @@ def check_desk_cap(desc: FamilyDescriptor) -> None:
         )
 
 
-def _sample_distinct(rng: random.Random, count: int, box: int) -> list[int]:
-    return rng.sample(range(1, box + 1), count)
-
-
-def _ray_of(direction: tuple[int, ...]) -> tuple[int, ...]:
-    g = 0
-    for x in direction:
-        g = math.gcd(g, x)
-    return tuple(x // g for x in direction)
-
-
 def _sample_directions(
     rng: random.Random, count: int, box: int, arity: int
 ) -> list[tuple[int, ...]]:
@@ -539,7 +545,8 @@ def _sample_directions(
     rays: dict[tuple[int, ...], tuple[int, ...]] = {}
     while len(rays) < count:
         direction = tuple(rng.randint(1, box) for _ in range(arity))
-        rays.setdefault(_ray_of(direction), direction)
+        g = math.gcd(*direction)
+        rays.setdefault(tuple(x // g for x in direction), direction)
     return sorted(rays.values())
 
 
@@ -565,7 +572,7 @@ def lower_bound_report(
         rng = random.Random(trial_seed)
         box = 4 * k_expected
         if desc.variant == EASY_POWER_SUM:
-            rhos = _sample_distinct(rng, k_expected, box)
+            rhos = rng.sample(range(1, box + 1), k_expected)
             curves = [beta_curve(desc.base(), CURVE_POWER_TOWER, rho) for rho in rhos]
             matrix = derivative_matrix(desc.base(), curves)
         elif desc.variant == NEURAL_POWER:

@@ -135,6 +135,16 @@ def test_closure_demo_border():
     assert "certified" in text
 
 
+@pytest.mark.parametrize("depth", [0, -1])
+def test_closure_demo_rejects_depth_below_1(depth):
+    # With no sample there is no distance, so nothing is decreasing or certified.
+    target = Polynomial.make(2, {(1, 1): Fraction(1)})
+    with pytest.raises(QuizlabError, match=f"got {depth}"):
+        closure_membership_demo(border_family_circuit(2), target, border_demo_germ(), depth)
+    report = closure_membership_demo(border_family_circuit(2), target, border_demo_germ(), 1)
+    assert report.distances == (Fraction(1, 4),)
+
+
 def test_closure_demo_constant_germ():
     desc = easy_power_sum(1, 1)
     point = (Fraction(2), Fraction(3))

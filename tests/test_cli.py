@@ -45,6 +45,33 @@ def test_kron_reports_are_pinned(argv, name, capsys):
     assert out == (TRANSCRIPTS / name).read_text()
 
 
+IDSEQ_POINTS = ";".join(f"{i % 8},{(i * i) % 13 - 6}" for i in range(40))
+IDSEQ_SUPPORT = ";".join(f"{a},{b}" for a in range(4) for b in range(4 - a))
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (
+            ["witness", "report", "--family=neural-power", "--n=4", "--trials=3"],
+            "witness_report_neural_power4.txt",
+        ),
+        (
+            ["witness", "report", "--family=easy-power-sum", "--l=2", "--n=3", "--trials=3"],
+            "witness_report_easy_power_sum_l2_n3.txt",
+        ),
+        (
+            ["idseq", "verify", f"--points={IDSEQ_POINTS}", f"--support={IDSEQ_SUPPORT}"],
+            "idseq_verify_40_points.txt",
+        ),
+    ],
+)
+def test_rank_reports_are_pinned(argv, name, capsys):
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert out == (TRANSCRIPTS / name).read_text()
+
+
 def test_witness_report_example(capsys):
     argv = [
         "witness", "report", "--family", "easy-power-sum",
@@ -233,6 +260,10 @@ MALFORMED_CIRCUIT_FILES = {
         ["game", "approx", "--border", "--target=0,1,0,5", "--target-support=2,0;1,1;0,2"],
         ["approx", "encode", "--border", "--precision=-3"],
         ["approx", "encode", "--border", "--precision=0"],
+        ["approx", "demo", "--border", "--depth=0"],
+        ["approx", "demo", "--border", "--depth=-1"],
+        ["game", "approx", "--border", "--tolerance=-1", "--samples=-1"],
+        ["game", "approx", "--border", "--numeric", "--tolerance=-1"],
     ],
 )
 def test_malformed_value_exits_2(argv, tmp_path):
@@ -253,6 +284,17 @@ def test_malformed_value_exits_2(argv, tmp_path):
         (
             ["game", "approx", "--border", "--target=0,1,0,5", "--target-support=2,0;1,1;0,2"],
             "4 values, 3 monomials",
+        ),
+        (["approx", "demo", "--border", "--depth=0"], "got 0"),
+        (["approx", "demo", "--border", "--depth=-1"], "got -1"),
+        (
+            ["game", "approx", "--border", "--tolerance=-1", "--samples=-1"],
+            "--samples must be at least 1, got -1",
+        ),
+        (["game", "approx", "--border", "--samples=0"], "--samples must be at least 1, got 0"),
+        (
+            ["game", "approx", "--border", "--numeric", "--tolerance=-1"],
+            "cluster tolerance must be nonnegative, got -1",
         ),
     ],
 )

@@ -1,9 +1,13 @@
 """Identification sequences: bounds, sampling, certificates, falsification."""
 
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from quizlab import identify
 from quizlab.errors import ArityMismatchError, QuizlabError
 from quizlab.families import easy_power_sum, univariate_d
 from quizlab.identify import (
@@ -14,6 +18,9 @@ from quizlab.identify import (
     sample_sequence,
     verify_linear_span,
 )
+from quizlab.poly import monomials_of_degree
+from quizlab.witness import RANK_PRIME
+from conftest import naive_rank
 
 
 def test_required_set_size_examples():
@@ -61,6 +68,66 @@ def test_verify_linear_span_rejects_mixed_arity():
     for points, support in cases:
         with pytest.raises(ArityMismatchError):
             verify_linear_span(points, support)
+
+
+def test_verify_linear_span_checks_arity_past_the_early_exit():
+    # Two points already settle the support, but the 13th point is malformed.
+    points = [(x,) for x in range(12)] + [(1, 2)]
+    with pytest.raises(ArityMismatchError):
+        verify_linear_span(points, ((0,), (1,)))
+
+
+def test_verify_linear_span_falls_back_when_short_mod_the_prime():
+    # Points congruent mod RANK_PRIME collapse the residue rows, not the rational ones.
+    p = RANK_PRIME
+    assert verify_linear_span([(0,), (p,)], ((0,), (1,)))
+    assert verify_linear_span([(1, 0), (1 + p, 0), (2, 1)], ((1, 0), (0, 0), (0, 1)))
+    assert not verify_linear_span([(0,), (p,), (0,)], ((0,), (1,), (2,)))
+
+
+def test_verify_linear_span_builds_only_the_rows_it_needs(monkeypatch):
+    built = []
+    original = identify.monomial_values
+
+    def spy(point, support):
+        built.append(point)
+        return original(point, support)
+
+    monkeypatch.setattr(identify, "monomial_values", spy)
+    support = monomials_of_degree(3, 3)
+    points = [(x, x * x + 1, 7 * x ** 3 % 101) for x in range(258)]
+    assert verify_linear_span(points, support)
+    assert len(built) == len(support) == 10
+    # A shortfall mod the prime reads every point before the exact fallback.
+    built.clear()
+    assert not verify_linear_span([(0,), (1,), (1,)], ((0,), (1,), (2,)))
+    assert len(built) == 3
+
+
+@st.composite
+def span_cases(draw):
+    """Points with integer or rational coordinates, some repeated, often
+    fewer than the support, and a support of monomials of the same arity."""
+    arity = draw(st.integers(1, 3))
+    coordinate = st.one_of(
+        st.integers(-6, 6), st.fractions(min_value=-4, max_value=4, max_denominator=5)
+    )
+    pool = draw(st.lists(st.tuples(*[coordinate] * arity), min_size=1, max_size=6))
+    points = draw(st.lists(st.sampled_from(pool), max_size=12))
+    support = draw(st.lists(st.tuples(*[st.integers(0, 3)] * arity), max_size=7, unique=True))
+    return points, support
+
+
+@settings(max_examples=300, deadline=None)
+@given(span_cases())
+def test_verify_linear_span_against_naive_rank(case):
+    points, support = case
+    rows = [
+        [math.prod((Fraction(x) ** e for x, e in zip(point, mono)), start=Fraction(1))
+         for mono in support]
+        for point in points
+    ]
+    assert verify_linear_span(points, support) == (naive_rank(rows) == len(support))
 
 
 def test_verify_monotone_in_points():

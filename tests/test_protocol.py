@@ -409,6 +409,20 @@ def test_approx_config_rejects_precision_below_1(precision):
         ApproxGameConfig(germ=border_demo_germ(), mode=MODE_SYMBOLIC, precision=precision)
 
 
+@pytest.mark.parametrize("mode", [MODE_SYMBOLIC, MODE_NUMERIC])
+def test_approx_config_rejects_negative_tolerance(mode):
+    schedule = tuple(Fraction(1, 2 ** k) for k in range(1, 9))
+    with pytest.raises(QuizlabError, match="tolerance must be nonnegative, got -1/64"):
+        ApproxGameConfig(
+            germ=border_demo_germ(),
+            mode=mode,
+            sample_schedule=schedule,
+            cluster_tolerance=Fraction(-1, 64),
+        )
+    config = ApproxGameConfig(germ=border_demo_germ(), mode=mode, sample_schedule=schedule)
+    assert config.cluster_tolerance == 0
+
+
 def test_approx_constant_germ_reduces_to_exact(rng):
     for desc in (
         easy_power_sum(2, 2),

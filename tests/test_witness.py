@@ -1,11 +1,13 @@
 """Exact rank computations and the lower-bound witness matrices."""
 
+import contextlib
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quizlab.errors import (
@@ -28,8 +30,10 @@ from quizlab.families import (
     neural_power,
     univariate_d,
 )
+from quizlab import witness
 from quizlab.poly import Polynomial
 from quizlab.witness import (
+    RANK_PRIME,
     VARIANT_BASE,
     VARIANT_DERIVATIVE,
     VARIANT_INTEGRAL,
@@ -40,6 +44,8 @@ from quizlab.witness import (
     expected_rank,
     hypercube_lk_coefficients,
     hypercube_lk_matrix,
+    _rank_prime_field,
+    cleared_row,
     lower_bound_report,
     roots_of_unity_matrix,
     roots_of_unity_rank,
@@ -137,6 +143,116 @@ def rank_matrices(draw):
 @given(rank_matrices())
 def test_exact_rank_against_naive_rank_any_shape(rows):
     assert exact_rank(ExactMatrix.from_rows(rows)) == naive_rank(rows)
+
+
+def test_rank_prime_is_not_the_benchmark_prime():
+    # perfbench checks span certificates mod 2^61 - 1; a different prime
+    # keeps that check independent of the one that certified the rank.
+    assert RANK_PRIME != 2 ** 61 - 1
+    assert all(RANK_PRIME % d for d in range(2, math.isqrt(RANK_PRIME) + 1))
+
+
+@contextlib.contextmanager
+def counted_bareiss():
+    """Record each fraction-free elimination run inside the block."""
+    calls = []
+    original = witness._bareiss
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(witness, "_bareiss", spy)
+        yield calls
+
+
+def test_exact_rank_runs_bareiss_only_on_a_shortfall_mod_p():
+    p = RANK_PRIME
+    with counted_bareiss() as calls:
+        assert exact_rank(ExactMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 10]])) == 3
+        assert exact_rank(ExactMatrix.from_rows([[Fraction(1, 3), 1], [5, Fraction(-2, 7)]])) == 2
+        assert exact_rank(ExactMatrix.from_rows([[1, 2], [3, 4], [5, 6]])) == 2
+        assert calls == []
+        # det = p: singular mod p, nonsingular over Q.
+        assert exact_rank(ExactMatrix.from_rows([[p, 0], [0, 1]])) == 2
+        assert len(calls) == 1
+        # A truly rank-deficient matrix is short mod p too; Bareiss settles it.
+        assert exact_rank(ExactMatrix.from_rows([[1, 2], [2, 4]])) == 1
+        assert len(calls) == 2
+
+
+@st.composite
+def short_mod_p_matrices(draw):
+    """Rational matrices whose cleared rows often have a lower rank mod
+    RANK_PRIME than over Q: some rows scaled by p (they vanish mod p), or a
+    low-rank product plus p times a random matrix (congruent to the product)."""
+    p = RANK_PRIME
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    entry = st.integers(-9, 9)
+    if draw(st.booleans()):
+        rows = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(m)]
+        for i in draw(st.sets(st.integers(0, m - 1), min_size=1, max_size=m)):
+            rows[i] = [p * x for x in rows[i]]
+    else:
+        k = draw(st.integers(0, min(m, n) - 1))
+        left = [draw(st.lists(entry, min_size=k, max_size=k)) for _ in range(m)]
+        right = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(k)]
+        noise = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(m)]
+        rows = [
+            [sum(x * r[j] for x, r in zip(row, right)) + p * z[j] for j in range(n)]
+            for row, z in zip(left, noise)
+        ]
+    # Denominators prime to p keep the cleared rows' residues mod p short.
+    return [
+        [Fraction(x, d) for x in row]
+        for row, d in zip(rows, draw(st.lists(st.integers(1, 6), min_size=m, max_size=m)))
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(short_mod_p_matrices())
+@example([[RANK_PRIME, 0], [0, 1]])
+@example([[RANK_PRIME, 2 * RANK_PRIME], [1, 3]])
+def test_exact_rank_falls_back_when_short_mod_p(rows):
+    with counted_bareiss() as calls:
+        rank = exact_rank(ExactMatrix.from_rows(rows))
+    assert rank == naive_rank(rows)
+    short = _rank_prime_field([cleared_row(row)[1] for row in rows]) < min(len(rows), len(rows[0]))
+    assert len(calls) == int(short)
+
+
+class _CountingRows:
+    """An iterator over rows that records how many were taken."""
+
+    def __init__(self, rows):
+        self.rows, self.taken = rows, 0
+
+    def __iter__(self):
+        for row in self.rows:
+            self.taken += 1
+            yield row
+
+
+def test_rank_prime_field_stops_at_the_row_that_completes_the_rank():
+    rows = [[0, 0, 0], [1, 2, 3], [2, 4, 6], [0, 1, 1], [5, 5, 5], [0, 0, 1], [9, 9, 9]]
+    # Rank 1 after row 2, 2 after row 4, 3 (the width) after row 5.
+    for stop, taken in ((1, 2), (2, 4), (3, 5), (None, 5)):
+        counted = _CountingRows(rows)
+        assert _rank_prime_field(counted, 7, stop) == (stop or 3)
+        assert counted.taken == taken
+    counted = _CountingRows(rows[:4])
+    assert _rank_prime_field(counted, 7) == 2 and counted.taken == 4
+    assert _rank_prime_field(iter([]), 7) == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(residue_matrices(), st.integers(0, 4))
+def test_rank_prime_field_stop_caps_the_rank(case, stop):
+    p, rows = case
+    assert _rank_prime_field(rows, p, stop or None) == min(
+        stop or len(rows[0]), _brute_force_rank_mod_p(rows, p)
+    )
 
 
 def test_solve_exact():
