@@ -18,14 +18,7 @@ from typing import Sequence
 from .errors import QuizlabError
 from .families import FamilyDescriptor, expand_family
 from .poly import Monomial
-from .witness import (
-    _rank_prime_field,
-    check_arity,
-    cleared_row,
-    evaluation_matrix,
-    exact_rank,
-    monomial_values,
-)
+from .witness import spans
 
 
 def required_set_size(delta: int, L: int, K: int) -> int:
@@ -64,7 +57,10 @@ class IdentificationSequence:
     seed: int | None = None
 
     def __post_init__(self):
-        if len({len(p) for p in self.points}) > 1:
+        if not self.points:
+            return
+        widths = {len(p) for p in self.points}
+        if len(widths) > 1:
             raise QuizlabError("points of mixed arity")
 
     @property
@@ -115,17 +111,10 @@ def verify_linear_span(
 
     When the m x |support| evaluation matrix has rank |support|, any two
     polynomials in the span of the support that agree on the points are
-    equal, so the points identify every carrier inside that span.  Full
-    rank mod RANK_PRIME certifies it from the first rows that reach it;
-    only a shortfall there builds the whole matrix for the exact rank.
+    equal, so the points identify every carrier inside that span.
     """
     pts = points.points if isinstance(points, IdentificationSequence) else points
-    check_arity(pts, support)
-    n = len(support)
-    rows = (cleared_row(monomial_values(point, support))[1] for point in pts)
-    if _rank_prime_field(rows, stop=n) == n:
-        return True
-    return exact_rank(evaluation_matrix(pts, support)) == n
+    return spans(pts, support)
 
 
 def falsify_random(

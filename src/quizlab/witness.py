@@ -26,6 +26,7 @@ complex numbers.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import time
@@ -134,12 +135,10 @@ def _bareiss(grid: list[list[int]], width: int, above: bool) -> tuple[list[int],
     return pivot_cols, prev
 
 
-def _rank_prime_field(
-    rows: Iterable[Sequence[int]], p: int = RANK_PRIME, stop: int | None = None
-) -> int:
+def _rank_prime_field(rows: Iterable[Sequence[int]], p: int = RANK_PRIME) -> int:
     """Rank over F_p of integer rows, taken one at a time.  Each row is
     reduced against the pivot rows so far, and the loop stops once the rank
-    reaches the width or ``stop``, so later rows are never even built."""
+    reaches the width, so later rows are never even built."""
     pivots: list[tuple[int, list[int]]] = []
     for row in rows:
         r = [x % p for x in row]
@@ -151,9 +150,22 @@ def _rank_prime_field(
         if col is not None:
             inv = pow(r[col], -1, p)
             pivots.append((col, [x * inv % p for x in r]))
-            if len(pivots) in (len(r), stop):
+            if len(pivots) == len(r):
                 break
     return len(pivots)
+
+
+def _rational_rank(rows: Iterable[list[int]], width: int) -> int:
+    """Rank over Q of integer rows, certified mod RANK_PRIME first.  Full
+    rank there is exact and may stop before the last row; only a shortfall
+    runs Bareiss, on the rows the mod-p pass has already taken."""
+    ahead, kept = itertools.tee(rows)
+    rank = _rank_prime_field(ahead)
+    if rank < width:
+        grid = list(kept)
+        if rank < len(grid):
+            rank = len(_bareiss(grid, width, above=False)[0])
+    return rank
 
 
 def exact_rank(matrix: ExactMatrix) -> int:
@@ -162,12 +174,8 @@ def exact_rank(matrix: ExactMatrix) -> int:
         return 0
     if matrix.modulus is not None:
         return _rank_prime_field(matrix.entries, matrix.modulus)
-    # Clearing rows does not change the rank; full rank mod p is exact.
-    grid = [cleared_row(row)[1] for row in matrix.entries]
-    full = min(matrix.rows, matrix.cols)
-    if _rank_prime_field(grid) == full:
-        return full
-    return len(_bareiss(grid, matrix.cols, above=False)[0])
+    # Clearing denominators row by row does not change the rank.
+    return _rational_rank((cleared_row(row)[1] for row in matrix.entries), matrix.cols)
 
 
 @dataclass(frozen=True)
@@ -297,23 +305,33 @@ def monomial_values(point: Sequence[int], support: Sequence[Monomial]) -> list:
     return [math.prod(x ** e for e, x in zip(mono, point)) for mono in support]
 
 
-def check_arity(points: Sequence[Sequence[int]], support: Sequence[Monomial]) -> None:
-    """Every point and monomial must have the same arity."""
-    arities = {len(mono) for mono in support} | {len(point) for point in points}
-    if len(arities) > 1:
-        raise ArityMismatchError(f"points and support monomials mix arities {sorted(arities)}")
-
-
 def evaluation_matrix(
     points: Sequence[Sequence[int]], support: Sequence[Monomial]
 ) -> ExactMatrix:
     """Rows: one per point; columns: monomial values at that point.
 
     Points have integer (or rational) coordinates, so each value is an
-    exact product: an int at an integer point, a Fraction at a rational one.
+    exact product: an int at an integer point, a Fraction at a rational
+    one.  Every point and monomial must have the same arity.
     """
-    check_arity(points, support)
+    _check_arity(points, support)
     return ExactMatrix.from_rows(monomial_values(point, support) for point in points)
+
+
+def spans(points: Sequence[Sequence[int]], support: Sequence[Monomial]) -> bool:
+    """Whether the evaluation rows of the points have rank |support|.  Every
+    arity is checked first; rows are then built only as the rank needs them."""
+    _check_arity(points, support)
+    rows = (cleared_row(monomial_values(point, support))[1] for point in points)
+    return _rational_rank(rows, len(support)) == len(support)
+
+
+def _check_arity(points: Sequence[Sequence[int]], support: Sequence[Monomial]) -> None:
+    arities = {len(mono) for mono in support} | {len(point) for point in points}
+    if len(arities) > 1:
+        raise ArityMismatchError(
+            f"points and support monomials mix arities {sorted(arities)}"
+        )
 
 
 def derivative_matrix(
@@ -532,6 +550,17 @@ def check_desk_cap(desc: FamilyDescriptor) -> None:
         )
 
 
+def _sample_distinct(rng: random.Random, count: int, box: int) -> list[int]:
+    return rng.sample(range(1, box + 1), count)
+
+
+def _ray_of(direction: tuple[int, ...]) -> tuple[int, ...]:
+    g = 0
+    for x in direction:
+        g = math.gcd(g, x)
+    return tuple(x // g for x in direction)
+
+
 def _sample_directions(
     rng: random.Random, count: int, box: int, arity: int
 ) -> list[tuple[int, ...]]:
@@ -545,8 +574,7 @@ def _sample_directions(
     rays: dict[tuple[int, ...], tuple[int, ...]] = {}
     while len(rays) < count:
         direction = tuple(rng.randint(1, box) for _ in range(arity))
-        g = math.gcd(*direction)
-        rays.setdefault(tuple(x // g for x in direction), direction)
+        rays.setdefault(_ray_of(direction), direction)
     return sorted(rays.values())
 
 
@@ -572,7 +600,7 @@ def lower_bound_report(
         rng = random.Random(trial_seed)
         box = 4 * k_expected
         if desc.variant == EASY_POWER_SUM:
-            rhos = rng.sample(range(1, box + 1), k_expected)
+            rhos = _sample_distinct(rng, k_expected, box)
             curves = [beta_curve(desc.base(), CURVE_POWER_TOWER, rho) for rho in rhos]
             matrix = derivative_matrix(desc.base(), curves)
         elif desc.variant == NEURAL_POWER:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quizlab import identify
+from quizlab import witness
 from quizlab.errors import ArityMismatchError, QuizlabError
 from quizlab.families import easy_power_sum, univariate_d
 from quizlab.identify import (
@@ -77,23 +77,38 @@ def test_verify_linear_span_checks_arity_past_the_early_exit():
         verify_linear_span(points, ((0,), (1,)))
 
 
-def test_verify_linear_span_falls_back_when_short_mod_the_prime():
+def _spy(monkeypatch, name):
+    """Record each call of the witness function ``name``."""
+    calls = []
+    original = getattr(witness, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(witness, name, spy)
+    return calls
+
+
+def test_verify_linear_span_falls_back_when_short_mod_the_prime(monkeypatch):
     # Points congruent mod RANK_PRIME collapse the residue rows, not the rational ones.
     p = RANK_PRIME
-    assert verify_linear_span([(0,), (p,)], ((0,), (1,)))
-    assert verify_linear_span([(1, 0), (1 + p, 0), (2, 1)], ((1, 0), (0, 0), (0, 1)))
-    assert not verify_linear_span([(0,), (p,), (0,)], ((0,), (1,), (2,)))
+    passes, eliminations = _spy(monkeypatch, "_rank_prime_field"), _spy(monkeypatch, "_bareiss")
+    assert verify_linear_span([(0,), (1,)], ((0,), (1,)))
+    assert (len(passes), len(eliminations)) == (1, 0)
+    # A shortfall runs one Bareiss elimination, and no second pass mod p.
+    for points, support, spanned in (
+        ([(0,), (p,)], ((0,), (1,)), True),
+        ([(1, 0), (1 + p, 0), (2, 1)], ((1, 0), (0, 0), (0, 1)), True),
+        ([(0,), (p,), (0,)], ((0,), (1,), (2,)), False),
+    ):
+        passes.clear(), eliminations.clear()
+        assert verify_linear_span(points, support) is spanned
+        assert (len(passes), len(eliminations)) == (1, 1)
 
 
 def test_verify_linear_span_builds_only_the_rows_it_needs(monkeypatch):
-    built = []
-    original = identify.monomial_values
-
-    def spy(point, support):
-        built.append(point)
-        return original(point, support)
-
-    monkeypatch.setattr(identify, "monomial_values", spy)
+    built = _spy(monkeypatch, "monomial_values")
     support = monomials_of_degree(3, 3)
     points = [(x, x * x + 1, 7 * x ** 3 % 101) for x in range(258)]
     assert verify_linear_span(points, support)
