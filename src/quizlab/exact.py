@@ -26,6 +26,7 @@ from .errors import (
 )
 
 DEFAULT_LAURENT_PRECISION = 8
+_ZERO = Fraction(0)
 
 
 # ---------------------------------------------------------------------------
@@ -206,12 +207,18 @@ class LaurentSeries:
     @staticmethod
     def from_pairs(pairs) -> "LaurentSeries":
         """Build from (exponent, rational) pairs, the serialization format."""
-        terms: dict[int, Fraction] = {}
+        terms = []
         for exp, q in pairs:
             q = Fraction(q)
             if q != 0:
-                terms[int(exp)] = terms.get(int(exp), Fraction(0)) + q
-        return _normalize(terms, None)
+                terms.append((int(exp), q))
+        if not terms:
+            return LaurentSeries.zero()
+        low = min(exp for exp, _ in terms)
+        acc = [_ZERO] * (max(exp for exp, _ in terms) - low + 1)
+        for exp, q in terms:
+            acc[exp - low] += q
+        return _window(low, acc, None)
 
     # -- inspection -----------------------------------------------------------
 
@@ -261,14 +268,18 @@ class LaurentSeries:
     def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
         other = _coerce(other)
         bound = _min_bound(self.bound, other.bound)
-        terms: dict[int, Fraction] = {}
-        for series in (self, other):
-            for i, c in enumerate(series.coeffs):
-                exp = series.low + i
-                if bound is not None and exp >= bound:
-                    continue
-                terms[exp] = terms.get(exp, Fraction(0)) + c
-        return _normalize(terms, bound)
+        if not other.coeffs:
+            return _window(self.low, self.coeffs, bound)
+        if not self.coeffs:
+            return _window(other.low, other.coeffs, bound)
+        low = min(self.low, other.low)
+        high = max(self.low + len(self.coeffs), other.low + len(other.coeffs))
+        acc = [_ZERO] * (high - low)
+        start = self.low - low
+        acc[start : start + len(self.coeffs)] = self.coeffs
+        for k, c in enumerate(other.coeffs, other.low - low):
+            acc[k] += c
+        return _window(low, acc, bound)
 
     def __radd__(self, other) -> "LaurentSeries":
         return self.__add__(other)
@@ -278,9 +289,14 @@ class LaurentSeries:
         return self + (-other)
 
     def __neg__(self) -> "LaurentSeries":
-        return LaurentSeries(self.low, tuple(-c for c in self.coeffs), self.bound)
+        return LaurentSeries(self.low, tuple([-c for c in self.coeffs]), self.bound)
 
     def __mul__(self, other) -> "LaurentSeries":
+        if isinstance(other, (int, Fraction)):
+            # A rational scalar keeps the window and the bound.
+            if not other:
+                return LaurentSeries.zero()
+            return LaurentSeries(self.low, tuple([c * other for c in self.coeffs]), self.bound)
         other = _coerce(other)
         if self.is_zero() or other.is_zero():
             return LaurentSeries.zero()
@@ -290,18 +306,17 @@ class LaurentSeries:
         if other.bound is not None:
             b2 = other.bound + _effective_low(self)
             bound = b2 if bound is None else min(bound, b2)
-        terms: dict[int, Fraction] = {}
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b == 0:
-                    continue
-                exp = self.low + i + other.low + j
-                if bound is not None and exp >= bound:
-                    continue
-                terms[exp] = terms.get(exp, Fraction(0)) + a * b
-        return _normalize(terms, bound)
+        low = self.low + other.low
+        size = len(self.coeffs) + len(other.coeffs) - 1
+        if bound is not None:
+            size = min(size, bound - low)
+        acc = [_ZERO] * size
+        for i, a in enumerate(self.coeffs[:size]):
+            if a:
+                for k, b in enumerate(other.coeffs[: size - i], i):
+                    if b:
+                        acc[k] += a * b
+        return _window(low, acc, bound)
 
     def __rmul__(self, other) -> "LaurentSeries":
         return self.__mul__(other)
@@ -317,8 +332,7 @@ class LaurentSeries:
             return self
         cap = self.low + precision
         bound = cap if self.bound is None else min(self.bound, cap)
-        terms = {self.low + i: c for i, c in enumerate(self.coeffs) if self.low + i < bound}
-        return _normalize(terms, bound)
+        return _window(self.low, self.coeffs, bound)
 
     def substitute(self, value: Fraction) -> Fraction:
         """Evaluate an exact Laurent polynomial at a nonzero rational point."""
@@ -358,13 +372,22 @@ def _effective_low(s: LaurentSeries) -> int:
     return s.bound if s.bound is not None else 0
 
 
-def _normalize(terms: dict[int, Fraction], bound: int | None) -> LaurentSeries:
-    exps = sorted(e for e, c in terms.items() if c != 0)
-    if not exps:
+def _window(low: int, acc, bound: int | None) -> LaurentSeries:
+    """The series with coefficient ``acc[i]`` at e^(low + i), known below ``bound``.
+
+    Exponents at or past the bound are dropped and zeros are trimmed at both
+    ends; an all-zero window is the exact zero, or (bound, (), bound) when
+    truncated.
+    """
+    hi = len(acc) if bound is None else max(0, min(len(acc), bound - low))
+    while hi and not acc[hi - 1]:
+        hi -= 1
+    if not hi:
         return LaurentSeries(bound if bound is not None else 0, (), bound)
-    low, high = exps[0], exps[-1]
-    coeffs = tuple(terms.get(e, Fraction(0)) for e in range(low, high + 1))
-    return LaurentSeries(low, coeffs, bound)
+    lo = 0
+    while not acc[lo]:
+        lo += 1
+    return LaurentSeries(low + lo, tuple(acc[lo:hi]), bound)
 
 
 def laurent_limit(a: LaurentSeries) -> Fraction:

@@ -94,6 +94,8 @@ def sample_sequence(
     n: int, m: int, set_size: int, seed: int
 ) -> IdentificationSequence:
     """m points drawn uniformly from {0..set_size-1}^n, reproducible per seed."""
+    if n < 1:
+        raise QuizlabError(f"point arity n must be at least 1, got {n}")
     if m < 1 or set_size < 1:
         raise QuizlabError("need m >= 1 and set_size >= 1")
     rng = random.Random(seed)

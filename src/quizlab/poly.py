@@ -290,12 +290,22 @@ def from_coeff_vector(
 
 
 def product_of_linear_roots(roots: Iterable, ring=RATIONALS) -> Polynomial:
-    """prod (Y - root) as a univariate polynomial in Y over ``ring``."""
-    y = Polynomial.variable(1, 0, ring)
-    out = Polynomial.constant(1, ring.one, ring)
+    """prod (Y - root) as a univariate polynomial in Y over ``ring``.
+
+    ``coeffs[k]`` is the coefficient of Y^k; multiplying by Y - root maps it
+    to ``coeffs[k - 1] - root * coeffs[k]``.
+    """
+    add, mul = ring.add, ring.mul
+    coeffs = [ring.one]
     for root in roots:
-        out = out * (y - Polynomial.constant(1, root, ring))
-    return out
+        neg = ring.neg(root)
+        coeffs = (
+            [mul(coeffs[0], neg)]
+            + [add(coeffs[k - 1], mul(coeffs[k], neg)) for k in range(1, len(coeffs))]
+            + [coeffs[-1]]
+        )
+    # Highest degree first, the term order the product of sparse factors had.
+    return Polynomial.make(1, {(k,): coeffs[k] for k in reversed(range(len(coeffs)))}, ring)
 
 
 @dataclass(frozen=True)

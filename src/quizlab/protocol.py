@@ -558,6 +558,10 @@ def run_approx(
         tol = config.cluster_tolerance
 
         def close(a, b) -> bool:
+            # Every vector has the task support's length, so zero tolerance
+            # is plain equality.
+            if not tol:
+                return a == b
             return all(abs(x - y) <= tol for x, y in zip(a, b))
 
         best_index, best_coverage = None, 0
@@ -616,6 +620,8 @@ def fiber_image(
     {(0, u)} maps to one quizmaster message and hence one player vector.
     Only such t = 0 bases have a known fiber sampler.
     """
+    if samples < 1:
+        raise QuizlabError(f"fiber samples must be at least 1, got {samples}")
     base = tuple(Fraction(x) for x in base_point)
     if len(base) != desc.param_arity:
         raise ArityMismatchError(

@@ -272,7 +272,7 @@ def compile_system(matrix_rows: Sequence[Sequence[Fraction]]) -> CompiledSystem:
         g = math.gcd(d, *e)
         if d < 0:
             g = -g
-        rows.append(tuple(x // g for x in e))
+        rows.append(tuple([x // g for x in e]))
         if i < rank:
             denominators.append(d // g)
     return CompiledSystem(n, tuple(pivot_cols), tuple(rows), tuple(denominators))
@@ -558,7 +558,7 @@ def _ray_of(direction: tuple[int, ...]) -> tuple[int, ...]:
     g = 0
     for x in direction:
         g = math.gcd(g, x)
-    return tuple(x // g for x in direction)
+    return tuple([x // g for x in direction])
 
 
 def _sample_directions(

@@ -8,10 +8,13 @@ library's cleverer paths are checked against something with no shared code.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+
+from quizlab.poly import Polynomial
 
 
 def random_fraction(rng: random.Random, span: int = 9) -> Fraction:
@@ -95,6 +98,109 @@ def dense_kron_sum(a, b):
     ident_b = [[int(i == j) for j in range(len(b))] for i in range(len(b))]
     left, right = dense_kron_product(a, ident_b), dense_kron_product(ident_a, b)
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(left, right)]
+
+
+# Truncated Laurent series, as plain (terms, bound) pairs: ``terms`` maps an
+# exponent of e to a nonzero Fraction, and ``bound`` is the order from which
+# coefficients are unknown (None when the series is exact).
+
+
+def naive_laurent(series):
+    """The (terms, bound) pair of a LaurentSeries."""
+    terms = {series.low + i: c for i, c in enumerate(series.coeffs) if c}
+    return terms, series.bound
+
+
+def naive_laurent_scalar(q):
+    q = Fraction(q)
+    return ({0: q} if q else {}), None
+
+
+def naive_laurent_window(terms, bound):
+    """(low, coeffs, bound) as a LaurentSeries stores it: the first and last
+    coefficients nonzero, nothing at or past the bound; zero is (0, (), None)
+    when exact and (bound, (), bound) when truncated."""
+    exps = sorted(e for e, c in terms.items() if c and (bound is None or e < bound))
+    if not exps:
+        return (0 if bound is None else bound), (), bound
+    coeffs = tuple(Fraction(terms.get(e, 0)) for e in range(exps[0], exps[-1] + 1))
+    return exps[0], coeffs, bound
+
+
+def _known(bound, terms):
+    return {e: c for e, c in terms.items() if bound is None or e < bound}
+
+
+def naive_laurent_add(a, b):
+    (ta, ba), (tb, bb) = a, b
+    bounds = [x for x in (ba, bb) if x is not None]
+    bound = min(bounds) if bounds else None
+    out = {}
+    for terms in (ta, tb):
+        for e, c in _known(bound, terms).items():
+            out[e] = out.get(e, Fraction(0)) + c
+    return {e: c for e, c in out.items() if c}, bound
+
+
+def naive_laurent_neg(a):
+    return {e: -c for e, c in a[0].items()}, a[1]
+
+
+def naive_laurent_mul(a, b):
+    """Exact zero absorbs everything; otherwise A + O(e^p) times B + O(e^q)
+    is known below min(p + ord B, q + ord A), where the order of a series is
+    its lowest possibly nonzero exponent (the bound when nothing is known
+    to be nonzero)."""
+    (ta, ba), (tb, bb) = a, b
+    if (not ta and ba is None) or (not tb and bb is None):
+        return {}, None
+    bounds = []
+    if ba is not None:
+        bounds.append(ba + (min(tb) if tb else bb))
+    if bb is not None:
+        bounds.append(bb + (min(ta) if ta else ba))
+    bound = min(bounds) if bounds else None
+    out = {}
+    for ea, ca in ta.items():
+        for eb, cb in tb.items():
+            out[ea + eb] = out.get(ea + eb, Fraction(0)) + ca * cb
+    return {e: c for e, c in _known(bound, out).items() if c}, bound
+
+
+def naive_laurent_truncate(a, precision):
+    """At most ``precision`` coefficients from the lowest stored one on."""
+    terms, bound = a
+    if not terms or max(terms) - min(terms) < precision:
+        return a
+    cap = min(terms) + precision
+    bound = cap if bound is None else min(bound, cap)
+    return _known(bound, terms), bound
+
+
+def subset_root_product(roots, one, add, mul, neg):
+    """Ascending coefficients of prod (Y - r): the coefficient of Y^k is
+    (-1)^(n-k) times the sum, over the (n-k)-subsets of the roots, of their
+    product."""
+    n = len(roots)
+    coeffs = []
+    for k in range(n + 1):
+        total = None
+        for subset in itertools.combinations(roots, n - k):
+            term = one
+            for r in subset:
+                term = mul(term, r)
+            total = term if total is None else add(total, term)
+        coeffs.append(total if (n - k) % 2 == 0 else neg(total))
+    return coeffs
+
+
+def sparse_root_product(roots, ring):
+    """prod (Y - r) as a product of sparse degree-1 polynomials, one per root."""
+    y = Polynomial.variable(1, 0, ring)
+    out = Polynomial.constant(1, ring.one, ring)
+    for root in roots:
+        out = out * (y - Polynomial.constant(1, root, ring))
+    return out
 
 
 @pytest.fixture

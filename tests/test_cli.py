@@ -264,6 +264,9 @@ MALFORMED_CIRCUIT_FILES = {
         ["approx", "demo", "--border", "--depth=-1"],
         ["game", "approx", "--border", "--tolerance=-1", "--samples=-1"],
         ["game", "approx", "--border", "--numeric", "--tolerance=-1"],
+        ["idseq", "sample", "--n=-1", "--m=2", "--set-size=3"],
+        ["game", "fiber", "--family=univariate-d", "--d=2", "--base=0", "--samples=0"],
+        ["game", "fiber", "--family=univariate-d", "--d=2", "--base=0", "--samples=-1"],
     ],
 )
 def test_malformed_value_exits_2(argv, tmp_path):
@@ -295,6 +298,15 @@ def test_malformed_value_exits_2(argv, tmp_path):
         (
             ["game", "approx", "--border", "--numeric", "--tolerance=-1"],
             "cluster tolerance must be nonnegative, got -1",
+        ),
+        (["idseq", "sample", "--n=-1", "--m=2", "--set-size=3"], "must be at least 1, got -1"),
+        (
+            ["game", "fiber", "--family=univariate-d", "--d=2", "--base=0", "--samples=0"],
+            "fiber samples must be at least 1, got 0",
+        ),
+        (
+            ["game", "fiber", "--family=univariate-d", "--d=2", "--base=0", "--samples=-1"],
+            "fiber samples must be at least 1, got -1",
         ),
     ],
 )

@@ -24,6 +24,15 @@ from quizlab.exact import (
     rational_to_str,
     smallest_prime_modulus,
 )
+from conftest import (
+    naive_laurent,
+    naive_laurent_add,
+    naive_laurent_mul,
+    naive_laurent_neg,
+    naive_laurent_scalar,
+    naive_laurent_truncate,
+    naive_laurent_window,
+)
 
 rationals = st.fractions(
     min_value=-100, max_value=100, max_denominator=50
@@ -110,6 +119,64 @@ def test_laurent_pair_serialization_roundtrip():
     s = LaurentSeries.from_pairs(pairs)
     assert s.to_pairs() == pairs
     assert LaurentSeries.from_pairs(s.to_pairs()) == s
+
+
+small_rationals = st.sampled_from([0, 0, 1, -1]).map(Fraction) | st.fractions(
+    min_value=-4, max_value=4, max_denominator=3
+)
+
+
+@st.composite
+def laurent_series(draw):
+    """Exact zero, exact and truncated windows (interior zeros, negative
+    low), and all-cancelled truncated windows, each stored canonically."""
+    low = draw(st.integers(-4, 4))
+    coeffs = draw(st.lists(small_rationals, max_size=5))
+    bound = draw(st.none() | st.integers(0, 3).map(lambda k: low + len(coeffs) + k))
+    terms = {low + i: c for i, c in enumerate(coeffs) if c}
+    return LaurentSeries(*naive_laurent_window(terms, bound))
+
+
+scalars = st.integers(-3, 3) | small_rationals
+
+
+def assert_laurent(series, expected):
+    """Same window, bound and coefficient values, every coefficient a Fraction."""
+    assert (series.low, series.coeffs, series.bound) == naive_laurent_window(*expected)
+    assert all(type(c) is Fraction for c in series.coeffs)
+
+
+@given(laurent_series(), laurent_series())
+def test_laurent_arithmetic_against_naive_oracle(a, b):
+    na, nb = naive_laurent(a), naive_laurent(b)
+    assert_laurent(a + b, naive_laurent_add(na, nb))
+    assert_laurent(a - b, naive_laurent_add(na, naive_laurent_neg(nb)))
+    assert_laurent(-a, naive_laurent_neg(na))
+    assert_laurent(a * b, naive_laurent_mul(na, nb))
+
+
+@given(laurent_series(), scalars)
+def test_laurent_scalar_arithmetic_against_naive_oracle(a, q):
+    na, nq = naive_laurent(a), naive_laurent_scalar(q)
+    product = naive_laurent_mul(na, nq)
+    assert_laurent(a * q, product)
+    assert_laurent(q * a, product)
+    assert_laurent(a + q, naive_laurent_add(na, nq))
+    assert_laurent(q + a, naive_laurent_add(na, nq))
+    assert_laurent(a - q, naive_laurent_add(na, naive_laurent_neg(nq)))
+
+
+@given(laurent_series(), st.integers(1, 6))
+def test_laurent_truncate_against_naive_oracle(a, precision):
+    assert_laurent(a.truncate(precision), naive_laurent_truncate(naive_laurent(a), precision))
+
+
+@given(st.lists(st.tuples(st.integers(-5, 5), st.integers(-3, 3) | small_rationals), max_size=8))
+def test_laurent_from_pairs_against_naive_oracle(pairs):
+    terms = {}
+    for exp, q in pairs:
+        terms[exp] = terms.get(exp, Fraction(0)) + Fraction(q)
+    assert_laurent(LaurentSeries.from_pairs(pairs), (terms, None))
 
 
 def test_modular_root_of_unity_examples():

@@ -27,9 +27,11 @@ from quizlab.families import (
     kronecker_diag,
     neural_power,
     univariate_d,
+    vertex_elimination,
 )
-from quizlab.poly import Polynomial
-from conftest import random_fraction
+from quizlab.exact import LaurentRing, LaurentSeries
+from quizlab.poly import Polynomial, multilinear_monomials
+from conftest import random_fraction, sparse_root_product
 
 ALL_DESK_DESCRIPTORS = (
     easy_power_sum(2, 2),
@@ -205,6 +207,30 @@ def test_elimination_both_paths_agree(rng):
         u = [random_fraction(rng) for _ in range(3)]
         f = elimination_poly(3, t, u)
         assert f.coefficient((8,)) == 1  # monic of degree 2^3
+
+
+def test_vertex_elimination_over_laurent_coefficients(rng):
+    """A multilinear f with truncated Laurent coefficients, as the symbolic
+    approximative rounds eliminate it: the product of (Y - f(v)) over the
+    vertices is the sparse product of the same factors, term by term."""
+    for precision in (2, 3, 8):
+        ring = LaurentRing(precision)
+        for _ in range(10):
+            terms = {
+                m: LaurentSeries.from_pairs(
+                    [(e, random_fraction(rng, 3)) for e in range(-1, 3)]
+                ).truncate(3)
+                for m in multilinear_monomials(2)
+                if rng.random() < 0.8
+            }
+            f = Polynomial.make(2, terms, ring)
+            roots = [
+                f.evaluate([ring.from_rational(Fraction(b)) for b in (j & 1, j >> 1)])
+                for j in range(4)
+            ]
+            got = vertex_elimination(f, 2)
+            ref = sparse_root_product(roots, ring)
+            assert got == ref and list(got.terms) == list(ref.terms)
 
 
 def test_elimination_matches_task_expansion(rng):

@@ -49,6 +49,12 @@ def test_sample_sequence_determinism():
     assert all(0 <= x < 10 for p in a.points for x in p)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_sample_sequence_rejects_arity_below_1(n):
+    with pytest.raises(QuizlabError, match=f"point arity n must be at least 1, got {n}"):
+        sample_sequence(n, 2, 3, seed=0)
+
+
 def test_verify_linear_span_examples():
     quad = ((0,), (1,), (2,))
     assert verify_linear_span([(0,), (1,), (2,)], quad)

@@ -1,21 +1,35 @@
 """Sparse polynomial arithmetic, calculus and coefficient vectors."""
 
+import operator
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from quizlab.errors import QuizlabError, TermOutsideSupportError
-from quizlab.exact import PrimeFieldRing
+from quizlab.exact import RATIONALS, LaurentRing, LaurentSeries, PrimeFieldRing
 from quizlab.poly import (
     Polynomial,
     from_coeff_vector,
     monomials_below_degree,
     monomials_of_degree,
     multilinear_monomials,
+    product_of_linear_roots,
     sort_support,
 )
-from conftest import random_fraction
+from conftest import (
+    naive_laurent,
+    naive_laurent_add,
+    naive_laurent_mul,
+    naive_laurent_neg,
+    naive_laurent_scalar,
+    naive_laurent_window,
+    random_fraction,
+    sparse_root_product,
+    subset_root_product,
+)
 
 
 def poly1(*coeffs):
@@ -110,3 +124,64 @@ def test_support_orders():
 def test_serialization_pairs():
     f = poly1(7, 0, 28)
     assert f.to_pairs() == [((0,), "7/1"), ((2,), "28/1")]
+
+
+small_rationals = st.sampled_from([0, 1, -1]).map(Fraction) | st.fractions(
+    min_value=-4, max_value=4, max_denominator=3
+)
+# Exact Laurent roots with poles, and the same truncated at two terms.
+laurent_roots = st.builds(
+    LaurentSeries.from_pairs, st.lists(st.tuples(st.integers(-2, 2), small_rationals), max_size=3)
+) | st.builds(
+    lambda pairs: LaurentSeries.from_pairs(pairs).truncate(2),
+    st.lists(st.tuples(st.integers(-2, 2), small_rationals), min_size=3, max_size=4),
+)
+
+
+def with_repeats(values):
+    """Root lists drawn from a small pool, so roots repeat."""
+    return st.lists(values, min_size=1, max_size=3).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), max_size=5)
+    )
+
+
+def assert_same_product(roots, ring):
+    """The recurrence gives the sparse product's terms, in its term order."""
+    got, ref = product_of_linear_roots(roots, ring), sparse_root_product(roots, ring)
+    assert got == ref and list(got.terms) == list(ref.terms)
+    return got
+
+
+@given(with_repeats(small_rationals))
+def test_product_of_linear_roots_over_rationals(roots):
+    got = assert_same_product(roots, RATIONALS)
+    expected = subset_root_product(roots, Fraction(1), operator.add, operator.mul, operator.neg)
+    assert [got.coefficient((k,)) for k in range(len(roots) + 1)] == expected
+    assert all(type(c) is Fraction for c in got.terms.values())
+
+
+@given(with_repeats(laurent_roots | st.just(LaurentSeries.zero())), st.integers(1, 3))
+def test_product_of_linear_roots_over_laurent_series(roots, precision):
+    """Each truncated coefficient agrees with the exact expansion below its bound."""
+    ring = LaurentRing(precision)
+    got = assert_same_product(roots, ring)
+    exact = subset_root_product(
+        [naive_laurent(r) for r in roots],
+        naive_laurent_scalar(1),
+        naive_laurent_add,
+        naive_laurent_mul,
+        naive_laurent_neg,
+    )
+    for k, (terms, _) in enumerate(exact):
+        c = got.coefficient((k,))
+        assert (c.low, c.coeffs, c.bound) == naive_laurent_window(terms, c.bound)
+
+
+def test_product_of_linear_roots_truncates_at_low_precision():
+    ring = LaurentRing(2)
+    root = LaurentSeries.from_pairs([(-1, 1), (0, 2), (1, 3)]).truncate(2)
+    roots = [root, LaurentSeries.zero(), root, LaurentSeries.from_pairs([(0, 1), (1, -1)])]
+    got = assert_same_product(roots, ring)
+    assert got.coefficient((4,)) == ring.one
+    assert got.coefficient((0,)).is_zero()
+    assert any(c.bound is not None for c in got.terms.values())

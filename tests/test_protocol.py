@@ -395,6 +395,12 @@ def test_fiber_requires_degeneration():
         fiber_image(desc, None, (1, 0, 0), samples=5, seed=0)
 
 
+@pytest.mark.parametrize("samples", [0, -1])
+def test_fiber_image_rejects_samples_below_1(samples):
+    with pytest.raises(QuizlabError, match=f"fiber samples must be at least 1, got {samples}"):
+        fiber_image(easy_power_sum(2, 2), None, (0, 0, 0), samples=samples, seed=0)
+
+
 def test_approx_symbolic_border():
     target = Polynomial.make(2, {(1, 1): Fraction(1)})
     config = ApproxGameConfig(germ=border_demo_germ(), mode=MODE_SYMBOLIC)
