@@ -9,6 +9,8 @@ import pytest
 
 from quizlab.cli import main
 
+from conftest import MALFORMED_CIRCUIT_FILES
+
 
 def run_cli(argv, capsys):
     code = main(argv)
@@ -200,22 +202,6 @@ def test_formula_cli(capsys):
     code, out, _ = run_cli(["family", "emit-formula", "--n", "1"], capsys)
     assert code == 0
     assert "equations: 18" in out
-
-
-MALFORMED_CIRCUIT_FILES = {
-    "not-json.txt": "n = 1\n",
-    "array.json": "[1, 2]\n",
-    "no-output.json": '{"n": 1, "r": 1, "nodes": []}\n',
-    "empty-node.json": '{"n": 1, "r": 1, "nodes": [{}], "output": 0}\n',
-    "string-n.json": '{"n": "1", "r": 1, "nodes": [{"kind": "input", "args": [0]}], "output": 0}\n',
-    "float-output.json": '{"n": 1, "r": 1, "nodes": [{"kind": "input", "args": [0]}], "output": 0.5}\n',
-    "nodes-object.json": '{"n": 1, "r": 1, "nodes": {"kind": "input"}, "output": 0}\n',
-    "few-args.json": '{"n": 1, "r": 1, "nodes": [{"kind": "input", "args": [0]}, '
-    '{"kind": "add", "args": [0]}], "output": 1}\n',
-    "unknown-kind.json": '{"n": 1, "r": 1, "nodes": [{"kind": "div", "args": [0, 0]}], "output": 0}\n',
-    "int-constant.json": '{"n": 1, "r": 1, "nodes": [{"kind": "const", "args": [3]}], "output": 0}\n',
-    "bad-term.json": '{"n": 1, "r": 1, "nodes": [{"kind": "poly_param", "args": [[1]]}], "output": 0}\n',
-}
 
 
 @pytest.mark.parametrize(
