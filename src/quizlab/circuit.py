@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,7 +25,7 @@ from .errors import (
     ExpansionCapExceededError,
     QuizlabError,
 )
-from .exact import RATIONALS, rational_from_str, rational_to_str
+from .exact import RATIONALS, RationalRing, rational_from_str, rational_to_str
 from .poly import Polynomial, PolynomialRing
 
 DEFAULT_EXPANSION_CAP = 200_000
@@ -108,48 +109,105 @@ class Circuit:
         The first point runs every node in order; later points reuse the
         parameter-only nodes (``input_dependence``) and run only the
         input-dependent ones, so each parameter-only node is evaluated once.
+        Over the rationals at integer points the input-dependent nodes run
+        on integers instead (``_integer_points``).
         """
         if len(params) != self.n_params:
             raise ArityMismatchError(
                 f"expected {self.n_params} parameters, got {len(params)}"
             )
-        nodes = self.nodes
-        order = range(len(nodes))
-        values: list = [None] * len(nodes)
+        if isinstance(ring, RationalRing) and all(type(x) is int for p in points for x in p):
+            return self._integer_points(params, points)
+        values: list = [None] * len(self.nodes)
         results = []
+        order = range(len(self.nodes))
         for inputs in points:
-            if len(inputs) != self.n_inputs:
-                raise ArityMismatchError(
-                    f"expected {self.n_inputs} inputs, got {len(inputs)}"
-                )
-            for i in order:
-                node = nodes[i]
-                try:
-                    if node.kind == INPUT:
-                        v = inputs[node.a]
-                    elif node.kind == PARAM:
-                        v = params[node.a]
-                    elif node.kind == CONST:
-                        v = ring.from_rational(node.value)
-                    elif node.kind == POLY_PARAM:
-                        v = node.payload.evaluate(params, ring)
-                    elif node.kind == ADD:
-                        v = ring.add(values[node.a], values[node.b])
-                    elif node.kind == SUB:
-                        v = ring.sub(values[node.a], values[node.b])
-                    else:
-                        v = ring.mul(values[node.a], values[node.b])
-                except ExpansionCapExceededError as exc:
-                    raise ExpansionCapExceededError(f"{exc} (at node {i})", node=i) from exc
-                values[i] = v
+            self._check_inputs(inputs)
+            self._run(order, values, params, inputs, ring)
             results.append(values[self.output])
             order = self._input_dependent_nodes
+        return results
+
+    def _check_inputs(self, inputs) -> None:
+        if len(inputs) != self.n_inputs:
+            raise ArityMismatchError(f"expected {self.n_inputs} inputs, got {len(inputs)}")
+
+    def _run(self, order, values: list, params, inputs, ring) -> None:
+        """Evaluate the nodes in ``order`` into ``values``: the node loop."""
+        nodes = self.nodes
+        for i in order:
+            node = nodes[i]
+            try:
+                if node.kind == INPUT:
+                    v = inputs[node.a]
+                elif node.kind == PARAM:
+                    v = params[node.a]
+                elif node.kind == CONST:
+                    v = ring.from_rational(node.value)
+                elif node.kind == POLY_PARAM:
+                    v = node.payload.evaluate(params, ring)
+                elif node.kind == ADD:
+                    v = ring.add(values[node.a], values[node.b])
+                elif node.kind == SUB:
+                    v = ring.sub(values[node.a], values[node.b])
+                else:
+                    v = ring.mul(values[node.a], values[node.b])
+            except ExpansionCapExceededError as exc:
+                raise ExpansionCapExceededError(f"{exc} (at node {i})", node=i) from exc
+            values[i] = v
+
+    def _integer_points(self, params, points) -> list[Fraction]:
+        """``evaluate_points`` over the rationals at integer points.
+
+        The parameters fix, once per call, a denominator D_i for every
+        input-dependent node: 1 for an input, D_a D_b for a product, and
+        lcm(D_a, D_b) for a sum or difference, whose operands are scaled by
+        the integers D_i / D_a and D_i / D_b.  A parameter-only node,
+        evaluated once by the node loop, is its own reduced numerator over
+        its denominator.  Each point then computes every input-dependent
+        numerator N_i in integers and makes one Fraction(N, D) at the output.
+        """
+        nodes = self.nodes
+        values: list = [None] * len(nodes)
+        self._run(self._parameter_only_nodes, values, params, None, RATIONALS)
+        nums = [0 if v is None else v.numerator for v in values]
+        dens = [1 if v is None else v.denominator for v in values]
+        steps = []
+        for i in self._input_dependent_nodes:
+            node = nodes[i]
+            a, b = node.a, node.b
+            if node.kind == INPUT:
+                steps.append((INPUT, i, a, 0, 0, 0))
+            elif node.kind == MUL:
+                dens[i] = dens[a] * dens[b]
+                steps.append((MUL, i, a, b, 0, 0))
+            else:
+                dens[i] = math.lcm(dens[a], dens[b])
+                steps.append((node.kind, i, a, b, dens[i] // dens[a], dens[i] // dens[b]))
+        out, den = self.output, dens[self.output]
+        results = []
+        for inputs in points:
+            self._check_inputs(inputs)
+            for kind, i, a, b, sa, sb in steps:
+                if kind == MUL:
+                    nums[i] = nums[a] * nums[b]
+                elif kind == ADD:
+                    nums[i] = sa * nums[a] + sb * nums[b]
+                elif kind == SUB:
+                    nums[i] = sa * nums[a] - sb * nums[b]
+                else:
+                    nums[i] = inputs[a]
+            results.append(Fraction(nums[out], den))
         return results
 
     @functools.cached_property
     def _input_dependent_nodes(self) -> list[int]:
         """Indices of the nodes that depend on an input, found once per circuit."""
         return [i for i, dep in enumerate(self.input_dependence()) if dep]
+
+    @functools.cached_property
+    def _parameter_only_nodes(self) -> list[int]:
+        return [i for i, dep in enumerate(self.input_dependence()) if not dep]
 
     def expand(self, params, cap: int | None = DEFAULT_EXPANSION_CAP) -> Polynomial:
         """Exact polynomial in the inputs at fixed rational parameters."""

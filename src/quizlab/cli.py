@@ -12,7 +12,8 @@ Value syntax on the command line:
 * vectors:    comma-separated rationals, e.g. "2,1,-1/2"
 * points:     semicolon-separated integer tuples, e.g. "0,1;1,0;1,1"
 * germs:      semicolon-separated Laurent components; each component is a
-  "+"-joined list of terms "c", "c*e" or "c*e^k", e.g. "1/2*e^-1;1;e".
+  "+"-joined list of terms "c", "c*e" or "c*e^k", e.g. "1/2*e^-1;1;e",
+  whose exponents lie at most 64 apart.
 
 Environment overrides: QUIZLAB_EXPANSION_CAP (circuit expand's term cap,
 default 200000) and QUIZLAB_ELIMINATION_CAP (elimination-polynomial
@@ -88,6 +89,10 @@ from .witness import (
 
 import random
 
+# Widest exponent gap of a parsed germ component: every Laurent series
+# stores a dense window from its lowest to its highest exponent.
+GERM_GAP_CAP = 64
+
 
 def parse_vector(text: str) -> tuple[Fraction, ...]:
     if not text:
@@ -111,8 +116,10 @@ def parse_points(text: str) -> tuple[tuple[int, ...], ...]:
 
 
 def parse_germ(text: str) -> GermInstance:
+    """A germ from its command-line text; each component's exponent gap is
+    capped before its dense coefficient window is allocated."""
     components = []
-    for chunk in text.split(";"):
+    for index, chunk in enumerate(text.split(";"), 1):
         pairs = []
         for term in chunk.split("+"):
             term = term.strip()
@@ -124,6 +131,13 @@ def parse_germ(text: str) -> GermInstance:
             coeff = rational_from_str(coeff_part) if coeff_part else Fraction(1)
             exp = parse_int(exp_part.lstrip("^")) if exp_part else 1
             pairs.append((exp, coeff))
+        exps = [exp for exp, coeff in pairs if coeff]
+        if exps and max(exps) - min(exps) > GERM_GAP_CAP:
+            low, high = min(exps), max(exps)
+            raise CapExceededError(
+                f"germ exponent gap cap: component {index} spans e^{low}..e^{high}, "
+                f"gap {high - low} exceeds {GERM_GAP_CAP}; no override"
+            )
         components.append(LaurentSeries.from_pairs(pairs))
     return GermInstance.make(components)
 

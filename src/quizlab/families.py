@@ -39,6 +39,7 @@ from .errors import (
     QuizlabError,
     UnsupportedTaskError,
 )
+from .exact import RationalRing
 from .poly import (
     Monomial,
     Polynomial,
@@ -355,13 +356,35 @@ def theta_diagonal_values(k: int, s: Fraction, u: Sequence[Fraction]) -> list[Fr
 
 
 def vertex_elimination(f: Polynomial, n: int) -> Polynomial:
-    """prod over the vertices v of {0,1}^n of (Y - f(v)), over f's ring."""
+    """prod over the vertices v of {0,1}^n of (Y - f(v)), over f's ring.
+
+    Vertex j has coordinate i equal to bit i of j.  Over the rationals f is
+    cleared over the lcm c of its denominators once; at a vertex a monomial
+    is 1 if its variables lie in the vertex and 0 otherwise, so c f(v) is
+    the sum of the cleared coefficients on the subsets of v.  Yates's
+    subset-sum (zeta) transform fills all 2^n of those sums in n 2^(n-1)
+    integer additions.
+    """
     ring = f.ring
-    roots = [
-        f.evaluate([ring.from_rational(Fraction(binary_digit(j, i))) for i in range(1, n + 1)])
-        for j in range(2 ** n)
-    ]
-    return product_of_linear_roots(roots, ring)
+    if not isinstance(ring, RationalRing):
+        roots = [
+            f.evaluate([ring.from_rational(Fraction(binary_digit(j, i))) for i in range(1, n + 1)])
+            for j in range(2 ** n)
+        ]
+        return product_of_linear_roots(roots, ring)
+    if f.nvars != n:
+        raise ArityMismatchError(f"point has arity {n}, polynomial has {f.nvars}")
+    c = math.lcm(*[q.denominator for q in f.terms.values()])
+    sums = [0] * 2 ** n
+    for mono, q in f.terms.items():
+        subset = sum(1 << i for i, e in enumerate(mono) if e)
+        sums[subset] += q.numerator * (c // q.denominator)
+    for i in range(n):
+        bit = 1 << i
+        for j in range(2 ** n):
+            if j & bit:
+                sums[j] += sums[j ^ bit]
+    return product_of_linear_roots([Fraction(s, c) for s in sums], ring)
 
 
 @functools.lru_cache(maxsize=32)

@@ -11,6 +11,7 @@ tuple, so for two variables the degree-2 block reads X1^2, X1*X2, X2^2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -293,10 +294,26 @@ def product_of_linear_roots(roots: Iterable, ring=RATIONALS) -> Polynomial:
     """prod (Y - root) as a univariate polynomial in Y over ``ring``.
 
     ``coeffs[k]`` is the coefficient of Y^k; multiplying by Y - root maps it
-    to ``coeffs[k - 1] - root * coeffs[k]``.
+    to ``coeffs[k - 1] - root * coeffs[k]``.  Over the rationals the m roots
+    are cleared over the lcm c of their denominators, the recurrence runs on
+    the integer roots c * root, which gives prod (Z - c * root) with Z = c Y,
+    and the coefficient of Y^k is that of Z^k divided by c^(m - k).
     """
+    roots = list(roots)
+    if isinstance(ring, RationalRing):
+        c = math.lcm(*[r.denominator for r in roots])
+        coeffs = _root_recurrence([r.numerator * (c // r.denominator) for r in roots], 1, ring)
+        m = len(roots)
+        coeffs = [Fraction(q, c ** (m - k)) for k, q in enumerate(coeffs)]
+    else:
+        coeffs = _root_recurrence(roots, ring.one, ring)
+    # Highest degree first, the term order the product of sparse factors had.
+    return Polynomial.make(1, {(k,): coeffs[k] for k in reversed(range(len(coeffs)))}, ring)
+
+
+def _root_recurrence(roots: list, one, ring) -> list:
     add, mul = ring.add, ring.mul
-    coeffs = [ring.one]
+    coeffs = [one]
     for root in roots:
         neg = ring.neg(root)
         coeffs = (
@@ -304,8 +321,7 @@ def product_of_linear_roots(roots: Iterable, ring=RATIONALS) -> Polynomial:
             + [add(coeffs[k - 1], mul(coeffs[k], neg)) for k in range(1, len(coeffs))]
             + [coeffs[-1]]
         )
-    # Highest degree first, the term order the product of sparse factors had.
-    return Polynomial.make(1, {(k,): coeffs[k] for k in reversed(range(len(coeffs)))}, ring)
+    return coeffs
 
 
 @dataclass(frozen=True)

@@ -16,15 +16,19 @@ sample schedule (numeric mode: candidate accumulation values are clusters
 covering at least half of the schedule's tail).  A constant germ reproduces
 the exact game bit for bit.
 
-Because the questions are fixed before the round, a round does integer work
-only.  The strategy carries its question matrix, compiled once on first use
-into integer rows (``Strategy.system``), and each round applies it to the
-answers.  The quizmaster answers every question in one
-``Circuit.evaluate_points`` call, so the circuit's parameter-only nodes are
-evaluated once per round.  The verdict clears each encoding's denominators
-once and compares cross-multiplied integer sums point by point; it evaluates
-at its own identification points and never through the player's compiled
-system.
+Because the questions are fixed before the round, a rational round does
+integer work only.  The strategy carries its question matrix, compiled once
+on first use into integer rows (``Strategy.system``), and each round applies
+it to the answers.  The quizmaster answers every question in one
+``Circuit.evaluate_points`` call at the integer question points: the hidden
+point fixes, once per round, the circuit's parameter-only values and a
+denominator for every input-dependent node, and each question then runs on
+integers and makes one Fraction, at the output.  The elimination and
+charpoly repacks find the vertex values by subset sums of the cleared
+coefficients and multiply out their roots on integers.  The verdict clears
+each encoding's denominators once and compares cross-multiplied integer
+sums point by point; it evaluates at its own identification points and
+never through the player's compiled system.
 
 Message order is quizmaster -> player -> quizmaster; questions are fixed up
 front, never adaptive.  Transcripts exported by the quizmaster redact the
@@ -242,17 +246,27 @@ def builtin_strategy(desc: FamilyDescriptor, seed: int = 0) -> Strategy:
     """The library's winning strategy for a family/task.
 
     Interpolates the base family on its full generic support.  Univariate
-    families use the fixed symmetric points 0, 1, -1, ...; multivariate
-    families draw points from a small box and re-draw (deterministically)
-    until the linear-span certificate passes.
+    families on the powers 1, X, ..., X^(m-1) use the fixed symmetric points
+    0, 1, -1, ..., which identify them as any m distinct points do.  Other
+    univariate supports (X alone for neural-power n=1) use 1, 2, ..., m: a
+    matrix of distinct powers at distinct positive points is nonsingular,
+    and the linear-span certificate checks it.  Multivariate families draw
+    points from a small box and re-draw (deterministically) until the
+    certificate passes.
     """
     base = desc.base()
     support = base.base_support()
     m = len(support)
-    if base.input_arity == 1:
+    if base.input_arity == 1 and support == tuple([(j,) for j in range(m)]):
         points = IdentificationSequence.from_points(
             symmetric_integer_points(m), source_set_size=0, seed=None
         )
+    elif base.input_arity == 1:
+        points = IdentificationSequence.from_points(
+            [(x,) for x in range(1, m + 1)], source_set_size=0, seed=None
+        )
+        if not verify_linear_span(points, support):
+            raise QuizlabError("could not find identifying question points")
     else:
         box = max(4 * m, 8)
         attempt = 0
@@ -300,10 +314,14 @@ def player_interpolate(
 
 
 def _answers(circ: Circuit, params: Sequence, strategy: Strategy, ring=RATIONALS) -> list:
-    """The quizmaster's answers to the strategy's questions at ``params``."""
-    points = [
-        [ring.from_rational(Fraction(x)) for x in p] for p in strategy.question_points.points
-    ]
+    """The quizmaster's answers to the strategy's questions at ``params``.
+
+    Over the rationals the integer question points go in as they are, so
+    the circuit runs them on integers; other rings get them lifted.
+    """
+    points = strategy.question_points.points
+    if ring is not RATIONALS:
+        points = [[ring.from_rational(x) for x in p] for p in points]
     return circ.evaluate_points(params, points, ring)
 
 

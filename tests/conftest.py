@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import pytest
 
+from quizlab.exact import RationalRing
 from quizlab.poly import Polynomial
 
 
@@ -201,6 +202,33 @@ def sparse_root_product(roots, ring):
     for root in roots:
         out = out * (y - Polynomial.constant(1, root, ring))
     return out
+
+
+class GenericRationals:
+    """RationalRing's methods on a class that is no RationalRing, so that
+    library code which runs rationals on integers takes its generic ring
+    path instead: the reference for those integer paths."""
+
+    zero, one = RationalRing.zero, RationalRing.one
+    from_rational, add, sub, mul, neg = (
+        RationalRing.from_rational,
+        RationalRing.add,
+        RationalRing.sub,
+        RationalRing.mul,
+        RationalRing.neg,
+    )
+    is_zero, to_str = RationalRing.is_zero, RationalRing.to_str
+
+
+def naive_vertex_elimination(f, n):
+    """prod (Y - f(v)) over the vertices v of {0,1}^n, vertex j having bit i
+    of j as coordinate i: f evaluated at each vertex, then the sparse product."""
+    ring = f.ring
+    roots = [
+        f.evaluate([ring.from_rational(Fraction((j >> i) & 1)) for i in range(n)])
+        for j in range(2 ** n)
+    ]
+    return sparse_root_product(roots, ring)
 
 
 # Malformed circuit documents, by file name, for the CLI's exit-2 cases.

@@ -214,31 +214,86 @@ FAMILY_CIRCUITS = [
 small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
 
+small_ints = st.integers(-6, 6)
+# Drawn at the largest arity among FAMILY_CIRCUITS and cut to each circuit's.
+param_lists = st.lists(small_fractions, min_size=3, max_size=3)
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(FAMILY_CIRCUITS), st.data())
-def test_evaluate_points_matches_per_point_evaluate(desc, data):
+@given(
+    st.sampled_from(FAMILY_CIRCUITS),
+    param_lists,
+    st.lists(st.lists(small_fractions, min_size=2, max_size=2), max_size=5),
+    st.lists(st.lists(small_ints, min_size=2, max_size=2), max_size=5),
+    param_lists,
+)
+@example(FAMILY_CIRCUITS[0], [0, -2, Fraction(-1, 3)], [], [[0, 0], [-3, 2]], [1, 0, -1])
+@example(FAMILY_CIRCUITS[1], [0, 0, 0], [], [[0, 0], [-1, 0], [5, 0]], [Fraction(1, 2), 0, 0])
+@example(FAMILY_CIRCUITS[1], [-1, 0, 0], [], [[2, 0], [-2, 0]], [0, 0, 0])
+@example(FAMILY_CIRCUITS[2], [Fraction(-5, 2), 0, -1], [], [[1, -1], [0, 3]], [0, 1, 0])
+@example(FAMILY_CIRCUITS[3], [Fraction(-3, 4), 0, Fraction(-1, 2)], [], [[1, 1], [-4, 0]], [0, 0, 2])
+@example(FAMILY_CIRCUITS[4], [0, -1, Fraction(2, 3)], [], [[0, 1], [6, -6]], [1, 1, 1])
+def test_evaluate_points_matches_per_point_evaluate(desc, params, points, int_points, slopes):
     circ = build_circuit(desc.base())
     r, n = circ.n_params, circ.n_inputs
-    params = data.draw(st.lists(small_fractions, min_size=r, max_size=r))
-    points = data.draw(
-        st.lists(st.lists(small_fractions, min_size=n, max_size=n), max_size=5)
-    )
+    assert r <= 3 and n <= 2
+    params, slopes = [Fraction(x) for x in params[:r]], [Fraction(x) for x in slopes[:r]]
+    points = [p[:n] for p in points]
+    int_points = [p[:n] for p in int_points]
     values = circ.evaluate_points(params, points)
     assert values == [circ.evaluate(params, p) for p in points]
     oracle = expand_family(desc.base(), params)
     assert values == [oracle.evaluate(p) for p in points]
 
+    # Integer points take the integer path; the node loop at the same points
+    # as Fractions and the closed-form oracle are its references.
+    ints = circ.evaluate_points(params, int_points)
+    assert all(type(v) is Fraction for v in ints)
+    assert ints == circ.evaluate_points(params, [[Fraction(x) for x in p] for p in int_points])
+    assert ints == [oracle.evaluate(p) for p in int_points]
+
     # Over Laurent scalars, with a precision that keeps every value exact,
     # so substituting e = 1/7 must commute with the evaluation.
-    slopes = data.draw(st.lists(small_fractions, min_size=r, max_size=r))
     germ = [LaurentSeries.from_pairs([(0, c), (1, a)]) for c, a in zip(params, slopes)]
     ring = LaurentRing(64)
-    lifted = [[ring.from_rational(x) for x in p] for p in points]
-    laurent = circ.evaluate_points(germ, lifted, ring)
-    assert laurent == [circ.evaluate(germ, p, ring) for p in lifted]
     at = Fraction(1, 7)
     substituted = [g.substitute(at) for g in germ]
-    assert [v.substitute(at) for v in laurent] == circ.evaluate_points(substituted, points)
+    for rational_points in (points, int_points):
+        lifted = [[ring.from_rational(x) for x in p] for p in rational_points]
+        laurent = circ.evaluate_points(germ, lifted, ring)
+        assert laurent == [circ.evaluate(germ, p, ring) for p in lifted]
+        expected = circ.evaluate_points(substituted, rational_points)
+        assert [v.substitute(at) for v in laurent] == expected
+
+
+@st.composite
+def circuits_with_points(draw):
+    """A random circuit of add, sub and mul gates over inputs, parameters,
+    rational constants and a parameter polynomial, with parameters and
+    integer points for it."""
+    n, r = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    b = CircuitBuilder(n_inputs=n, n_params=r)
+    nodes = [b.input(i) for i in range(n)] + [b.param(j) for j in range(r)]
+    nodes.append(b.const(draw(small_fractions)))
+    if r:
+        monos = st.tuples(*[st.integers(0, 2)] * r)
+        nodes.append(b.poly_param(Polynomial.make(r, draw(st.dictionaries(monos, small_fractions)))))
+    for _ in range(draw(st.integers(1, 12))):
+        gate = getattr(b, draw(st.sampled_from(["add", "sub", "mul"])))
+        nodes.append(gate(draw(st.sampled_from(nodes)), draw(st.sampled_from(nodes))))
+    circ = b.finish(nodes[-1])
+    params = draw(st.lists(small_fractions, min_size=r, max_size=r))
+    points = draw(st.lists(st.lists(small_ints, min_size=n, max_size=n), max_size=4))
+    return circ, params, points
+
+
+@settings(max_examples=150, deadline=None)
+@given(circuits_with_points())
+def test_integer_points_match_the_node_loop(case):
+    circ, params, points = case
+    got = circ.evaluate_points(params, points)
+    assert all(type(v) is Fraction for v in got)
+    assert got == circ.evaluate_points(params, [[Fraction(x) for x in p] for p in points])
 
 
 def _first_failure(circ, params, points, ring):

@@ -361,6 +361,35 @@ def test_hypercube_lk_over_cap_exits_3_before_sampling(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["approx", "encode", "--border", "--germ", "1/2*e^-1 + e^64;1;1"],
+            "component 1 spans e^-1..e^64, gap 65 exceeds 64; no override",
+        ),
+        (
+            ["approx", "demo", "--border", "--germ", "1;1;e^-70 + 3"],
+            "component 3 spans e^-70..e^0, gap 70 exceeds 64; no override",
+        ),
+        (
+            ["game", "approx", "--border", "--germ", "1/2*e^-1 + e^64;1;1"],
+            "component 1 spans e^-1..e^64, gap 65 exceeds 64; no override",
+        ),
+    ],
+)
+def test_germ_over_gap_cap_exits_3(argv, message, capsys):
+    # Just over the cap: the gap is checked before any window is allocated.
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (3, "")
+    assert err == f"cap exceeded: germ exponent gap cap: {message}\n"
+
+
+def test_germ_at_gap_cap_runs(capsys):
+    code, _, _ = run_cli(["approx", "encode", "--border", "--germ", "1/2*e^-1 + e^63;1;1"], capsys)
+    assert code == 0
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["circuit", "build", "--family", "hypercube-shift", "--n", "6"],

@@ -8,7 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quizlab.errors import CapExceededError, QuizlabError, UnsupportedTaskError
+from quizlab.errors import (
+    ArityMismatchError,
+    CapExceededError,
+    QuizlabError,
+    UnsupportedTaskError,
+)
 from quizlab.families import (
     CURVE_FIXED_DIRECTION,
     CURVE_POWER_TOWER,
@@ -31,7 +36,12 @@ from quizlab.families import (
 )
 from quizlab.exact import LaurentRing, LaurentSeries
 from quizlab.poly import Polynomial, multilinear_monomials
-from conftest import random_fraction, sparse_root_product
+from conftest import (
+    GenericRationals,
+    naive_vertex_elimination,
+    random_fraction,
+    sparse_root_product,
+)
 
 ALL_DESK_DESCRIPTORS = (
     easy_power_sum(2, 2),
@@ -231,6 +241,31 @@ def test_vertex_elimination_over_laurent_coefficients(rng):
             got = vertex_elimination(f, 2)
             ref = sparse_root_product(roots, ring)
             assert got == ref and list(got.terms) == list(ref.terms)
+
+
+small_rationals = st.sampled_from([0, 1, -1]).map(Fraction) | st.fractions(
+    min_value=-4, max_value=4, max_denominator=5
+)
+
+
+@st.composite
+def polynomials_in(draw, n: int):
+    """A rational f in n variables with exponents up to 2, not only multilinear."""
+    monos = st.tuples(*[st.integers(0, 2)] * n)
+    return Polynomial.make(n, draw(st.dictionaries(monos, small_rationals, max_size=6)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 4).flatmap(lambda n: st.tuples(st.just(n), polynomials_in(n))))
+def test_vertex_elimination_matches_vertex_by_vertex_product(case):
+    n, f = case
+    got, ref = vertex_elimination(f, n), naive_vertex_elimination(f, n)
+    assert got == ref and list(got.terms) == list(ref.terms)
+    generic = vertex_elimination(Polynomial.make(n, f.terms, GenericRationals()), n)
+    assert got == generic and list(got.terms) == list(generic.terms)
+    assert all(type(c) is Fraction for c in got.terms.values())
+    with pytest.raises(ArityMismatchError):
+        vertex_elimination(f, n + 1)
 
 
 def test_elimination_matches_task_expansion(rng):

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from quizlab.errors import QuizlabError, TermOutsideSupportError
@@ -20,6 +20,7 @@ from quizlab.poly import (
     sort_support,
 )
 from conftest import (
+    GenericRationals,
     naive_laurent,
     naive_laurent_add,
     naive_laurent_mul,
@@ -153,8 +154,15 @@ def assert_same_product(roots, ring):
 
 
 @given(with_repeats(small_rationals))
+@example([])
+@example([0, 0, Fraction(-1, 2), 3])
+@example([Fraction(-2, 3)] * 3)
+@example([Fraction(1, 6), Fraction(-1, 4), 0, Fraction(1, 6), -5])
+@example([Fraction(-7, 9), Fraction(5, 12), Fraction(-7, 9), Fraction(0)])
 def test_product_of_linear_roots_over_rationals(roots):
     got = assert_same_product(roots, RATIONALS)
+    generic = product_of_linear_roots(roots, GenericRationals())
+    assert got == generic and list(got.terms) == list(generic.terms)
     expected = subset_root_product(roots, Fraction(1), operator.add, operator.mul, operator.neg)
     assert [got.coefficient((k,)) for k in range(len(roots) + 1)] == expected
     assert all(type(c) is Fraction for c in got.terms.values())

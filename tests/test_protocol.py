@@ -313,6 +313,7 @@ def test_winning_strategy_small_sweep(rng):
         univariate_d(4, TASK_DERIVATIVE),
         univariate_d(4, TASK_INTEGRAL),
         easy_power_sum(2, 2),
+        neural_power(1),
         neural_power(2),
         hypercube_shift(2, TASK_ELIMINATION),
         kronecker_diag(2, TASK_CHARPOLY),
@@ -487,3 +488,12 @@ def test_approx_numeric_no_cluster():
 
 def test_symmetric_points():
     assert symmetric_integer_points(5) == ((0,), (1,), (-1,), (2,), (-2,))
+
+
+def test_univariate_points_without_the_constant_start_at_1():
+    # The support {X} of neural-power n=1 has no constant monomial, so the
+    # symmetric point 0 alone would ask a question with a zero row.
+    assert builtin_strategy(neural_power(1)).question_points.points == ((1,),)
+    for desc in (univariate_d(4), easy_power_sum(2, 1), hypercube_shift(1), kronecker_diag(1)):
+        m = len(desc.base_support())
+        assert builtin_strategy(desc).question_points.points == symmetric_integer_points(m)
