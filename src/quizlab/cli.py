@@ -132,8 +132,8 @@ def parse_germ(text: str) -> GermInstance:
             exp = parse_int(exp_part.lstrip("^")) if exp_part else 1
             pairs.append((exp, coeff))
         exps = [exp for exp, coeff in pairs if coeff]
-        if exps and max(exps) - min(exps) > GERM_GAP_CAP:
-            low, high = min(exps), max(exps)
+        low, high = min(exps, default=0), max(exps, default=0)
+        if high - low > GERM_GAP_CAP:
             raise CapExceededError(
                 f"germ exponent gap cap: component {index} spans e^{low}..e^{high}, "
                 f"gap {high - low} exceeds {GERM_GAP_CAP}; no override"

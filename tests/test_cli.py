@@ -368,8 +368,8 @@ def test_hypercube_lk_over_cap_exits_3_before_sampling(capsys):
             "component 1 spans e^-1..e^64, gap 65 exceeds 64; no override",
         ),
         (
-            ["approx", "demo", "--border", "--germ", "1;1;e^-70 + 3"],
-            "component 3 spans e^-70..e^0, gap 70 exceeds 64; no override",
+            ["approx", "demo", "--border", "--germ", "1;1;e^-65 + 3"],
+            "component 3 spans e^-65..e^0, gap 65 exceeds 64; no override",
         ),
         (
             ["game", "approx", "--border", "--germ", "1/2*e^-1 + e^64;1;1"],
