@@ -46,21 +46,20 @@ class GermInstance:
     """Vector of truncated Laurent series, one component per parameter."""
 
     components: tuple[LaurentSeries, ...]
-    precision: int = DEFAULT_LAURENT_PRECISION
 
     @staticmethod
-    def make(components: Sequence, precision: int = DEFAULT_LAURENT_PRECISION) -> "GermInstance":
+    def make(components: Sequence) -> "GermInstance":
         out = []
         for comp in components:
             if isinstance(comp, LaurentSeries):
                 out.append(comp)
             else:
                 out.append(LaurentSeries.from_rational(Fraction(comp)))
-        return GermInstance(tuple(out), precision)
+        return GermInstance(tuple(out))
 
     @staticmethod
-    def constant(point: Sequence, precision: int = DEFAULT_LAURENT_PRECISION) -> "GermInstance":
-        return GermInstance.make([Fraction(x) for x in point], precision)
+    def constant(point: Sequence) -> "GermInstance":
+        return GermInstance.make([Fraction(x) for x in point])
 
     @property
     def arity(self) -> int:
@@ -83,7 +82,6 @@ class EncodingResult:
     holomorphic: bool
     h: Polynomial | None
     h_prime_leading: Polynomial | None
-    precision_used: int
     offending_monomial: Monomial | None = None
 
 
@@ -140,7 +138,7 @@ def encode(
     validate_instance(germ, desc_or_circuit)
     circ = _circuit_for(desc_or_circuit)
     if precision is None:
-        precision = germ.precision or DEFAULT_LAURENT_PRECISION
+        precision = DEFAULT_LAURENT_PRECISION
     if precision < 1:
         raise QuizlabError(f"encoding precision must be at least 1, got {precision}")
     laurent = LaurentRing(precision)
@@ -158,7 +156,6 @@ def encode(
                 holomorphic=False,
                 h=None,
                 h_prime_leading=None,
-                precision_used=precision,
                 offending_monomial=mono,
             )
         try:
@@ -176,7 +173,6 @@ def encode(
         holomorphic=True,
         h=Polynomial.make(circ.n_inputs, h_terms),
         h_prime_leading=Polynomial.make(circ.n_inputs, h_prime_terms),
-        precision_used=precision,
     )
 
 
@@ -209,15 +205,14 @@ def border_family_circuit(n: int = 2) -> Circuit:
     return b.finish(b.mul(b.param(0), diff))
 
 
-def border_demo_germ(precision: int = DEFAULT_LAURENT_PRECISION) -> GermInstance:
+def border_demo_germ() -> GermInstance:
     """The germ (1/(2e), 1, e); encodes X1*X2 for the n = 2 border family."""
     return GermInstance.make(
         [
             LaurentSeries.monomial(Fraction(1, 2), -1),
             LaurentSeries.from_rational(1),
             LaurentSeries.epsilon(),
-        ],
-        precision,
+        ]
     )
 
 

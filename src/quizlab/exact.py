@@ -1,16 +1,15 @@
-"""Exact scalar backends: rationals, prime fields, truncated Laurent series.
+"""Exact scalar backends: rationals and truncated Laurent series.
 
 Rationals are ``fractions.Fraction`` (always reduced, denominator > 0);
-this module only adds the ``num/den`` string codec.  Prime fields carry the
-modulus on every element so mixed-modulus arithmetic fails loudly.  Laurent
-series in one indeterminate ``e`` (for epsilon) are finite coefficient
-windows with an explicit knowledge bound: a series is either exact (a
-Laurent polynomial) or known only below some order, and every operation
-propagates that bound.
+this module only adds the ``num/den`` string codec.  Laurent series in one
+indeterminate ``e`` (for epsilon) are finite coefficient windows with an
+explicit knowledge bound: a series is either exact (a Laurent polynomial)
+or known only below some order, and every operation propagates that bound.
 
-A shared ring-adapter protocol (``RationalRing``, ``PrimeFieldRing``,
-``LaurentRing``) lets circuit evaluation and polynomial arithmetic run over
-any of the three backends with one code path.
+A shared ring-adapter protocol (``RationalRing``, ``LaurentRing``) lets
+circuit evaluation and polynomial arithmetic run over either backend with
+one code path.  The prime-field helpers choose the modulus and the root of
+unity of the modular rank certificate; they work on plain int residues.
 """
 
 from __future__ import annotations
@@ -78,70 +77,20 @@ def smallest_prime_modulus(d: int) -> int:
     return p
 
 
-@dataclass(frozen=True)
-class PrimeFieldElement:
-    """Residue in [0, p) for a prime modulus p."""
-
-    residue: int
-    modulus: int
-
-    def __post_init__(self):
-        if not 0 <= self.residue < self.modulus:
-            object.__setattr__(self, "residue", self.residue % self.modulus)
-
-    def _check(self, other: "PrimeFieldElement") -> None:
-        if self.modulus != other.modulus:
-            raise QuizlabError(
-                f"mixed moduli {self.modulus} and {other.modulus}"
-            )
-
-    def __add__(self, other: "PrimeFieldElement") -> "PrimeFieldElement":
-        self._check(other)
-        return PrimeFieldElement((self.residue + other.residue) % self.modulus, self.modulus)
-
-    def __sub__(self, other: "PrimeFieldElement") -> "PrimeFieldElement":
-        self._check(other)
-        return PrimeFieldElement((self.residue - other.residue) % self.modulus, self.modulus)
-
-    def __mul__(self, other: "PrimeFieldElement") -> "PrimeFieldElement":
-        self._check(other)
-        return PrimeFieldElement((self.residue * other.residue) % self.modulus, self.modulus)
-
-    def __neg__(self) -> "PrimeFieldElement":
-        return PrimeFieldElement(-self.residue % self.modulus, self.modulus)
-
-    def __pow__(self, k: int) -> "PrimeFieldElement":
-        return PrimeFieldElement(pow(self.residue, k, self.modulus), self.modulus)
-
-    def __bool__(self) -> bool:
-        return self.residue != 0
-
-    def __str__(self) -> str:
-        return f"{self.residue} (mod {self.modulus})"
-
-
-def prime_field_from_rational(q: Fraction, p: int) -> PrimeFieldElement:
-    """Reduce num/den mod p; fails if p divides the denominator."""
-    if q.denominator % p == 0:
-        raise ZeroDivisionError(f"denominator of {q} not invertible mod {p}")
-    num = q.numerator % p
-    den_inv = pow(q.denominator % p, p - 2, p)
-    return PrimeFieldElement(num * den_inv % p, p)
-
-
-def multiplicative_order(a: PrimeFieldElement) -> int:
-    """Order of a in the multiplicative group mod p (a must be nonzero)."""
-    if a.residue == 0:
+def multiplicative_order(a: int, p: int) -> int:
+    """Order of the residue a in the multiplicative group mod p (a must be nonzero)."""
+    a %= p
+    if a == 0:
         raise ValueError("0 has no multiplicative order")
-    k, acc = 1, a.residue
+    k, acc = 1, a
     while acc != 1:
-        acc = acc * a.residue % a.modulus
+        acc = acc * a % p
         k += 1
     return k
 
 
-def modular_root_of_unity(p: int, d: int) -> PrimeFieldElement:
-    """Element of multiplicative order exactly d in the field with p elements.
+def modular_root_of_unity(p: int, d: int) -> int:
+    """Residue of multiplicative order exactly d in the field with p elements.
 
     Deterministic: tries bases a = 2, 3, ... and returns the first
     a^((p-1)/d) whose order is exactly d.  Requires d | p - 1.
@@ -151,11 +100,11 @@ def modular_root_of_unity(p: int, d: int) -> PrimeFieldElement:
     if (p - 1) % d != 0:
         raise NoSuchRootError(f"no element of order {d} mod {p}: {d} does not divide {p - 1}")
     if d == 1:
-        return PrimeFieldElement(1, p)
+        return 1
     exponent = (p - 1) // d
     for a in range(2, p):
-        candidate = PrimeFieldElement(pow(a, exponent, p), p)
-        if candidate.residue != 1 and multiplicative_order(candidate) == d:
+        candidate = pow(a, exponent, p)
+        if candidate != 1 and multiplicative_order(candidate, p) == d:
             return candidate
     raise NoSuchRootError(f"no element of order {d} mod {p}")  # unreachable for prime p
 
@@ -445,42 +394,6 @@ class RationalRing:
 
     def to_str(self, a) -> str:
         return rational_to_str(a)
-
-
-@dataclass(frozen=True)
-class PrimeFieldRing:
-    """Adapter for the field with ``modulus`` elements."""
-
-    modulus: int
-
-    @property
-    def zero(self) -> PrimeFieldElement:
-        return PrimeFieldElement(0, self.modulus)
-
-    @property
-    def one(self) -> PrimeFieldElement:
-        return PrimeFieldElement(1, self.modulus)
-
-    def from_rational(self, q: Fraction) -> PrimeFieldElement:
-        return prime_field_from_rational(Fraction(q), self.modulus)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def is_zero(self, a) -> bool:
-        return a.residue == 0
-
-    def to_str(self, a) -> str:
-        return str(a.residue)
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from .families import theta_diagonal_values, vertex_monomials
 from .poly import Polynomial, product_of_linear_roots
 
 THETA_CAP = 8
+LEMMA_CAP = 5
 
 
 @dataclass(frozen=True)
@@ -133,23 +134,19 @@ def _theta_folds(k: int, s: Fraction, u: Sequence) -> tuple[list, list, list, Sq
     return coords, shift, product, theta
 
 
-def build_theta_matrix(
-    k: int, s, u: Sequence, cap: int = THETA_CAP
-) -> tuple[SquareMatrix, int]:
+def build_theta_matrix(k: int, s, u: Sequence) -> tuple[SquareMatrix, int]:
     """The 2^k-dimensional composed diagonal matrix and its operation count.
 
     Built with exactly k-1 Kronecker sums, k-1 Kronecker products, one
     scalar multiple and one matrix addition (2k operations):
     (sum_i diag(0, 2^(k-i))) + s * diag(1, u_k) (x) ... (x) diag(1, u_1).
     """
-    if k > cap:
-        raise CapExceededError(f"theta-matrix cap: k={k} exceeds {cap}; no override")
+    if k > THETA_CAP:
+        raise CapExceededError(f"theta-matrix cap: k={k} exceeds {THETA_CAP}; no override")
     return _theta_folds(k, Fraction(s), u)[3], 2 * k
 
 
-def verify_lemma_identities(
-    k: int, s, u: Sequence, cap: int = 5
-) -> tuple[bool, bool, bool]:
+def verify_lemma_identities(k: int, s, u: Sequence) -> tuple[bool, bool, bool]:
     """Exact checks of the three composed-diagonal identities.
 
     (1) the Kronecker-sum fold of the diag(0, 2^(k-i)) blocks equals
@@ -159,8 +156,8 @@ def verify_lemma_identities(
     (3) char_poly of the composed matrix equals the product
         prod_j (Y - (j + s * prod_i u_i^[j]_i)).
     """
-    if k > cap:
-        raise CapExceededError(f"lemma-identity cap: k={k} exceeds {cap}; no override")
+    if k > LEMMA_CAP:
+        raise CapExceededError(f"lemma-identity cap: k={k} exceeds {LEMMA_CAP}; no override")
     s = Fraction(s)
     coords, shift, product, theta = _theta_folds(k, s, u)
     first = shift == list(range(2 ** k))

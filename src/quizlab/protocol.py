@@ -53,13 +53,7 @@ from .errors import (
     QuizlabError,
     UnderdeterminedSystemError,
 )
-from .exact import (
-    DEFAULT_LAURENT_PRECISION,
-    RATIONALS,
-    LaurentRing,
-    laurent_limit,
-    rational_to_str,
-)
+from .exact import RATIONALS, LaurentRing, laurent_limit, rational_to_str
 from .families import (
     KRONECKER_DIAG,
     TASK_CHARPOLY,
@@ -139,34 +133,25 @@ class Strategy:
 class ApproxGameConfig:
     """Hidden data for one approximative run.
 
-    Symbolic mode needs a germ.  Numeric mode needs a germ plus a sample
-    schedule of at least 8 epsilon values, or an explicit parameter
-    sequence of at least 8 points; values within ``cluster_tolerance`` of
-    each other are clustered when hunting for accumulation candidates.
+    Both modes need a germ.  Symbolic mode runs the player over truncated
+    Laurent scalars at ``DEFAULT_LAURENT_PRECISION``.  Numeric mode also
+    needs a sample schedule of at least 8 epsilon values, substituted into
+    the germ; values within ``cluster_tolerance`` of each other are
+    clustered when hunting for accumulation candidates.
     """
 
-    germ: GermInstance | None = None
-    explicit_sequence: tuple[tuple[Fraction, ...], ...] | None = None
+    germ: GermInstance
     sample_schedule: tuple[Fraction, ...] = ()
     mode: str = MODE_SYMBOLIC
     cluster_tolerance: Fraction = Fraction(0)
-    precision: int | None = None
 
     def __post_init__(self):
         if self.mode not in (MODE_SYMBOLIC, MODE_NUMERIC):
             raise QuizlabError(f"unknown mode {self.mode!r}")
-        if self.mode == MODE_SYMBOLIC and self.germ is None:
-            raise QuizlabError("symbolic mode requires a germ")
-        if self.mode == MODE_NUMERIC:
-            count = (
-                len(self.explicit_sequence)
-                if self.explicit_sequence is not None
-                else len(self.sample_schedule)
-            )
-            if count < 8:
-                raise QuizlabError("numeric mode requires at least 8 samples")
-        if self.precision is not None and self.precision < 1:
-            raise QuizlabError(f"precision must be at least 1, got {self.precision}")
+        if self.germ is None:
+            raise QuizlabError(f"{self.mode} mode requires a germ")
+        if self.mode == MODE_NUMERIC and len(self.sample_schedule) < 8:
+            raise QuizlabError("numeric mode requires at least 8 samples")
         if self.cluster_tolerance < 0:
             raise QuizlabError(
                 f"cluster tolerance must be nonnegative, got {self.cluster_tolerance}"
@@ -332,6 +317,35 @@ def _interpolate(strategy: Strategy, values: Sequence) -> list:
     )
 
 
+def _post_polynomial(post: str, f: Polynomial, n_inputs: int) -> Polynomial:
+    """The task's post map applied to a polynomial: the player's interpolant
+    or the approximative game's target."""
+    if post == POST_IDENTITY:
+        return f
+    if post == POST_DIFFERENTIATE:
+        return f.derivative(0)
+    if post == POST_INTEGRATE:
+        return f.integral(0)
+    if post in (POST_ELIMINATION, POST_CHARPOLY):
+        return vertex_elimination(f, n_inputs)
+    raise QuizlabError(f"unknown post map {post!r}")
+
+
+def _post_support(
+    post: str, support: Sequence[Monomial], n_inputs: int
+) -> tuple[Monomial, ...]:
+    """The carrier of the post map's output, fixed by the declared support."""
+    if post == POST_IDENTITY:
+        return tuple([tuple(m) for m in support])
+    if post == POST_DIFFERENTIATE:
+        return tuple([(j,) for j in range(max(len(support) - 1, 1))])
+    if post == POST_INTEGRATE:
+        return tuple([(j,) for j in range(1, len(support) + 1)])
+    if post in (POST_ELIMINATION, POST_CHARPOLY):
+        return tuple([(j,) for j in range(2 ** n_inputs + 1)])
+    raise QuizlabError(f"unknown post map {post!r}")
+
+
 def apply_post_map(
     post: str,
     support: Sequence[Monomial],
@@ -340,21 +354,11 @@ def apply_post_map(
     ring=RATIONALS,
 ) -> tuple[tuple[Monomial, ...], tuple]:
     """The player's re-encoding after interpolation."""
+    new_support = _post_support(post, support, n_inputs)
     if post == POST_IDENTITY:
-        return tuple([tuple(m) for m in support]), tuple(coeffs)
+        return new_support, tuple(coeffs)
     f = from_coeff_vector(support, coeffs, n_inputs, ring)
-    if post == POST_DIFFERENTIATE:
-        g = f.derivative(0)
-        new_support = tuple([(j,) for j in range(max(len(support) - 1, 1))])
-        return new_support, g.coeff_vector(new_support)
-    if post == POST_INTEGRATE:
-        g = f.integral(0)
-        new_support = tuple([(j,) for j in range(1, len(support) + 1)])
-        return new_support, g.coeff_vector(new_support)
-    if post in (POST_ELIMINATION, POST_CHARPOLY):
-        new_support = tuple([(j,) for j in range(2 ** n_inputs + 1)])
-        return new_support, vertex_elimination(f, n_inputs).coeff_vector(new_support)
-    raise QuizlabError(f"unknown post map {post!r}")
+    return new_support, _post_polynomial(post, f, n_inputs).coeff_vector(new_support)
 
 
 def reference_encoding(
@@ -448,7 +452,6 @@ def run_exact(
     desc: FamilyDescriptor,
     hidden: Sequence,
     strategy: Strategy | None = None,
-    circuit: Circuit | None = None,
 ) -> GameTranscript:
     """One exact game round; the task is the descriptor's task."""
     strategy = strategy if strategy is not None else builtin_strategy(desc)
@@ -461,8 +464,7 @@ def run_exact(
         raise ArityMismatchError(
             f"hidden point must have arity {desc.param_arity}, got {len(hidden_point)}"
         )
-    circ = circuit if circuit is not None else build_circuit_cached(desc.base())
-    values = _answers(circ, hidden_point, strategy)
+    values = _answers(build_circuit_cached(desc.base()), hidden_point, strategy)
     try:
         coeffs = _interpolate(strategy, values)
     except UnderdeterminedSystemError as exc:
@@ -493,15 +495,7 @@ def _target_task_encoding(
     target: Polynomial, post: str, n_inputs: int
 ) -> tuple[tuple[Monomial, ...], tuple]:
     """Apply the game's task to the target polynomial H."""
-    if post == POST_IDENTITY:
-        support = target.support()
-        return support, target.coeff_vector(support)
-    if post == POST_DIFFERENTIATE:
-        g = target.derivative(0)
-    elif post == POST_INTEGRATE:
-        g = target.integral(0)
-    else:
-        g = vertex_elimination(target, n_inputs)
+    g = _post_polynomial(post, target, n_inputs)
     support = g.support()
     return support, g.coeff_vector(support)
 
@@ -547,8 +541,7 @@ def run_approx(
             raise ArityMismatchError(
                 f"germ has arity {len(germ.components)}, circuit needs {circ.n_params}"
             )
-        precision = config.precision or germ.precision or DEFAULT_LAURENT_PRECISION
-        ring = LaurentRing(precision)
+        ring = LaurentRing()
         values = _answers(circ, list(germ.components), strategy, ring)
         coeffs = _interpolate(strategy, values)
         support_star, laurent_star = apply_post_map(
@@ -563,10 +556,7 @@ def run_approx(
         mode = "approx-symbolic"
         hidden = None
     else:
-        if config.explicit_sequence is not None:
-            sequence = [tuple(Fraction(x) for x in u) for u in config.explicit_sequence]
-        else:
-            sequence = sequence_from_germ(config.germ, config.sample_schedule)
+        sequence = sequence_from_germ(config.germ, config.sample_schedule)
         vectors = []
         for u_k in sequence:
             coeffs_k = _interpolate(strategy, _answers(circ, u_k, strategy))
@@ -592,9 +582,7 @@ def run_approx(
                 f"no cluster covers half of the schedule tail (best {best_coverage}/{len(tail)})"
             )
         v_star = tail[best_index]
-        support_star = apply_post_map(
-            post, strategy.target_support, [Fraction(0)] * len(strategy.target_support), n_inputs
-        )[0]
+        support_star = _post_support(post, strategy.target_support, n_inputs)
         check_points = _verdict_points(strategy, support_star, support_ref)
         accepted = decide_equal(
             (support_star, v_star),

@@ -375,14 +375,16 @@ def roots_of_unity_matrix(d_degree: int, variant: str) -> tuple[ExactMatrix, int
     * integral:   c_k = 1/(k+1), e_k = k + 1, k = 0..D  (width D+1)
 
     Returns the matrix of residues in [0, p), carrying p, together with p.
+    D is held to the univariate-d desk cap: the cost grows as D^3.
     """
     if variant not in (VARIANT_BASE, VARIANT_DERIVATIVE, VARIANT_INTEGRAL):
         raise QuizlabError(f"unknown roots-of-unity variant {variant!r}")
     if d_degree < 0:
         raise QuizlabError(f"need degree D >= 0, got {d_degree}")
+    _check_cap(UNIVARIATE_D, d_degree)
     d = d_degree + 1
     p = smallest_prime_modulus(d)
-    zeta = modular_root_of_unity(p, d).residue
+    zeta = modular_root_of_unity(p, d)
     if variant == VARIANT_BASE:
         ks = range(0, d)
         scales = [1] * d
@@ -411,10 +413,12 @@ def roots_of_unity_rank(d_degree: int, variant: str) -> int:
     return exact_rank(matrix)
 
 
-def hypercube_size(n: int, cap: int = 5) -> int:
-    """2^n, the number of vertex monomials and of points, for 0 <= n <= cap."""
+def hypercube_size(n: int) -> int:
+    """2^n, the number of vertex monomials and of points, for n from 0 to
+    the hypercube-shift desk cap."""
     if n < 0:
         raise QuizlabError(f"need n >= 0, got {n}")
+    _, cap = DESK_CAPS[HYPERCUBE_SHIFT]
     if n > cap:
         raise CapExceededError(
             f"hypercube coefficient cap: n={n} exceeds {cap}; no override"
@@ -422,9 +426,9 @@ def hypercube_size(n: int, cap: int = 5) -> int:
     return 2 ** n
 
 
-def _hypercube_lk_rows(n: int, cap: int) -> tuple[list[Monomial], list[list[int]]]:
+def _hypercube_lk_rows(n: int) -> tuple[list[Monomial], list[list[int]]]:
     """The vertex monomials m_j and, per L_k, the integer coefficient of each m_j."""
-    size = hypercube_size(n, cap)
+    size = hypercube_size(n)
     # f0 = prod_{j<size} (Y - j) as integer coefficients, degree ascending.
     f0 = [1]
     for j in range(size):
@@ -442,7 +446,7 @@ def _hypercube_lk_rows(n: int, cap: int) -> tuple[list[Monomial], list[list[int]
     return monos, rows
 
 
-def hypercube_lk_coefficients(n: int, cap: int = 5) -> list[Polynomial]:
+def hypercube_lk_coefficients(n: int) -> list[Polynomial]:
     """The direction polynomials L_1..L_{2^n} of the hypercube coefficients.
 
     Write prod_{j < 2^n} (Y - (j + T * m_j(U))) = Y^{2^n} + B_1 Y^{2^n - 1}
@@ -452,15 +456,13 @@ def hypercube_lk_coefficients(n: int, cap: int = 5) -> list[Polynomial]:
     computed by synthetic division of the integer polynomial prod (Y - i).
     Returns [L_1, ..., L_{2^n}] as polynomials in U_1..U_n.
     """
-    monos, rows = _hypercube_lk_rows(n, cap)
+    monos, rows = _hypercube_lk_rows(n)
     return [
         Polynomial.make(n, {m: Fraction(c) for m, c in zip(monos, row)}) for row in rows
     ]
 
 
-def hypercube_lk_matrix(
-    n: int, points: Sequence[Sequence[int]], cap: int = 5
-) -> ExactMatrix:
+def hypercube_lk_matrix(n: int, points: Sequence[Sequence[int]]) -> ExactMatrix:
     """The matrix (L_k(u_l))_{k,l} at the given 2^n integer (or rational) points.
 
     The L_k have integer coefficients.  Each point is cleared to integers
@@ -468,7 +470,7 @@ def hypercube_lk_matrix(
     the monomial values prod v_i^[j]_i * s^(n - |j|), made a Fraction over
     s^n once.
     """
-    monos, rows = _hypercube_lk_rows(n, cap)
+    monos, rows = _hypercube_lk_rows(n)
     if len(points) != len(monos):
         raise QuizlabError(f"need exactly {len(monos)} points, got {len(points)}")
     columns = []
@@ -542,8 +544,12 @@ def check_desk_cap(desc: FamilyDescriptor) -> None:
                 f"desk cap n*l <= 8 exceeded: n*l = {desc.n * desc.l}; no override"
             )
         return
-    name, cap = DESK_CAPS[desc.variant]
-    value = {"n": desc.n, "k": desc.k, "d": desc.d}[name]
+    _check_cap(desc.variant, getattr(desc, DESK_CAPS[desc.variant][0]))
+
+
+def _check_cap(variant: str, value: int) -> None:
+    """Raise CapExceededError when the variant's capped size exceeds its desk cap."""
+    name, cap = DESK_CAPS[variant]
     if value > cap:
         raise CapExceededError(
             f"desk cap {name} <= {cap} exceeded: {name} = {value}; no override"

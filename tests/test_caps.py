@@ -11,7 +11,12 @@ from quizlab.families import (
     neural_power,
 )
 from quizlab.kronecker import build_theta_matrix, verify_lemma_identities
-from quizlab.witness import check_desk_cap, hypercube_lk_coefficients
+from quizlab.witness import (
+    VARIANT_BASE,
+    check_desk_cap,
+    hypercube_lk_coefficients,
+    roots_of_unity_matrix,
+)
 
 NO_OVERRIDE = "; no override"
 
@@ -34,6 +39,7 @@ NO_OVERRIDE = "; no override"
         (lambda: build_theta_matrix(9, 1, (1,) * 9), ("k=9", "exceeds 8", NO_OVERRIDE)),
         (lambda: verify_lemma_identities(6, 1, (1,) * 6), ("k=6", "exceeds 5", NO_OVERRIDE)),
         (lambda: hypercube_lk_coefficients(6), ("n=6", "exceeds 5", NO_OVERRIDE)),
+        (lambda: roots_of_unity_matrix(65, VARIANT_BASE), ("d = 65", "d <= 64", NO_OVERRIDE)),
         (lambda: check_desk_cap(easy_power_sum(3, 3)), ("n*l = 9", "n*l <= 8", NO_OVERRIDE)),
         (lambda: check_desk_cap(neural_power(7)), ("n = 7", "n <= 6", NO_OVERRIDE)),
     ],

@@ -395,6 +395,7 @@ def test_germ_at_gap_cap_runs(capsys):
         ["circuit", "build", "--family", "hypercube-shift", "--n", "6"],
         ["family", "expand", "--family", "hypercube-shift", "--n", "6", "--u", "1,1,1,1,1,1,1"],
         ["circuit", "build", "--family", "kronecker-diag", "--k", "6"],
+        ["witness", "roots-of-unity", "--d=65"],
     ],
 )
 def test_desk_cap_ignores_elimination_override(argv, capsys, monkeypatch):

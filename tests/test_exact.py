@@ -1,4 +1,5 @@
-"""Scalar backends: rationals, prime fields, truncated Laurent series."""
+"""Scalar backends: rationals and truncated Laurent series, and the prime-field
+helpers of the modular rank certificate."""
 
 import random
 from fractions import Fraction
@@ -15,11 +16,9 @@ from quizlab.errors import (
 from quizlab.exact import (
     LaurentRing,
     LaurentSeries,
-    PrimeFieldElement,
     laurent_limit,
     modular_root_of_unity,
     multiplicative_order,
-    prime_field_from_rational,
     rational_from_str,
     rational_to_str,
     smallest_prime_modulus,
@@ -180,18 +179,36 @@ def test_laurent_from_pairs_against_naive_oracle(pairs):
 
 
 def test_modular_root_of_unity_examples():
-    assert modular_root_of_unity(5, 4) == PrimeFieldElement(2, 5)
-    assert modular_root_of_unity(7, 1) == PrimeFieldElement(1, 7)
+    assert modular_root_of_unity(5, 4) == 2
+    assert modular_root_of_unity(7, 1) == 1
     with pytest.raises(NoSuchRootError):
         modular_root_of_unity(5, 3)
+    assert [multiplicative_order(a, 7) for a in range(1, 7)] == [1, 3, 6, 3, 6, 2]
+    with pytest.raises(ValueError):
+        multiplicative_order(7, 7)
+
+
+def _first_root_by_multiplication(p, d):
+    """The first a^((p-1)/d), over bases a = 2, 3, ..., of order exactly d mod p,
+    with the power and its order both found by repeated multiplication."""
+    for a in range(2, p):
+        power = 1
+        for _ in range((p - 1) // d):
+            power = power * a % p
+        order, acc = 1, power
+        while acc != 1:
+            acc = acc * power % p
+            order += 1
+        if order == d:
+            return power
+    raise AssertionError(f"no element of order {d} mod {p}")
 
 
 def test_modular_root_exhaustive_oracle():
-    # brute force: 2 is the first base whose power has order exactly 4 mod 5
-    p, d = 5, 4
-    orders = {a: multiplicative_order(PrimeFieldElement(a, p)) for a in range(1, p)}
-    first = min(a for a, order in orders.items() if order == d)
-    assert modular_root_of_unity(p, d).residue == first
+    # Every order the univariate-d desk cap allows: d = D + 1 for D = 0..64.
+    for d in range(1, 66):
+        p = smallest_prime_modulus(d)
+        assert modular_root_of_unity(p, d) == _first_root_by_multiplication(p, d)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 6, 8, 12, 31])
@@ -199,14 +216,7 @@ def test_root_order_property(d):
     p = smallest_prime_modulus(d)
     assert p > 2 * d and (p - 1) % d == 0
     root = modular_root_of_unity(p, d)
-    assert (root ** d).residue == 1
+    assert 0 < root < p and pow(root, d, p) == 1
     for q in range(1, d):
         if d % q == 0:
-            assert (root ** q).residue != 1
-
-
-def test_prime_field_from_rational():
-    x = prime_field_from_rational(Fraction(1, 2), 7)
-    assert (x * PrimeFieldElement(2, 7)).residue == 1
-    with pytest.raises(ZeroDivisionError):
-        prime_field_from_rational(Fraction(1, 7), 7)
+            assert pow(root, q, p) != 1

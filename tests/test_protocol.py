@@ -410,12 +410,6 @@ def test_approx_symbolic_border():
     assert transcript.player_message == ("0/1", "1/1", "0/1")
 
 
-@pytest.mark.parametrize("precision", [0, -3])
-def test_approx_config_rejects_precision_below_1(precision):
-    with pytest.raises(QuizlabError, match=f"got {precision}"):
-        ApproxGameConfig(germ=border_demo_germ(), mode=MODE_SYMBOLIC, precision=precision)
-
-
 @pytest.mark.parametrize("mode", [MODE_SYMBOLIC, MODE_NUMERIC])
 def test_approx_config_rejects_negative_tolerance(mode):
     schedule = tuple(Fraction(1, 2 ** k) for k in range(1, 9))

@@ -470,7 +470,7 @@ def test_roots_of_unity_determinant_closed_form(variant):
     for d_degree in range(32):
         matrix, p = roots_of_unity_matrix(d_degree, variant)
         d = d_degree + 1
-        zeta = modular_root_of_unity(p, d).residue
+        zeta = modular_root_of_unity(p, d)
         roots = [pow(zeta, j, p) for j in range(d)]
         assert pow(zeta, d, p) == 1 and len(set(roots)) == d
         if variant == VARIANT_BASE:
