@@ -81,14 +81,6 @@ def env_int(name: str, default: int) -> int:
 ParamPoint = tuple[Fraction, ...]
 
 
-def multinomial(alpha: Sequence[int]) -> int:
-    """(sum alpha)! / prod(alpha_i!)."""
-    total = math.factorial(sum(alpha))
-    for a in alpha:
-        total //= math.factorial(a)
-    return total
-
-
 def binary_digit(j: int, i: int) -> int:
     """i-th digit (1-based, least significant first) of j in binary."""
     return (j >> (i - 1)) & 1
@@ -221,7 +213,7 @@ def kronecker_diag(k: int, task: str = TASK_IDENTITY) -> FamilyDescriptor:
 
 
 def _check_point(desc: FamilyDescriptor, u: Sequence) -> list[Fraction]:
-    point = [Fraction(x) for x in u]
+    point = [x if isinstance(x, Fraction) else Fraction(x) for x in u]
     if len(point) != desc.param_arity:
         raise ArityMismatchError(
             f"{desc.variant} expects {desc.param_arity} parameters, got {len(point)}"
@@ -389,30 +381,46 @@ def vertex_elimination(f: Polynomial, n: int) -> Polynomial:
 
 @functools.lru_cache(maxsize=32)
 def _multinomial_support(n: int, low: int, high: int) -> tuple[tuple[Monomial, int], ...]:
-    """(monomial, multinomial) for every degree low..high monomial, graded-lex."""
+    """(monomial m, multinomial |m|! / prod m_i!) for every degree low..high, graded-lex."""
     return tuple(
-        (mono, multinomial(mono))
+        (mono, math.factorial(degree) // math.prod(map(math.factorial, mono)))
         for degree in range(low, high + 1)
         for mono in monomials_of_degree(n, degree)
     )
 
 
-def _expand_power_form(
-    n: int, t: Fraction, u: Sequence[Fraction], low: int, high: int
-) -> Polynomial:
-    """t * sum of (u.X)^d over degrees low <= d <= high, by the multinomial theorem."""
-    nums = [[x.numerator ** e for e in range(high + 1)] for x in u]
-    dens = [[x.denominator ** e for e in range(high + 1)] for x in u]
-    terms: dict = {}
-    for mono, weight in _multinomial_support(n, low, high):
-        num, den = t.numerator * weight, t.denominator
-        for i, e in enumerate(mono):
-            if e:
-                num *= nums[i][e]
-                den *= dens[i][e]
-        if num:
-            terms[mono] = Fraction(num, den)
-    return Polynomial.make(n, terms)
+def _power_degrees(desc: FamilyDescriptor) -> tuple[int, int]:
+    """low, high with the power form t * sum of (u.X)^d over low <= d <= high."""
+    return (0, 2 ** desc.l - 1) if desc.variant == EASY_POWER_SUM else (desc.n, desc.n)
+
+
+def power_form_row(
+    desc: FamilyDescriptor, u: Sequence, cap: int | None = 200_000
+) -> tuple[int, list[int]]:
+    """easy-power-sum or neural-power at u as a denominator s and the integer
+    coefficient row over ``_multinomial_support``, in base-support order.
+
+    With t = a / b and u_i = p_i / q_i, s = b * prod q_i^high makes the
+    coefficient of X^m the integer a * multinomial(m) * prod p_i^m_i
+    q_i^(high - m_i).  easy-power-sum's term count is checked against
+    ``cap`` before any monomial is enumerated.
+    """
+    if desc.variant not in (EASY_POWER_SUM, NEURAL_POWER):
+        raise QuizlabError(f"{desc.variant} has no power form")
+    t, *rest = _check_point(desc, u)
+    n, (low, high) = desc.n, _power_degrees(desc)
+    count = math.comb(high + n, n) - math.comb(low + n - 1, n)
+    if desc.variant == EASY_POWER_SUM and cap is not None and count > cap:
+        raise CapExceededError(f"expansion needs {count} terms, cap is {cap}; no override")
+    pairs = [(x.numerator, x.denominator) for x in rest]
+    den = t.denominator * math.prod([q for _, q in pairs]) ** high
+    if not t:
+        return den, [0] * count
+    tables = [[p ** e * q ** (high - e) for e in range(high + 1)] for p, q in pairs]
+    return den, [
+        math.prod(map(list.__getitem__, tables, mono), start=t.numerator * weight)
+        for mono, weight in _multinomial_support(n, low, high)
+    ]
 
 
 def expand_family(
@@ -420,22 +428,17 @@ def expand_family(
 ) -> Polynomial:
     """Closed-form expansion at parameter point u, computed without circuits.
 
-    easy-power-sum and neural-power use the multinomial theorem with
-    per-parameter power tables: the numerators and denominators of u_i^e,
-    for e up to the family degree, are built once per call as integers, and
-    the (monomial, multinomial) support is cached per (n, degree range).
-    Each coefficient is one integer product made a Fraction once.
+    easy-power-sum and neural-power make ``power_form_row``'s integer row a
+    Polynomial, with one Fraction per nonzero coefficient.
     """
+    if desc.variant in (EASY_POWER_SUM, NEURAL_POWER):
+        den, row = power_form_row(desc, u, cap)
+        support = _multinomial_support(desc.n, *_power_degrees(desc))
+        return Polynomial.make(
+            desc.n, {mono: Fraction(c, den) for (mono, _), c in zip(support, row) if c}
+        )
     point = _check_point(desc, u)
     t, rest = point[0], point[1:]
-    if desc.variant == EASY_POWER_SUM:
-        l, n = desc.l, desc.n
-        count = math.comb(2 ** l - 1 + n, n)
-        if cap is not None and count > cap:
-            raise CapExceededError(
-                f"expansion needs {count} terms, cap is {cap}; no override"
-            )
-        return _expand_power_form(n, t, rest, 0, 2 ** l - 1)
     if desc.variant == UNIVARIATE_D:
         d = desc.d
         lead = t ** (d + 1) - 1
@@ -446,8 +449,6 @@ def expand_family(
         else:
             terms = {(k,): lead * t ** k for k in range(d + 1)}
         return Polynomial.make(1, terms)
-    if desc.variant == NEURAL_POWER:
-        return _expand_power_form(desc.n, t, rest, desc.n, desc.n)
     if desc.variant == HYPERCUBE_SHIFT:
         if desc.task == TASK_ELIMINATION:
             return elimination_poly(desc.n, t, rest)

@@ -38,6 +38,7 @@ byte-identical redacted transcripts.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -379,6 +380,14 @@ def reference_encoding(
     return support, reference_poly.coeff_vector(support)
 
 
+@functools.lru_cache(maxsize=64)
+def _monomial_rows(points: tuple, support: tuple) -> tuple[tuple, ...]:
+    """Each point's monomial values over the support, as tuples no caller
+    can change.  A strategy's verdict uses the same points and supports in
+    every round, so the rows are cached."""
+    return tuple([tuple(monomial_values(point, support)) for point in points])
+
+
 def decide_equal(
     f_enc: tuple[Sequence[Monomial], Sequence],
     g_enc: tuple[Sequence[Monomial], Sequence],
@@ -398,19 +407,21 @@ def decide_equal(
     (integers at an integer point), and the test is L g = R f, or
     b |L g - R f| <= a f g for a tolerance a / b.  The points are evaluated
     here, never through the player's compiled system, so the verdict does
-    not check the player against itself.
+    not check the player against itself; their monomial values are cached
+    per (points, support).
     """
     pts = points.points if isinstance(points, IdentificationSequence) else points
+    # The keys are built from lists, as in every round (see _format_values).
+    pts = tuple([tuple(p) for p in pts])
     (f_support, f_coeffs), (g_support, g_coeffs) = f_enc, g_enc
     f, big_f = cleared_row(f_coeffs)
     g, big_g = cleared_row(g_coeffs)
     if tolerance is not None:
         tolerance = Fraction(tolerance)
         a, b = tolerance.numerator, tolerance.denominator
-    same_support = g_support == f_support
-    for point in pts:
-        f_row = monomial_values(point, f_support)
-        g_row = f_row if same_support else monomial_values(point, g_support)
+    f_rows = _monomial_rows(pts, tuple([tuple(m) for m in f_support]))
+    g_rows = _monomial_rows(pts, tuple([tuple(m) for m in g_support]))
+    for f_row, g_row in zip(f_rows, g_rows):
         left = sum(c * m for c, m in zip(big_f, f_row) if c) * g
         right = sum(c * m for c, m in zip(big_g, g_row) if c) * f
         if tolerance is None:

@@ -5,19 +5,20 @@ finite matrix: a derivative-vector matrix along parameter curves, a scaled
 root-of-unity Vandermonde matrix, or the hypercube coefficient matrix.
 This module assembles those matrices and computes their rank exactly.
 
-All elimination runs on integer rows, with one kernel per field.  Over
-the rationals each row is cleared of its denominators, and one
-fraction-free loop (Bareiss 1968) serves both callers: run forward only,
-it gives the rank; run as Gauss-Jordan on [A' | diag(s)], it compiles a
-linear system once (``compile_system``) for any number of right-hand
-sides.  A matrix over F_p carries its prime as ``modulus`` and holds
-integer residues, which Gaussian elimination mod p ranks row by row,
-stopping once the rank reaches the width.  A rational rank is certified
-mod RANK_PRIME first: every minor mod p is the residue of the integer
-minor, so the rank mod p never exceeds the rank over Q, and full rank mod
-p is exact.  Bareiss runs only on a shortfall.  perfbench checks span
-certificates mod 2^61 - 1, so this prime differs to keep that check
-independent.
+All elimination runs on integer rows, with one kernel per field.  The
+derivative rows are built on integers (``families.power_form_row`` for
+the power forms), so on integer curves no Fraction is made.  Over the
+rationals each row is cleared of its denominators, and one fraction-free
+loop (Bareiss 1968) serves both callers: run forward only, it gives the
+rank; run as Gauss-Jordan on [A' | diag(s)], it compiles a linear system
+once (``compile_system``) for any number of right-hand sides.  A matrix
+over F_p carries its prime as ``modulus`` and holds integer residues,
+which Gaussian elimination mod p ranks row by row, stopping once the rank
+reaches the width.  A rational rank is certified mod RANK_PRIME first:
+every minor mod p is the residue of the integer minor, so the rank mod p
+never exceeds the rank over Q, and full rank mod p is exact.  Bareiss
+runs only on a shortfall.  perfbench checks span certificates mod
+2^61 - 1, so this prime differs to keep that check independent.
 Root-of-unity matrices are verified modulo a prime p = 1 (mod D+1): the
 entries live in Z[zeta] and reduce to F_p through a ring morphism, so a
 nonzero determinant mod p certifies a nonzero determinant over the
@@ -55,6 +56,7 @@ from .families import (
     FamilyDescriptor,
     beta_curve,
     expand_family,
+    power_form_row,
 )
 from .poly import Monomial, Polynomial
 
@@ -334,6 +336,13 @@ def _check_arity(points: Sequence[Sequence[int]], support: Sequence[Monomial]) -
         )
 
 
+def _coefficient_row(desc: FamilyDescriptor, point: Sequence) -> tuple[int, list[int]]:
+    """The base family's coefficients at the point, cleared to (s, integer row)."""
+    if desc.variant in (EASY_POWER_SUM, NEURAL_POWER):
+        return power_form_row(desc, point)
+    return cleared_row(expand_family(desc, point).coeff_vector(desc.base_support()))
+
+
 def derivative_matrix(
     desc: FamilyDescriptor,
     curves: Sequence[Callable[[Fraction], Sequence[Fraction]]],
@@ -343,22 +352,21 @@ def derivative_matrix(
     The in-scope families are linear in t along their curves, so the t^1
     coefficient is f(1) - f(0); linearity itself is verified with a second
     difference at t = 2 and violations are reported with the offending
-    degree.  Both are taken on the coefficient vectors over the base
-    support, cleared to integers over one common denominator s.
+    degree.  Both are taken on integer coefficient rows over one common
+    denominator s; the power forms build no Polynomial.  On integer curves
+    s = 1 and the entries are ints.
     """
     base = desc.base()
-    support = base.base_support()
-    n = len(support)
     rows = []
     for curve in curves:
-        f = [expand_family(base, curve(Fraction(t))) for t in range(3)]
-        s, w = cleared_row([c for g in f for c in g.coeff_vector(support)])
-        w0, w1, w2 = w[:n], w[n : 2 * n], w[2 * n :]
+        cleared = [_coefficient_row(base, curve(Fraction(t))) for t in range(3)]
+        s = math.lcm(*[scale for scale, _ in cleared])
+        w0, w1, w2 = [[x * (s // scale) for x in w] for scale, w in cleared]
         if any(a - 2 * b + c for a, b, c in zip(w0, w1, w2)):
             raise NonLinearCurveError(
                 "family expansion is not linear in t along the curve", degree=2
             )
-        rows.append([Fraction(b - a, s) for a, b in zip(w0, w1)])
+        rows.append([b - a if s == 1 else Fraction(b - a, s) for a, b in zip(w0, w1)])
     return ExactMatrix.from_rows(rows)
 
 

@@ -4,6 +4,8 @@ import pytest
 
 from quizlab.errors import CapExceededError, ExpansionCapExceededError
 from quizlab.families import (
+    CURVE_POWER_TOWER,
+    beta_curve,
     build_circuit,
     easy_power_sum,
     elimination_poly,
@@ -14,6 +16,7 @@ from quizlab.kronecker import build_theta_matrix, verify_lemma_identities
 from quizlab.witness import (
     VARIANT_BASE,
     check_desk_cap,
+    derivative_matrix,
     hypercube_lk_coefficients,
     roots_of_unity_matrix,
 )
@@ -27,6 +30,14 @@ NO_OVERRIDE = "; no override"
         (
             lambda: expand_family(easy_power_sum(2, 2), (1, 2, 3), cap=5),
             ("needs 10 terms", "cap is 5", NO_OVERRIDE),
+        ),
+        (
+            # rho = 1: the power-tower tail rho^(2^(i l)) stays small
+            lambda: derivative_matrix(
+                easy_power_sum(4, 8),
+                [beta_curve(easy_power_sum(4, 8), CURVE_POWER_TOWER, 1)],
+            ),
+            ("needs 490314 terms", "cap is 200000", NO_OVERRIDE),
         ),
         (
             lambda: elimination_poly(3, 1, (1, 2, 3), cap=2),

@@ -31,6 +31,7 @@ from quizlab.families import (
     hypercube_shift,
     kronecker_diag,
     neural_power,
+    power_form_row,
     univariate_d,
     vertex_elimination,
 )
@@ -100,12 +101,14 @@ def naive_power_form(desc, point) -> Polynomial:
 
 @st.composite
 def power_form_cases(draw):
-    """easy-power-sum and neural-power at rational points with t = 0, zero
-    coordinates and negative rationals."""
+    """easy-power-sum (l * n <= 8) and neural-power (n <= 6) up to the desk
+    caps, at rational points with t = 0, zero coordinates and negative
+    rationals."""
     if draw(st.booleans()):
-        desc = easy_power_sum(draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+        l = draw(st.integers(1, 8))
+        desc = easy_power_sum(l, draw(st.integers(1, 8 // l)))
     else:
-        desc = neural_power(draw(st.integers(1, 5)))
+        desc = neural_power(draw(st.integers(1, 6)))
     coordinate = st.one_of(
         st.just(Fraction(0)),
         st.integers(-4, 4).map(Fraction),
@@ -120,11 +123,29 @@ def power_form_cases(draw):
 @example((neural_power(3), [Fraction(0), Fraction(2), Fraction(-1), Fraction(1, 3)]))
 @example((easy_power_sum(2, 2), [Fraction(-1, 2), Fraction(0), Fraction(0)]))
 @example((neural_power(2), [Fraction(-2, 3), Fraction(0), Fraction(3, 5)]))
+@example((easy_power_sum(4, 2), [Fraction(3), Fraction(-5, 2), Fraction(0)]))
+@example((easy_power_sum(1, 8), [Fraction(-7, 3)] + [Fraction(-1) ** i for i in range(8)]))
+@example((neural_power(6), [Fraction(2, 9), Fraction(0)] + [Fraction(-i, 5) for i in range(1, 6)]))
 def test_power_form_expansion_against_naive_and_circuit(case):
     desc, point = case
     expected = naive_power_form(desc, point)
     assert expand_family(desc, point) == expected
-    assert build_circuit(desc).expand(point) == expected
+    circuit_expansion = build_circuit(desc).expand(point)
+    assert circuit_expansion == expected
+    # The integer core against the closed-form and the circuit routes.
+    support = desc.base_support()
+    den, row = power_form_row(desc, point)
+    core = tuple([Fraction(c, den) for c in row])
+    assert core == expand_family(desc, point).coeff_vector(support)
+    assert core == circuit_expansion.coeff_vector(support)
+
+
+def test_power_form_row_is_integer_and_rejects_other_families():
+    den, row = power_form_row(neural_power(2), (3, 1, 2))
+    assert (den, row) == (1, [3, 12, 12])
+    assert all(type(c) is int for c in row)
+    with pytest.raises(QuizlabError):
+        power_form_row(hypercube_shift(2), (1, 2, 3))
 
 
 def test_gate_bounds_across_desk_scale():

@@ -213,6 +213,43 @@ def test_decide_equal_examples():
     assert not decide_equal(third, half, [(1,)], tolerance=Fraction(1, 7))
 
 
+def naive_encoding_value(enc, point) -> Fraction:
+    """sum of c * prod x^e over the encoding's terms, in Fractions."""
+    total = Fraction(0)
+    for mono, c in zip(*enc):
+        term = Fraction(c)
+        for x, e in zip(point, mono):
+            term *= Fraction(x) ** e
+        total += term
+    return total
+
+
+def test_decide_equal_cached_rows_match_naive_oracle():
+    points = [(1, 2), (-3, 1), (2, -2), (0, 5)]
+    square = (((2, 0), (1, 1), (0, 0)), (Fraction(1, 2), Fraction(-3), Fraction(7, 4)))
+    permuted = (((0, 0), (2, 0), (1, 1)), (Fraction(7, 4), Fraction(1, 2), Fraction(-3)))
+    nudged = (square[0], (Fraction(1, 2), Fraction(-3), Fraction(7, 4) + Fraction(1, 100)))
+    cases = [
+        (square, nudged, None),  # same support
+        (square, permuted, None),  # different supports
+        (square, nudged, Fraction(1, 100)),  # tolerance, inclusive
+        (square, nudged, Fraction(1, 101)),
+    ]
+    for f_enc, g_enc, tolerance in cases:
+        expected = all(
+            abs(naive_encoding_value(f_enc, p) - naive_encoding_value(g_enc, p))
+            <= (tolerance or 0)
+            for p in points
+        )
+        hits = protocol._monomial_rows.cache_info().hits
+        # The second call reads both supports' rows from the cache.
+        for _ in range(2):
+            assert decide_equal(f_enc, g_enc, points, tolerance) == expected
+        assert protocol._monomial_rows.cache_info().hits >= hits + 2
+    rows = protocol._monomial_rows(tuple(points), square[0])
+    assert type(rows) is tuple and all(type(row) is tuple for row in rows)
+
+
 def fraction_decide_equal(f_enc, g_enc, points, tolerance=None):
     """The verdict by Fraction sums at each point: the slow reference."""
     f_rows = evaluation_matrix(points, f_enc[0]).entries

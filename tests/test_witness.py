@@ -30,7 +30,7 @@ from quizlab.families import (
     neural_power,
     univariate_d,
 )
-from quizlab import witness
+from quizlab import families, witness
 from quizlab.poly import Polynomial
 from quizlab.witness import (
     RANK_PRIME,
@@ -408,6 +408,25 @@ def test_derivative_matrix_rejects_nonlinear():
     with pytest.raises(NonLinearCurveError) as info:
         derivative_matrix(desc, [beta_curve(desc, CURVE_ROOT_SHIFT, 1)])
     assert info.value.degree >= 2
+
+
+@pytest.mark.parametrize("desc", [easy_power_sum(2, 2), neural_power(3)])
+def test_derivative_matrix_rejects_quadratic_curve_on_integer_rows(desc):
+    direction = tuple(Fraction(x) for x in range(2, desc.param_arity + 1))
+    with pytest.raises(NonLinearCurveError) as info:
+        derivative_matrix(desc, [lambda t: (t * t,) + direction])
+    assert info.value.degree == 2
+
+
+def test_derivative_matrix_checks_term_cap_before_enumerating(monkeypatch):
+    def no_enumeration(*args):
+        raise AssertionError("monomials enumerated before the term cap")
+
+    monkeypatch.setattr(families, "monomials_of_degree", no_enumeration)
+    monkeypatch.setattr(families, "monomials_below_degree", no_enumeration)
+    desc = easy_power_sum(4, 8)
+    with pytest.raises(CapExceededError, match="needs 490314 terms"):
+        derivative_matrix(desc, [beta_curve(desc, CURVE_POWER_TOWER, 1)])
 
 
 def test_power_sum_row_values_match_multinomial_formula():
