@@ -30,7 +30,6 @@ from .errors import (
     ArityMismatchError,
     PrecisionUnderflowError,
     QuizlabError,
-    UnsupportedDomainError,
 )
 from .exact import (
     DEFAULT_LAURENT_PRECISION,
@@ -91,22 +90,14 @@ def _circuit_for(desc_or_circuit: FamilyDescriptor | Circuit) -> Circuit:
     return build_circuit(desc_or_circuit.base())
 
 
-def validate_instance(
-    germ: GermInstance,
-    desc_or_circuit: FamilyDescriptor | Circuit,
-    domain_ideal: Sequence[Polynomial] = (),
-) -> bool:
+def validate_instance(germ: GermInstance, desc_or_circuit: FamilyDescriptor | Circuit) -> bool:
     """Structural validity of a germ for a family.
 
     In-scope parameter domains are full affine spaces (zero vanishing
     ideal), so the check is arity plus per-component usability: a component
     that carries no known term is a zero-precision sentinel and invalidates
-    the germ.  A nonzero ``domain_ideal`` is out of scope and rejected.
+    the germ.
     """
-    if domain_ideal and any(not g.is_zero() for g in domain_ideal):
-        raise UnsupportedDomainError(
-            "parameter domains with nontrivial vanishing ideals are not supported"
-        )
     arity = (
         desc_or_circuit.n_params
         if isinstance(desc_or_circuit, Circuit)

@@ -217,10 +217,10 @@ class Circuit:
         lifted = [ring.from_rational(p) for p in params]
         return self.evaluate(lifted, point, ring)
 
-    def expand_symbolic(self, cap: int | None = DEFAULT_EXPANSION_CAP) -> Polynomial:
+    def expand_symbolic(self) -> Polynomial:
         """Full symbolic final result in r + n variables (params then inputs)."""
         r, n = self.n_params, self.n_inputs
-        ring = PolynomialRing(r + n, RATIONALS, cap)
+        ring = PolynomialRing(r + n, RATIONALS, DEFAULT_EXPANSION_CAP)
         params = [ring.variable(j) for j in range(r)]
         inputs = [ring.variable(r + i) for i in range(n)]
         return self.evaluate(params, inputs, ring)

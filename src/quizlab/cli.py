@@ -15,12 +15,10 @@ Value syntax on the command line:
   "+"-joined list of terms "c", "c*e" or "c*e^k", e.g. "1/2*e^-1;1;e",
   whose exponents lie at most 64 apart.
 
-Environment overrides: QUIZLAB_EXPANSION_CAP (circuit expand's term cap,
-default 200000) and QUIZLAB_ELIMINATION_CAP (elimination-polynomial
-dimension cap, default 10); only the commands that use a cap read it.
-Every command that takes --family first checks the desk caps
-(hypercube-shift n <= 5, kronecker-diag k <= 5, ...), which neither
-override raises.
+Every family is held to its desk cap (easy-power-sum n*l <= 8,
+neural-power n <= 6, hypercube-shift n <= 5, kronecker-diag k <= 5,
+univariate-d d <= 64) before any work starts, and no setting raises it.
+circuit expand's --expansion-cap (default 200000) is its term cap.
 """
 
 from __future__ import annotations
@@ -53,7 +51,6 @@ from .families import (
     circuit_gate_bound,
     elimination_poly,
     emit_formula,
-    env_int,
     expand_family,
 )
 from .identify import (
@@ -79,7 +76,6 @@ from .protocol import (
 from .witness import (
     VARIANT_BASE,
     ExactMatrix,
-    check_desk_cap,
     exact_rank,
     hypercube_lk_matrix,
     hypercube_size,
@@ -152,9 +148,7 @@ def family_from_args(args) -> FamilyDescriptor:
         kwargs.update(n=args.n)
     elif args.family == KRONECKER_DIAG:
         kwargs.update(k=args.k)
-    desc = FamilyDescriptor(args.family, **kwargs)
-    check_desk_cap(desc)
-    return desc
+    return FamilyDescriptor(args.family, **kwargs)
 
 
 def add_family_flags(parser: argparse.ArgumentParser, required: bool = True) -> None:
@@ -260,8 +254,8 @@ def cmd_circuit_eval(args) -> None:
 
 
 def cmd_circuit_expand(args) -> None:
-    if args.expansion_cap is None:
-        args.expansion_cap = env_int("QUIZLAB_EXPANSION_CAP", DEFAULT_EXPANSION_CAP)
+    if args.expansion_cap < 1:
+        raise QuizlabError(f"--expansion-cap must be at least 1, got {args.expansion_cap}")
     circ = _load_circuit(args)
     f = circ.expand(parse_vector(args.params), cap=args.expansion_cap)
     emit(args, report_header(args, "circuit expand") + poly_lines(f))
@@ -532,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "eval":
             sub.add_argument("--inputs", required=True)
         else:
-            sub.add_argument("--expansion-cap", type=int, default=None)
+            sub.add_argument("--expansion-cap", type=int, default=DEFAULT_EXPANSION_CAP)
     sub = new(circuit, "generic", cmd_circuit_generic)
     sub.add_argument("--big-l", "--L", dest="big_l", type=int, required=True)
     sub.add_argument("--n", type=int, required=True)

@@ -75,10 +75,6 @@ class NoFiberSamplerError(QuizlabError):
     """No known sampler for the fiber of the requested base point."""
 
 
-class UnsupportedDomainError(QuizlabError):
-    """Parameter domains with nontrivial vanishing ideals are not handled."""
-
-
 class NonLinearCurveError(QuizlabError):
     """A family expansion was not linear in t along the supplied curve.
 

@@ -14,8 +14,10 @@ unity of the modular rank certificate; they work on plain int residues.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Collection
 
 from .errors import (
     NoSuchRootError,
@@ -43,6 +45,13 @@ def rational_from_str(text: str) -> Fraction:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError):
         raise QuizlabError(f"invalid rational {text!r}") from None
+
+
+def cleared_row(row: Collection[Fraction]) -> tuple[int, list[int]]:
+    """The lcm s of the row's denominators, and the integer row s * row in
+    order; an int has denominator 1, so integer rows pass through unchanged."""
+    scale = math.lcm(*{x.denominator for x in row})
+    return scale, [x.numerator * (scale // x.denominator) for x in row]
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,7 +38,7 @@ from .errors import (
     QuizlabError,
     UnsupportedTaskError,
 )
-from .exact import RationalRing
+from .exact import RationalRing, cleared_row
 from .poly import (
     Monomial,
     Polynomial,
@@ -64,18 +63,23 @@ TASK_CHARPOLY = "charpoly"
 VARIANTS = (EASY_POWER_SUM, UNIVARIATE_D, NEURAL_POWER, HYPERCUBE_SHIFT, KRONECKER_DIAG)
 TASKS = (TASK_IDENTITY, TASK_DERIVATIVE, TASK_INTEGRAL, TASK_ELIMINATION, TASK_CHARPOLY)
 
+# Each family's capped size and its desk cap.  FamilyDescriptor refuses a
+# larger size, so no entry point that takes a descriptor can start on one.
+DESK_CAPS = {
+    EASY_POWER_SUM: ("n*l", 8),
+    NEURAL_POWER: ("n", 6),
+    HYPERCUBE_SHIFT: ("n", 5),
+    KRONECKER_DIAG: ("k", 5),
+    UNIVARIATE_D: ("d", 64),
+}
+
 ELIMINATION_CAP = 10
 
 
-def env_int(name: str, default: int) -> int:
-    """The integer in environment variable ``name``, or ``default`` if unset."""
-    text = os.environ.get(name)
-    if text is None:
-        return default
-    try:
-        return int(text)
-    except ValueError:
-        raise QuizlabError(f"{name} must be an integer, got {text!r}") from None
+def check_cap(what: str, name: str, value: int, cap: int) -> None:
+    """Raise CapExceededError when a size that is not a family's exceeds its cap."""
+    if value > cap:
+        raise CapExceededError(f"{what} cap: {name}={value} exceeds {cap}; no override")
 
 
 ParamPoint = tuple[Fraction, ...]
@@ -94,7 +98,9 @@ class FamilyDescriptor:
     univariate-d, ``n`` for neural-power and hypercube-shift, ``k`` for
     kronecker-diag.  Tasks other than identity are only defined where the
     carrier supports them: derivative/integral for univariate-d,
-    elimination for hypercube-shift, charpoly for kronecker-diag.
+    elimination for hypercube-shift, charpoly for kronecker-diag.  The
+    capped size is checked last, against ``DESK_CAPS``, so a usage error is
+    raised before a cap.
     """
 
     variant: str
@@ -130,6 +136,12 @@ class FamilyDescriptor:
         if self.task not in allowed:
             raise UnsupportedTaskError(
                 f"task {self.task!r} is not defined for {self.variant}"
+            )
+        name, cap = DESK_CAPS[self.variant]
+        value = self.n * self.l if self.variant == EASY_POWER_SUM else getattr(self, name)
+        if value > cap:
+            raise CapExceededError(
+                f"desk cap {name} <= {cap} exceeded: {name} = {value}; no override"
             )
 
     # -- derived shape ---------------------------------------------------------
@@ -366,11 +378,11 @@ def vertex_elimination(f: Polynomial, n: int) -> Polynomial:
         return product_of_linear_roots(roots, ring)
     if f.nvars != n:
         raise ArityMismatchError(f"point has arity {n}, polynomial has {f.nvars}")
-    c = math.lcm(*[q.denominator for q in f.terms.values()])
+    c, cleared = cleared_row(f.terms.values())
     sums = [0] * 2 ** n
-    for mono, q in f.terms.items():
+    for mono, q in zip(f.terms, cleared):
         subset = sum(1 << i for i, e in enumerate(mono) if e)
-        sums[subset] += q.numerator * (c // q.denominator)
+        sums[subset] += q
     for i in range(n):
         bit = 1 << i
         for j in range(2 ** n):
@@ -394,45 +406,40 @@ def _power_degrees(desc: FamilyDescriptor) -> tuple[int, int]:
     return (0, 2 ** desc.l - 1) if desc.variant == EASY_POWER_SUM else (desc.n, desc.n)
 
 
-def power_form_row(
-    desc: FamilyDescriptor, u: Sequence, cap: int | None = 200_000
-) -> tuple[int, list[int]]:
+def power_form_row(desc: FamilyDescriptor, u: Sequence) -> tuple[int, list[int]]:
     """easy-power-sum or neural-power at u as a denominator s and the integer
     coefficient row over ``_multinomial_support``, in base-support order.
 
     With t = a / b and u_i = p_i / q_i, s = b * prod q_i^high makes the
     coefficient of X^m the integer a * multinomial(m) * prod p_i^m_i
-    q_i^(high - m_i).  easy-power-sum's term count is checked against
-    ``cap`` before any monomial is enumerated.
+    q_i^(high - m_i).  The desk caps bound the row: at most 256 terms for
+    easy-power-sum (n*l <= 8) and 462 for neural-power (n <= 6).
     """
     if desc.variant not in (EASY_POWER_SUM, NEURAL_POWER):
         raise QuizlabError(f"{desc.variant} has no power form")
     t, *rest = _check_point(desc, u)
     n, (low, high) = desc.n, _power_degrees(desc)
-    count = math.comb(high + n, n) - math.comb(low + n - 1, n)
-    if desc.variant == EASY_POWER_SUM and cap is not None and count > cap:
-        raise CapExceededError(f"expansion needs {count} terms, cap is {cap}; no override")
+    support = _multinomial_support(n, low, high)
     pairs = [(x.numerator, x.denominator) for x in rest]
     den = t.denominator * math.prod([q for _, q in pairs]) ** high
     if not t:
-        return den, [0] * count
+        return den, [0] * len(support)
     tables = [[p ** e * q ** (high - e) for e in range(high + 1)] for p, q in pairs]
     return den, [
         math.prod(map(list.__getitem__, tables, mono), start=t.numerator * weight)
-        for mono, weight in _multinomial_support(n, low, high)
+        for mono, weight in support
     ]
 
 
-def expand_family(
-    desc: FamilyDescriptor, u: Sequence, cap: int | None = 200_000
-) -> Polynomial:
+def expand_family(desc: FamilyDescriptor, u: Sequence) -> Polynomial:
     """Closed-form expansion at parameter point u, computed without circuits.
 
     easy-power-sum and neural-power make ``power_form_row``'s integer row a
-    Polynomial, with one Fraction per nonzero coefficient.
+    Polynomial, with one Fraction per nonzero coefficient.  univariate-d
+    makes each lead * t^k once, as a running product, for its three tasks.
     """
     if desc.variant in (EASY_POWER_SUM, NEURAL_POWER):
-        den, row = power_form_row(desc, u, cap)
+        den, row = power_form_row(desc, u)
         support = _multinomial_support(desc.n, *_power_degrees(desc))
         return Polynomial.make(
             desc.n, {mono: Fraction(c, den) for (mono, _), c in zip(support, row) if c}
@@ -441,13 +448,15 @@ def expand_family(
     t, rest = point[0], point[1:]
     if desc.variant == UNIVARIATE_D:
         d = desc.d
-        lead = t ** (d + 1) - 1
+        scaled = [t ** (d + 1) - 1]  # scaled[k] = (t^(d+1) - 1) * t^k
+        for _ in range(d):
+            scaled.append(scaled[-1] * t)
         if desc.task == TASK_DERIVATIVE:
-            terms = {(k - 1,): lead * k * t ** k for k in range(1, d + 1)}
+            terms = {(k - 1,): k * scaled[k] for k in range(1, d + 1)}
         elif desc.task == TASK_INTEGRAL:
-            terms = {(k + 1,): lead * t ** k / (k + 1) for k in range(d + 1)}
+            terms = {(k + 1,): scaled[k] / (k + 1) for k in range(d + 1)}
         else:
-            terms = {(k,): lead * t ** k for k in range(d + 1)}
+            terms = {(k,): c for k, c in enumerate(scaled)}
         return Polynomial.make(1, terms)
     if desc.variant == HYPERCUBE_SHIFT:
         if desc.task == TASK_ELIMINATION:
@@ -459,23 +468,16 @@ def expand_family(
     return _expand_multilinear_base(desc.k, t, rest)
 
 
-def elimination_poly(
-    n: int, t, u: Sequence, cap: int | None = None
-) -> Polynomial:
+def elimination_poly(n: int, t, u: Sequence) -> Polynomial:
     """prod over the hypercube vertices of (Y - theta(t, u)(vertex)).
 
     Computed twice: from the closed per-vertex values j + t * prod u^[j],
     and by evaluating the multilinear base polynomial at every vertex.  The
-    two products must agree exactly; a mismatch is an internal error.
-    The default dimension cap is 10, overridable per call or through the
-    QUIZLAB_ELIMINATION_CAP environment variable.
+    two products must agree exactly; a mismatch is an internal error.  The
+    dimension is held to ELIMINATION_CAP for direct calls; the family and
+    Kronecker caps are smaller.
     """
-    override = "no override"
-    if cap is None:
-        cap = env_int("QUIZLAB_ELIMINATION_CAP", ELIMINATION_CAP)
-        override = "override with QUIZLAB_ELIMINATION_CAP"
-    if n > cap:
-        raise CapExceededError(f"elimination cap: n={n} exceeds {cap}; {override}")
+    check_cap("elimination", "n", n, ELIMINATION_CAP)
     t = Fraction(t)
     point = [Fraction(x) for x in u]
     if len(point) != n:

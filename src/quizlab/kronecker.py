@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import CapExceededError, InternalCheckError, QuizlabError
-from .families import theta_diagonal_values, vertex_monomials
+from .errors import InternalCheckError, QuizlabError
+from .families import check_cap, theta_diagonal_values, vertex_monomials
 from .poly import Polynomial, product_of_linear_roots
 
 THETA_CAP = 8
@@ -141,8 +141,7 @@ def build_theta_matrix(k: int, s, u: Sequence) -> tuple[SquareMatrix, int]:
     scalar multiple and one matrix addition (2k operations):
     (sum_i diag(0, 2^(k-i))) + s * diag(1, u_k) (x) ... (x) diag(1, u_1).
     """
-    if k > THETA_CAP:
-        raise CapExceededError(f"theta-matrix cap: k={k} exceeds {THETA_CAP}; no override")
+    check_cap("theta-matrix", "k", k, THETA_CAP)
     return _theta_folds(k, Fraction(s), u)[3], 2 * k
 
 
@@ -156,8 +155,7 @@ def verify_lemma_identities(k: int, s, u: Sequence) -> tuple[bool, bool, bool]:
     (3) char_poly of the composed matrix equals the product
         prod_j (Y - (j + s * prod_i u_i^[j]_i)).
     """
-    if k > LEMMA_CAP:
-        raise CapExceededError(f"lemma-identity cap: k={k} exceeds {LEMMA_CAP}; no override")
+    check_cap("lemma-identity", "k", k, LEMMA_CAP)
     s = Fraction(s)
     coords, shift, product, theta = _theta_folds(k, s, u)
     first = shift == list(range(2 ** k))

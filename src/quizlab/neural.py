@@ -153,6 +153,10 @@ class TrainConfig:
             raise QuizlabError("batch must be nonempty")
         if self.targets is None and self.target_weights is None:
             raise QuizlabError("either targets or target_weights must be given")
+        if self.target_weights is not None:
+            # The exact distance at the end expands neural-power(n): hold n
+            # to its desk cap before training, not after.
+            neural_power(self.n)
 
 
 @dataclass(frozen=True)

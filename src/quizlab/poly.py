@@ -11,7 +11,6 @@ tuple, so for two variables the degree-2 block reads X1^2, X1*X2, X2^2.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -22,7 +21,7 @@ from .errors import (
     QuizlabError,
     TermOutsideSupportError,
 )
-from .exact import RATIONALS, RationalRing
+from .exact import RATIONALS, RationalRing, cleared_row
 
 Monomial = tuple[int, ...]
 
@@ -295,8 +294,8 @@ def product_of_linear_roots(roots: Iterable, ring=RATIONALS) -> Polynomial:
     """
     roots = list(roots)
     if isinstance(ring, RationalRing):
-        c = math.lcm(*[r.denominator for r in roots])
-        coeffs = _root_recurrence([r.numerator * (c // r.denominator) for r in roots], 1, ring)
+        c, cleared = cleared_row(roots)
+        coeffs = _root_recurrence(cleared, 1, ring)
         m = len(roots)
         coeffs = [Fraction(q, c ** (m - k)) for k, q in enumerate(coeffs)]
     else:
@@ -349,7 +348,7 @@ class PolynomialRing:
         if self.max_terms is not None and p.term_count() > self.max_terms:
             raise ExpansionCapExceededError(
                 f"expansion produced {p.term_count()} terms, cap is {self.max_terms}; "
-                "QUIZLAB_EXPANSION_CAP overrides it for circuit expand"
+                "--expansion-cap overrides it for circuit expand"
             )
         return p
 

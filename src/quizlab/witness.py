@@ -38,25 +38,26 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import (
     ArityMismatchError,
-    CapExceededError,
     InconsistentSystemError,
     NonLinearCurveError,
     QuizlabError,
     UnderdeterminedSystemError,
 )
-from .exact import modular_root_of_unity, smallest_prime_modulus
+from .exact import cleared_row, modular_root_of_unity, smallest_prime_modulus
 from .families import (
     CURVE_FIXED_DIRECTION,
     CURVE_POWER_TOWER,
+    DESK_CAPS,
     EASY_POWER_SUM,
     HYPERCUBE_SHIFT,
     KRONECKER_DIAG,
     NEURAL_POWER,
-    UNIVARIATE_D,
     FamilyDescriptor,
     beta_curve,
+    check_cap,
     expand_family,
     power_form_row,
+    univariate_d,
 )
 from .poly import Monomial, Polynomial
 
@@ -65,14 +66,6 @@ VARIANT_DERIVATIVE = "derivative"
 VARIANT_INTEGRAL = "integral"
 
 RANK_PRIME = 2 ** 31 - 1  # certifies rational ranks; see the module docstring
-
-DESK_CAPS = {
-    EASY_POWER_SUM: ("n*l", 8),
-    NEURAL_POWER: ("n", 6),
-    HYPERCUBE_SHIFT: ("n", 5),
-    KRONECKER_DIAG: ("k", 5),
-    UNIVARIATE_D: ("d", 64),
-}
 
 
 @dataclass(frozen=True)
@@ -99,13 +92,6 @@ class ExactMatrix:
     @property
     def cols(self) -> int:
         return len(self.entries[0]) if self.entries else 0
-
-
-def cleared_row(row: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """The lcm s of the row's denominators, and the integer row s * row;
-    an int has denominator 1, so integer rows pass through unchanged."""
-    scale = math.lcm(*[x.denominator for x in row])
-    return scale, [x.numerator * (scale // x.denominator) for x in row]
 
 
 def _bareiss(grid: list[list[int]], width: int, above: bool) -> tuple[list[int], int]:
@@ -389,7 +375,8 @@ def roots_of_unity_matrix(d_degree: int, variant: str) -> tuple[ExactMatrix, int
         raise QuizlabError(f"unknown roots-of-unity variant {variant!r}")
     if d_degree < 0:
         raise QuizlabError(f"need degree D >= 0, got {d_degree}")
-    _check_cap(UNIVARIATE_D, d_degree)
+    if d_degree:
+        univariate_d(d_degree)  # the descriptor holds D to its desk cap
     d = d_degree + 1
     p = smallest_prime_modulus(d)
     zeta = modular_root_of_unity(p, d)
@@ -426,11 +413,7 @@ def hypercube_size(n: int) -> int:
     the hypercube-shift desk cap."""
     if n < 0:
         raise QuizlabError(f"need n >= 0, got {n}")
-    _, cap = DESK_CAPS[HYPERCUBE_SHIFT]
-    if n > cap:
-        raise CapExceededError(
-            f"hypercube coefficient cap: n={n} exceeds {cap}; no override"
-        )
+    check_cap("hypercube coefficient", "n", n, DESK_CAPS[HYPERCUBE_SHIFT][1])
     return 2 ** n
 
 
@@ -545,25 +528,6 @@ def expected_rank(desc: FamilyDescriptor) -> int:
     return desc.d + 1
 
 
-def check_desk_cap(desc: FamilyDescriptor) -> None:
-    if desc.variant == EASY_POWER_SUM:
-        if desc.n * desc.l > 8:
-            raise CapExceededError(
-                f"desk cap n*l <= 8 exceeded: n*l = {desc.n * desc.l}; no override"
-            )
-        return
-    _check_cap(desc.variant, getattr(desc, DESK_CAPS[desc.variant][0]))
-
-
-def _check_cap(variant: str, value: int) -> None:
-    """Raise CapExceededError when the variant's capped size exceeds its desk cap."""
-    name, cap = DESK_CAPS[variant]
-    if value > cap:
-        raise CapExceededError(
-            f"desk cap {name} <= {cap} exceeded: {name} = {value}; no override"
-        )
-
-
 def _sample_distinct(rng: random.Random, count: int, box: int) -> list[int]:
     return rng.sample(range(1, box + 1), count)
 
@@ -603,7 +567,6 @@ def lower_bound_report(
     """
     if trials < 1:
         raise QuizlabError(f"need at least one trial, got {trials}")
-    check_desk_cap(desc)
     k_expected = expected_rank(desc)
     started = time.monotonic()
     ranks: list[int] = []

@@ -32,10 +32,8 @@ CORPUS = Path(__file__).resolve().parent / "corpus"
 ARGV_FILE = CORPUS / "argv.txt"
 RECORDS_FILE = CORPUS / "records.jsonl"
 
-# argparse wraps usage text at the terminal width, and each cap variable
-# changes the commands that read it: both are fixed for every replay.
+# argparse wraps usage text at the terminal width: it is fixed for every replay.
 FIXED_ENV = {"COLUMNS": "80"}
-CLEARED_ENV = ("QUIZLAB_EXPANSION_CAP", "QUIZLAB_ELIMINATION_CAP")
 
 
 def read_argv_lines() -> list[str]:
@@ -58,7 +56,7 @@ def record_line(record: dict) -> str:
 def replay_environment():
     """A fresh working directory holding ``files/`` with the malformed
     circuit documents, and the fixed environment; both restored after."""
-    saved_env = {name: os.environ.get(name) for name in (*FIXED_ENV, *CLEARED_ENV)}
+    saved_env = {name: os.environ.get(name) for name in FIXED_ENV}
     saved_cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         files = Path(tmp) / "files"
@@ -66,8 +64,6 @@ def replay_environment():
         for name, text in MALFORMED_CIRCUIT_FILES.items():
             (files / name).write_text(text)
         os.environ.update(FIXED_ENV)
-        for name in CLEARED_ENV:
-            os.environ.pop(name, None)
         os.chdir(tmp)
         try:
             yield

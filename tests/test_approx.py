@@ -19,7 +19,6 @@ from quizlab.errors import (
     ArityMismatchError,
     PrecisionUnderflowError,
     QuizlabError,
-    UnsupportedDomainError,
 )
 from quizlab.exact import LaurentSeries
 from quizlab.families import build_circuit, easy_power_sum, expand_family
@@ -34,12 +33,6 @@ def test_validate_instance():
         validate_instance(GermInstance.constant((1, 2)), easy_power_sum(1, 2))
     sentinel = LaurentSeries(low=0, coeffs=(), bound=0)
     assert not validate_instance(GermInstance.make([sentinel, 1, 1]), easy_power_sum(1, 2))
-    with pytest.raises(UnsupportedDomainError):
-        validate_instance(
-            germ,
-            border_family_circuit(2),
-            domain_ideal=[Polynomial.make(3, {(1, 0, 0): Fraction(1)})],
-        )
 
 
 def test_encode_border_family():

@@ -2,21 +2,21 @@
 
 import pytest
 
-from quizlab.errors import CapExceededError, ExpansionCapExceededError
+from quizlab.errors import CapExceededError, ExpansionCapExceededError, UnsupportedTaskError
 from quizlab.families import (
-    CURVE_POWER_TOWER,
-    beta_curve,
+    TASK_CHARPOLY,
+    TASK_ELIMINATION,
     build_circuit,
     easy_power_sum,
     elimination_poly,
-    expand_family,
+    hypercube_shift,
+    kronecker_diag,
     neural_power,
+    univariate_d,
 )
 from quizlab.kronecker import build_theta_matrix, verify_lemma_identities
 from quizlab.witness import (
     VARIANT_BASE,
-    check_desk_cap,
-    derivative_matrix,
     hypercube_lk_coefficients,
     roots_of_unity_matrix,
 )
@@ -27,40 +27,43 @@ NO_OVERRIDE = "; no override"
 @pytest.mark.parametrize(
     "call, expected",
     [
-        (
-            lambda: expand_family(easy_power_sum(2, 2), (1, 2, 3), cap=5),
-            ("needs 10 terms", "cap is 5", NO_OVERRIDE),
-        ),
-        (
-            # rho = 1: the power-tower tail rho^(2^(i l)) stays small
-            lambda: derivative_matrix(
-                easy_power_sum(4, 8),
-                [beta_curve(easy_power_sum(4, 8), CURVE_POWER_TOWER, 1)],
-            ),
-            ("needs 490314 terms", "cap is 200000", NO_OVERRIDE),
-        ),
-        (
-            lambda: elimination_poly(3, 1, (1, 2, 3), cap=2),
-            ("n=3", "exceeds 2", NO_OVERRIDE),
-        ),
-        (
-            lambda: elimination_poly(11, 1, (1,) * 11),
-            ("n=11", "exceeds 10", "; override with QUIZLAB_ELIMINATION_CAP"),
-        ),
+        (lambda: elimination_poly(11, 1, (1,) * 11), ("n=11", "exceeds 10", NO_OVERRIDE)),
         (lambda: build_theta_matrix(9, 1, (1,) * 9), ("k=9", "exceeds 8", NO_OVERRIDE)),
         (lambda: verify_lemma_identities(6, 1, (1,) * 6), ("k=6", "exceeds 5", NO_OVERRIDE)),
         (lambda: hypercube_lk_coefficients(6), ("n=6", "exceeds 5", NO_OVERRIDE)),
         (lambda: roots_of_unity_matrix(65, VARIANT_BASE), ("d = 65", "d <= 64", NO_OVERRIDE)),
-        (lambda: check_desk_cap(easy_power_sum(3, 3)), ("n*l = 9", "n*l <= 8", NO_OVERRIDE)),
-        (lambda: check_desk_cap(neural_power(7)), ("n = 7", "n <= 6", NO_OVERRIDE)),
+        (lambda: easy_power_sum(3, 3), ("n*l = 9", "n*l <= 8", NO_OVERRIDE)),
+        (lambda: neural_power(7), ("n = 7", "n <= 6", NO_OVERRIDE)),
     ],
 )
-def test_cap_message_names_value_cap_and_override(call, expected, monkeypatch):
-    monkeypatch.delenv("QUIZLAB_ELIMINATION_CAP", raising=False)
+def test_cap_message_names_value_cap_and_override(call, expected):
     with pytest.raises(CapExceededError) as info:
         call()
     for part in expected:
         assert part in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "make, at_cap, over_cap, unsupported, message",
+    [
+        (easy_power_sum, (2, 4), (3, 3), TASK_CHARPOLY, "n*l <= 8 exceeded: n*l = 9"),
+        (univariate_d, (64,), (65,), TASK_ELIMINATION, "d <= 64 exceeded: d = 65"),
+        (neural_power, (6,), (7,), TASK_CHARPOLY, "n <= 6 exceeded: n = 7"),
+        (hypercube_shift, (5,), (6,), TASK_CHARPOLY, "n <= 5 exceeded: n = 6"),
+        (kronecker_diag, (5,), (6,), TASK_ELIMINATION, "k <= 5 exceeded: k = 6"),
+    ],
+)
+def test_descriptor_holds_each_family_to_its_desk_cap(
+    make, at_cap, over_cap, unsupported, message
+):
+    # Every entry point takes a descriptor, so none can start over the cap.
+    assert make(*at_cap).base_support()
+    with pytest.raises(CapExceededError) as info:
+        make(*over_cap)
+    assert str(info.value) == f"desk cap {message}; no override"
+    # A usage error is still raised before the cap.
+    with pytest.raises(UnsupportedTaskError):
+        make(*over_cap, unsupported)
 
 
 def test_expansion_cap_message_names_override_and_node():
@@ -68,7 +71,7 @@ def test_expansion_cap_message_names_override_and_node():
     with pytest.raises(ExpansionCapExceededError) as info:
         circ.expand([1, 2, 3], cap=5)
     message = str(info.value)
-    assert "cap is 5; QUIZLAB_EXPANSION_CAP overrides it for circuit expand" in message
+    assert "cap is 5; --expansion-cap overrides it for circuit expand" in message
     assert message.endswith(f" (at node {info.value.node})")
     produced = int(message.split("expansion produced ")[1].split()[0])
     assert produced > 5

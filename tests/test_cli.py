@@ -294,6 +294,16 @@ def test_malformed_value_exits_2(argv, tmp_path):
             ["game", "fiber", "--family=univariate-d", "--d=2", "--base=0", "--samples=-1"],
             "fiber samples must be at least 1, got -1",
         ),
+        (
+            ["circuit", "expand", "--family=univariate-d", "--d=3", "--params=2",
+             "--expansion-cap=0"],
+            "--expansion-cap must be at least 1, got 0",
+        ),
+        (
+            ["circuit", "expand", "--family=univariate-d", "--d=3", "--params=2",
+             "--expansion-cap=-1"],
+            "--expansion-cap must be at least 1, got -1",
+        ),
     ],
 )
 def test_malformed_value_message_names_it(argv, message, capsys):
@@ -302,36 +312,9 @@ def test_malformed_value_message_names_it(argv, message, capsys):
     assert message in err
 
 
-@pytest.mark.parametrize(
-    "name, argv",
-    [
-        ("QUIZLAB_EXPANSION_CAP",
-         ["circuit", "expand", "--family", "univariate-d", "--d", "3", "--params", "2"]),
-        ("QUIZLAB_ELIMINATION_CAP", ["kron", "charpoly", "--k", "2", "--s", "1", "--u", "1,2"]),
-    ],
-)
-def test_malformed_cap_variable_exits_2(name, argv, capsys, monkeypatch):
-    monkeypatch.setenv(name, "abc")
-    code, out, err = run_cli(argv, capsys)
-    assert (code, out) == (2, "")
-    assert f"{name} must be an integer, got 'abc'" in err
-    assert "Traceback" not in err
-
-
-def test_unused_cap_variable_is_ignored(capsys, monkeypatch):
-    # Only circuit expand reads the expansion cap; the parser does not.
-    argv = ["kron", "verify", "--k", "2"]
-    monkeypatch.delenv("QUIZLAB_EXPANSION_CAP", raising=False)
-    expected = run_cli(argv, capsys)
-    monkeypatch.setenv("QUIZLAB_EXPANSION_CAP", "abc")
-    assert run_cli(argv, capsys) == expected
-    assert expected[0] == 0
-
-
-def test_expansion_cap_variable_sets_the_default(capsys, monkeypatch):
-    monkeypatch.setenv("QUIZLAB_EXPANSION_CAP", "7")
+def test_expansion_cap_flag_sets_the_cap(capsys):
     argv = ["circuit", "expand", "--family", "univariate-d", "--d", "3", "--params", "2"]
-    code, out, _ = run_cli(argv, capsys)
+    code, out, _ = run_cli(argv + ["--expansion-cap", "7"], capsys)
     assert code == 0 and "expansion_cap=7 " in out
     code, _, err = run_cli(argv + ["--expansion-cap", "2"], capsys)
     assert code == 3 and "cap is 2" in err
@@ -398,10 +381,7 @@ def test_germ_at_gap_cap_runs(capsys):
         ["witness", "roots-of-unity", "--d=65"],
     ],
 )
-def test_desk_cap_ignores_elimination_override(argv, capsys, monkeypatch):
-    # The elimination cap (default 10) may be raised, but --family commands
-    # check the smaller desk cap first.
-    monkeypatch.setenv("QUIZLAB_ELIMINATION_CAP", "12")
+def test_over_desk_cap_exits_3(argv, capsys):
     code, _, err = run_cli(argv, capsys)
     assert code == 3
     assert "cap exceeded: desk cap" in err
@@ -440,8 +420,7 @@ def test_desk_cap_ignores_elimination_override(argv, capsys, monkeypatch):
         ),
     ],
 )
-def test_optional_family_flags_config_line(argv, config, capsys, monkeypatch):
-    monkeypatch.delenv("QUIZLAB_EXPANSION_CAP", raising=False)
+def test_optional_family_flags_config_line(argv, config, capsys):
     code, out, _ = run_cli(argv, capsys)
     assert code == 0
     assert out.split("\n")[2] == config

@@ -17,7 +17,7 @@ from quizlab.errors import (
     QuizlabError,
     UnderdeterminedSystemError,
 )
-from quizlab.exact import LaurentSeries, modular_root_of_unity
+from quizlab.exact import LaurentSeries, cleared_row, modular_root_of_unity
 from quizlab.families import (
     CURVE_FIXED_DIRECTION,
     CURVE_POWER_TOWER,
@@ -30,7 +30,7 @@ from quizlab.families import (
     neural_power,
     univariate_d,
 )
-from quizlab import families, witness
+from quizlab import witness
 from quizlab.poly import Polynomial
 from quizlab.witness import (
     RANK_PRIME,
@@ -45,7 +45,6 @@ from quizlab.witness import (
     hypercube_lk_coefficients,
     hypercube_lk_matrix,
     _rank_prime_field,
-    cleared_row,
     lower_bound_report,
     roots_of_unity_matrix,
     roots_of_unity_rank,
@@ -416,17 +415,6 @@ def test_derivative_matrix_rejects_quadratic_curve_on_integer_rows(desc):
     with pytest.raises(NonLinearCurveError) as info:
         derivative_matrix(desc, [lambda t: (t * t,) + direction])
     assert info.value.degree == 2
-
-
-def test_derivative_matrix_checks_term_cap_before_enumerating(monkeypatch):
-    def no_enumeration(*args):
-        raise AssertionError("monomials enumerated before the term cap")
-
-    monkeypatch.setattr(families, "monomials_of_degree", no_enumeration)
-    monkeypatch.setattr(families, "monomials_below_degree", no_enumeration)
-    desc = easy_power_sum(4, 8)
-    with pytest.raises(CapExceededError, match="needs 490314 terms"):
-        derivative_matrix(desc, [beta_curve(desc, CURVE_POWER_TOWER, 1)])
 
 
 def test_power_sum_row_values_match_multinomial_formula():
