@@ -39,12 +39,8 @@ from .circuit import DEFAULT_EXPANSION_CAP, Circuit, generic_computation
 from .errors import CapExceededError, InternalCheckError, QuizlabError
 from .exact import LaurentSeries, rational_from_str, rational_to_str
 from .families import (
-    EASY_POWER_SUM,
-    HYPERCUBE_SHIFT,
-    KRONECKER_DIAG,
-    NEURAL_POWER,
+    SIZE_PARAMS,
     TASK_IDENTITY,
-    UNIVARIATE_D,
     VARIANTS,
     FamilyDescriptor,
     build_circuit,
@@ -69,7 +65,10 @@ from .protocol import (
     ApproxGameConfig,
     Strategy,
     builtin_strategy,
+    check_fiber_base,
+    check_germ,
     fiber_image,
+    parameter_point,
     run_approx,
     run_exact,
 )
@@ -139,16 +138,9 @@ def parse_germ(text: str) -> GermInstance:
 
 
 def family_from_args(args) -> FamilyDescriptor:
-    kwargs = {"task": args.task}
-    if args.family == EASY_POWER_SUM:
-        kwargs.update(l=args.l, n=args.n)
-    elif args.family == UNIVARIATE_D:
-        kwargs.update(d=args.d)
-    elif args.family in (NEURAL_POWER, HYPERCUBE_SHIFT):
-        kwargs.update(n=args.n)
-    elif args.family == KRONECKER_DIAG:
-        kwargs.update(k=args.k)
-    return FamilyDescriptor(args.family, **kwargs)
+    # An omitted --family passes None on, which FamilyDescriptor rejects.
+    sizes = {name: getattr(args, name) for name in SIZE_PARAMS.get(args.family, ())}
+    return FamilyDescriptor(args.family, task=args.task, **sizes)
 
 
 def add_family_flags(parser: argparse.ArgumentParser, required: bool = True) -> None:
@@ -294,10 +286,13 @@ def cmd_idseq_verify(args) -> None:
     emit(args, report_header(args, "idseq verify") + [f"identifies_span: {ok}"])
 
 
+# The game commands parse and check their input before they build the
+# strategy, whose span certificate is the slow step at the desk caps.
 def cmd_game_exact(args) -> None:
     desc = family_from_args(args)
+    hidden = parameter_point(desc, parse_vector(args.hidden))
     strategy = builtin_strategy(desc, seed=args.seed)
-    transcript = run_exact(desc, parse_vector(args.hidden), strategy=strategy)
+    transcript = run_exact(desc, hidden, strategy=strategy)
     body = transcript.export(include_hidden=args.audit).rstrip("\n").split("\n")
     emit(args, report_header(args, "game exact") + body)
 
@@ -305,17 +300,7 @@ def cmd_game_exact(args) -> None:
 def cmd_game_approx(args) -> None:
     if args.samples < 1:
         raise QuizlabError(f"--samples must be at least 1, got {args.samples}")
-    if args.border:
-        circ = border_family_circuit(2)
-        strategy = Strategy(
-            question_points=IdentificationSequence.from_points([(1, 0), (0, 1), (1, 1)]),
-            target_support=((2, 0), (1, 1), (0, 2)),
-        )
-        subject = circ
-    else:
-        desc = family_from_args(args)
-        strategy = builtin_strategy(desc, seed=args.seed)
-        subject = desc
+    subject = border_family_circuit(2) if args.border else family_from_args(args)
     germ = parse_germ(args.germ) if args.germ else border_demo_germ()
     if args.target:
         target_support = parse_points(args.target_support)
@@ -341,6 +326,15 @@ def cmd_game_approx(args) -> None:
         sample_schedule=schedule,
         cluster_tolerance=rational_from_str(args.tolerance),
     )
+    if args.border:
+        strategy = Strategy(
+            question_points=IdentificationSequence.from_points([(1, 0), (0, 1), (1, 1)]),
+            target_support=((2, 0), (1, 1), (0, 2)),
+        )
+    else:
+        if not args.numeric:
+            check_germ(germ, subject.param_arity)
+        strategy = builtin_strategy(subject, seed=args.seed)
     transcript = run_approx(subject, strategy, config, target)
     body = transcript.export(include_hidden=args.audit).rstrip("\n").split("\n")
     emit(args, report_header(args, "game approx") + body)
@@ -348,8 +342,10 @@ def cmd_game_approx(args) -> None:
 
 def cmd_game_fiber(args) -> None:
     desc = family_from_args(args)
+    base = parse_vector(args.base)
+    check_fiber_base(desc, base, args.samples)
     strategy = builtin_strategy(desc, seed=args.seed)
-    vectors = fiber_image(desc, strategy, parse_vector(args.base), args.samples, args.seed)
+    vectors = fiber_image(desc, strategy, base, args.samples, args.seed)
     lines = report_header(args, "game fiber") + [f"distinct_vectors: {len(vectors)}"]
     for vec in vectors:
         lines.append("vector: " + ",".join(rational_to_str(x) for x in vec))

@@ -63,6 +63,15 @@ TASK_CHARPOLY = "charpoly"
 VARIANTS = (EASY_POWER_SUM, UNIVARIATE_D, NEURAL_POWER, HYPERCUBE_SHIFT, KRONECKER_DIAG)
 TASKS = (TASK_IDENTITY, TASK_DERIVATIVE, TASK_INTEGRAL, TASK_ELIMINATION, TASK_CHARPOLY)
 
+# Each family's size parameters, all required and positive.
+SIZE_PARAMS = {
+    EASY_POWER_SUM: ("l", "n"),
+    UNIVARIATE_D: ("d",),
+    NEURAL_POWER: ("n",),
+    HYPERCUBE_SHIFT: ("n",),
+    KRONECKER_DIAG: ("k",),
+}
+
 # Each family's capped size and its desk cap.  FamilyDescriptor refuses a
 # larger size, so no entry point that takes a descriptor can start on one.
 DESK_CAPS = {
@@ -115,14 +124,7 @@ class FamilyDescriptor:
             raise QuizlabError(f"unknown family variant {self.variant!r}")
         if self.task not in TASKS:
             raise QuizlabError(f"unknown task {self.task!r}")
-        need = {
-            EASY_POWER_SUM: ("l", "n"),
-            UNIVARIATE_D: ("d",),
-            NEURAL_POWER: ("n",),
-            HYPERCUBE_SHIFT: ("n",),
-            KRONECKER_DIAG: ("k",),
-        }[self.variant]
-        for name in need:
+        for name in SIZE_PARAMS[self.variant]:
             value = getattr(self, name)
             if value is None or value < 1:
                 raise QuizlabError(f"{self.variant} needs positive {name}")

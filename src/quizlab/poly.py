@@ -295,16 +295,18 @@ def product_of_linear_roots(roots: Iterable, ring=RATIONALS) -> Polynomial:
     roots = list(roots)
     if isinstance(ring, RationalRing):
         c, cleared = cleared_row(roots)
-        coeffs = _root_recurrence(cleared, 1, ring)
+        coeffs = root_product_coefficients(cleared)
         m = len(roots)
         coeffs = [Fraction(q, c ** (m - k)) for k, q in enumerate(coeffs)]
     else:
-        coeffs = _root_recurrence(roots, ring.one, ring)
+        coeffs = root_product_coefficients(roots, ring.one, ring)
     # Highest degree first, the term order the product of sparse factors had.
     return Polynomial.make(1, {(k,): coeffs[k] for k in reversed(range(len(coeffs)))}, ring)
 
 
-def _root_recurrence(roots: list, one, ring) -> list:
+def root_product_coefficients(roots: Iterable, one=1, ring=RATIONALS) -> list:
+    """Coefficients of prod (Y - root), lowest degree first; integer roots
+    with the defaults give integer coefficients."""
     add, mul = ring.add, ring.mul
     coeffs = [one]
     for root in roots:

@@ -1,20 +1,26 @@
 """Exact and approximative quiz-game protocols as one-round state machines.
 
-One exact run: the quizmaster hides a parameter point, answers the player's
-fixed evaluation questions about the hidden polynomial by running the
-family circuit, the player interpolates exactly on a declared support and
-re-encodes (optionally differentiating, integrating, or repacking vertex
-values into an elimination/characteristic polynomial), and the quizmaster
-compares the player's encoding against a reference encoding computed
-directly from the hidden point.  Both encodings are compared by evaluation
-at identification points.
+Every mode plays one round.  The quizmaster answers the player's fixed
+evaluation questions by running the family circuit at a parameter point;
+the player interpolates exactly on a declared support and re-encodes
+(optionally differentiating, integrating, or repacking vertex values into
+an elimination/characteristic polynomial); the quizmaster compares the
+player's encoding with a reference by evaluation at identification points.
+One player pass (answers, interpolation, post map) and one judge (verdict
+points, ``decide_equal``, transcript) serve every mode, so every mode
+raises NonIdentifyingPointsError when the questions do not pin down the
+support.  The modes differ in the point and the ring only:
 
-The approximative run replaces the hidden point by a Laurent germ (symbolic
-mode, the authoritative path: interpolation happens over truncated Laurent
-scalars and the answer is the termwise value at the origin) or by a finite
-sample schedule (numeric mode: candidate accumulation values are clusters
-covering at least half of the schedule's tail).  A constant germ reproduces
-the exact game bit for bit.
+* exact: the hidden point over the rationals, against a reference computed
+  directly from it;
+* approximative, against a target polynomial: a Laurent germ over
+  truncated Laurent scalars, taking the termwise value at the origin
+  (symbolic mode, the authoritative path), or the germ at each sample of a
+  finite schedule, taking the cluster that covers at least half of the
+  schedule's tail (numeric mode).  A constant germ reproduces the exact
+  game bit for bit;
+* fiber sampler: sampled points of a t = 0 fiber, keeping the distinct
+  player vectors.
 
 Because the questions are fixed before the round, a rational round does
 integer work only.  The strategy carries its question matrix, compiled once
@@ -31,16 +37,16 @@ sums point by point; it evaluates at its own identification points and
 never through the player's compiled system.
 
 Message order is quizmaster -> player -> quizmaster; questions are fixed up
-front, never adaptive.  Transcripts exported by the quizmaster redact the
-hidden data; two hidden points with the same base polynomial produce
-byte-identical redacted transcripts.
+front, never adaptive.  A transcript's export withholds the hidden point
+unless asked for it; two hidden points with the same base polynomial
+produce byte-identical exports.
 """
 
 from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -175,7 +181,6 @@ class GameTranscript:
     reference: tuple[str, ...]
     verdict: str
     hidden: tuple | None = None
-    hidden_withheld: bool = False
 
     def export(self, include_hidden: bool = False) -> str:
         """Structured-text serialization; the quizmaster export redacts hidden."""
@@ -207,9 +212,6 @@ class GameTranscript:
         else:
             lines.append("hidden: withheld")
         return "\n".join(lines) + "\n"
-
-    def redacted(self) -> "GameTranscript":
-        return replace(self, hidden=None, hidden_withheld=True)
 
 
 # ---------------------------------------------------------------------------
@@ -297,25 +299,6 @@ def player_interpolate(
     if system is None:
         system = evaluation_matrix(pts, support).entries
     return solve_exact(system, list(values))
-
-
-def _answers(circ: Circuit, params: Sequence, strategy: Strategy, ring=RATIONALS) -> list:
-    """The quizmaster's answers to the strategy's questions at ``params``.
-
-    Over the rationals the integer question points go in as they are, so
-    the circuit runs them on integers; other rings get them lifted.
-    """
-    points = strategy.question_points.points
-    if ring is not RATIONALS:
-        points = [[ring.from_rational(x) for x in p] for p in points]
-    return circ.evaluate_points(params, points, ring)
-
-
-def _interpolate(strategy: Strategy, values: Sequence) -> list:
-    """The player's interpolation on the strategy's carried system."""
-    return player_interpolate(
-        values, strategy.question_points, strategy.target_support, strategy.system
-    )
 
 
 def _post_polynomial(post: str, f: Polynomial, n_inputs: int) -> Polynomial:
@@ -432,21 +415,6 @@ def decide_equal(
     return True
 
 
-def _verdict_points(
-    strategy: Strategy,
-    support_star: Sequence[Monomial],
-    support_ref: Sequence[Monomial],
-) -> Sequence[Sequence[int]]:
-    """Identification points for the output carrier comparison."""
-    arity = len(support_star[0]) if support_star else 1
-    if arity == 1:
-        degree = 0
-        for mono in tuple(support_star) + tuple(support_ref):
-            degree = max(degree, mono[0])
-        return symmetric_integer_points(degree + 1)
-    return strategy.question_points.points
-
-
 # ---------------------------------------------------------------------------
 # Games
 # ---------------------------------------------------------------------------
@@ -457,6 +425,100 @@ def _verdict_points(
 # rounds would keep hundreds of kilobytes of dead tuples.
 def _format_values(values, ring) -> tuple[str, ...]:
     return tuple([ring.to_str(v) for v in values])
+
+
+def parameter_point(
+    desc: FamilyDescriptor, values: Sequence, what: str = "hidden point"
+) -> tuple[Fraction, ...]:
+    """``values`` as a point of the family's parameter space, arity checked."""
+    point = tuple([Fraction(x) for x in values])
+    if len(point) != desc.param_arity:
+        raise ArityMismatchError(
+            f"{what} must have arity {desc.param_arity}, got {len(point)}"
+        )
+    return point
+
+
+def check_fiber_base(desc: FamilyDescriptor, base_point: Sequence, samples: int) -> None:
+    """The fiber sampler's input checks: sample count, base arity, t = 0."""
+    if samples < 1:
+        raise QuizlabError(f"fiber samples must be at least 1, got {samples}")
+    if parameter_point(desc, base_point, "base point")[0] != 0:
+        raise NoFiberSamplerError(
+            "no fiber sampler for bases with a nonzero t coordinate"
+        )
+
+
+def check_germ(germ: GermInstance, n_params: int) -> None:
+    """A symbolic round's germ needs one component per circuit parameter."""
+    if len(germ.components) != n_params:
+        raise ArityMismatchError(
+            f"germ has arity {len(germ.components)}, circuit needs {n_params}"
+        )
+
+
+def _play(
+    circ: Circuit, strategy: Strategy, params: Sequence, n_inputs: int, ring=RATIONALS
+):
+    """The player's pass at one parameter point: the quizmaster's answers,
+    the interpolation on the strategy's carried system, and the post map.
+
+    Over the rationals the integer question points go in as they are, so
+    the circuit runs them on integers; other rings get them lifted.
+    Returns (answers, output support, output vector).
+    """
+    points = strategy.question_points.points
+    if ring is not RATIONALS:
+        points = [[ring.from_rational(x) for x in p] for p in points]
+    answers = circ.evaluate_points(params, points, ring)
+    try:
+        coeffs = player_interpolate(
+            answers, strategy.question_points, strategy.target_support, strategy.system
+        )
+    except UnderdeterminedSystemError as exc:
+        raise NonIdentifyingPointsError(str(exc)) from exc
+    support, vector = apply_post_map(
+        strategy.post_map, strategy.target_support, coeffs, n_inputs, ring
+    )
+    return answers, support, vector
+
+
+def _judge(
+    strategy: Strategy,
+    family: str,
+    mode: str,
+    message: tuple[str, ...],
+    player: tuple[tuple[Monomial, ...], tuple],
+    reference: tuple[tuple[Monomial, ...], tuple],
+    hidden: tuple | None = None,
+    tolerance: Fraction | None = None,
+) -> GameTranscript:
+    """The quizmaster's verdict on the player's encoding, and the transcript.
+
+    Univariate carriers are compared at the symmetric points up to their
+    degree, multivariate ones at the strategy's question points.
+    """
+    (support_star, v_star), (support_ref, v_ref) = player, reference
+    if not support_star or len(support_star[0]) == 1:
+        degree = max([mono[0] for mono in (*support_star, *support_ref)], default=0)
+        check_points = symmetric_integer_points(degree + 1)
+    else:
+        check_points = strategy.question_points.points
+    accepted = decide_equal(player, reference, check_points, tolerance)
+    return GameTranscript(
+        family=family,
+        mode=mode,
+        strategy_points=strategy.question_points.points,
+        strategy_support=strategy.target_support,
+        post_map=strategy.post_map,
+        quizmaster_message=message,
+        player_support=support_star,
+        player_message=_format_values(v_star, RATIONALS),
+        reference_support=support_ref,
+        reference=_format_values(v_ref, RATIONALS),
+        verdict=VERDICT_ACCEPT if accepted else VERDICT_REJECT,
+        hidden=hidden,
+    )
 
 
 def run_exact(
@@ -470,45 +532,14 @@ def run_exact(
         raise QuizlabError(
             f"strategy post map {strategy.post_map!r} does not realize task {desc.task!r}"
         )
-    hidden_point = tuple(Fraction(x) for x in hidden)
-    if len(hidden_point) != desc.param_arity:
-        raise ArityMismatchError(
-            f"hidden point must have arity {desc.param_arity}, got {len(hidden_point)}"
-        )
-    values = _answers(build_circuit_cached(desc.base()), hidden_point, strategy)
-    try:
-        coeffs = _interpolate(strategy, values)
-    except UnderdeterminedSystemError as exc:
-        raise NonIdentifyingPointsError(str(exc)) from exc
-    support_star, v_star = apply_post_map(
-        strategy.post_map, strategy.target_support, coeffs, desc.input_arity
+    hidden_point = parameter_point(desc, hidden)
+    circ = build_circuit_cached(desc.base())
+    answers, support_star, v_star = _play(circ, strategy, hidden_point, desc.input_arity)
+    reference = reference_encoding(desc, hidden_point)
+    return _judge(
+        strategy, desc.label(), "exact", _format_values(answers, RATIONALS),
+        (support_star, v_star), reference, hidden=hidden_point,
     )
-    support_ref, v_ref = reference_encoding(desc, hidden_point)
-    check_points = _verdict_points(strategy, support_star, support_ref)
-    accepted = decide_equal((support_star, v_star), (support_ref, v_ref), check_points)
-    return GameTranscript(
-        family=desc.label(),
-        mode="exact",
-        strategy_points=strategy.question_points.points,
-        strategy_support=strategy.target_support,
-        post_map=strategy.post_map,
-        quizmaster_message=_format_values(values, RATIONALS),
-        player_support=support_star,
-        player_message=_format_values(v_star, RATIONALS),
-        reference_support=support_ref,
-        reference=_format_values(v_ref, RATIONALS),
-        verdict=VERDICT_ACCEPT if accepted else VERDICT_REJECT,
-        hidden=hidden_point,
-    )
-
-
-def _target_task_encoding(
-    target: Polynomial, post: str, n_inputs: int
-) -> tuple[tuple[Monomial, ...], tuple]:
-    """Apply the game's task to the target polynomial H."""
-    g = _post_polynomial(post, target, n_inputs)
-    support = g.support()
-    return support, g.coeff_vector(support)
 
 
 def run_approx(
@@ -531,95 +562,59 @@ def run_approx(
         circ = build_circuit_cached(desc.base())
         if strategy is None:
             strategy = builtin_strategy(desc)
+        if strategy.post_map != TASK_TO_POST[desc.task]:
+            raise QuizlabError("strategy post map does not realize the requested task")
         n_inputs = desc.input_arity
         label = desc.label()
-        post = TASK_TO_POST[desc.task]
     else:
-        desc = None
         circ = desc_or_circuit
         if strategy is None:
             raise QuizlabError("an explicit strategy is required for a raw circuit")
         n_inputs = circ.n_inputs
         label = f"circuit(n={circ.n_inputs},r={circ.n_params})"
-        post = strategy.post_map
-    if strategy.post_map != post:
-        raise QuizlabError("strategy post map does not realize the requested task")
-    support_ref, v_ref = _target_task_encoding(target, post, n_inputs)
+    g = _post_polynomial(strategy.post_map, target, n_inputs)
+    support_ref = g.support()
+    reference = support_ref, g.coeff_vector(support_ref)
 
     if config.mode == MODE_SYMBOLIC:
-        germ = config.germ
-        if len(germ.components) != circ.n_params:
-            raise ArityMismatchError(
-                f"germ has arity {len(germ.components)}, circuit needs {circ.n_params}"
-            )
+        check_germ(config.germ, circ.n_params)
         ring = LaurentRing()
-        values = _answers(circ, list(germ.components), strategy, ring)
-        coeffs = _interpolate(strategy, values)
-        support_star, laurent_star = apply_post_map(
-            post, strategy.target_support, coeffs, n_inputs, ring
+        answers, support_star, laurent_star = _play(
+            circ, strategy, list(config.germ.components), n_inputs, ring
         )
         v_star = tuple([laurent_limit(c) for c in laurent_star])
-        check_points = _verdict_points(strategy, support_star, support_ref)
-        accepted = decide_equal(
-            (support_star, v_star), (support_ref, v_ref), check_points
+        return _judge(
+            strategy, label, "approx-symbolic", _format_values(answers, ring),
+            (support_star, v_star), reference,
         )
-        message = _format_values(values, ring)
-        mode = "approx-symbolic"
-        hidden = None
-    else:
-        sequence = sequence_from_germ(config.germ, config.sample_schedule)
-        vectors = []
-        for u_k in sequence:
-            coeffs_k = _interpolate(strategy, _answers(circ, u_k, strategy))
-            _, v_k = apply_post_map(post, strategy.target_support, coeffs_k, n_inputs)
-            vectors.append(tuple(v_k))
-        tail = vectors[len(vectors) // 2 :]
-        tol = config.cluster_tolerance
 
-        def close(a, b) -> bool:
-            # Every vector has the task support's length, so zero tolerance
-            # is plain equality.
-            if not tol:
-                return a == b
-            return all(abs(x - y) <= tol for x, y in zip(a, b))
+    vectors = []
+    for u_k in sequence_from_germ(config.germ, config.sample_schedule):
+        _, support_star, v_k = _play(circ, strategy, u_k, n_inputs)
+        vectors.append(v_k)
+    tail = vectors[len(vectors) // 2 :]
+    tol = config.cluster_tolerance
 
-        best_index, best_coverage = None, 0
-        for i, candidate in enumerate(tail):
-            coverage = sum(1 for other in tail if close(candidate, other))
-            if coverage >= best_coverage:
-                best_index, best_coverage = i, coverage
-        if best_index is None or 2 * best_coverage < len(tail):
-            raise NoStableClusterError(
-                f"no cluster covers half of the schedule tail (best {best_coverage}/{len(tail)})"
-            )
-        v_star = tail[best_index]
-        support_star = _post_support(post, strategy.target_support, n_inputs)
-        check_points = _verdict_points(strategy, support_star, support_ref)
-        accepted = decide_equal(
-            (support_star, v_star),
-            (support_ref, v_ref),
-            check_points,
-            tolerance=tol if tol else None,
+    def close(a, b) -> bool:
+        # Every vector has the task support's length, so zero tolerance
+        # is plain equality.
+        if not tol:
+            return a == b
+        return all(abs(x - y) <= tol for x, y in zip(a, b))
+
+    best_index, best_coverage = None, 0
+    for i, candidate in enumerate(tail):
+        coverage = sum(1 for other in tail if close(candidate, other))
+        if coverage >= best_coverage:
+            best_index, best_coverage = i, coverage
+    if best_index is None or 2 * best_coverage < len(tail):
+        raise NoStableClusterError(
+            f"no cluster covers half of the schedule tail (best {best_coverage}/{len(tail)})"
         )
-        message = tuple(
-            ";".join(rational_to_str(x) for x in vec) for vec in vectors
-        )
-        mode = "approx-numeric"
-        hidden = None
-
-    return GameTranscript(
-        family=label,
-        mode=mode,
-        strategy_points=strategy.question_points.points,
-        strategy_support=strategy.target_support,
-        post_map=post,
-        quizmaster_message=tuple(message),
-        player_support=support_star,
-        player_message=tuple([rational_to_str(Fraction(x)) for x in v_star]),
-        reference_support=support_ref,
-        reference=tuple([rational_to_str(Fraction(x)) for x in v_ref]),
-        verdict=VERDICT_ACCEPT if accepted else VERDICT_REJECT,
-        hidden=hidden,
+    message = tuple([";".join(_format_values(vec, RATIONALS)) for vec in vectors])
+    return _judge(
+        strategy, label, "approx-numeric", message,
+        (support_star, tail[best_index]), reference, tolerance=tol if tol else None,
     )
 
 
@@ -637,17 +632,7 @@ def fiber_image(
     {(0, u)} maps to one quizmaster message and hence one player vector.
     Only such t = 0 bases have a known fiber sampler.
     """
-    if samples < 1:
-        raise QuizlabError(f"fiber samples must be at least 1, got {samples}")
-    base = tuple(Fraction(x) for x in base_point)
-    if len(base) != desc.param_arity:
-        raise ArityMismatchError(
-            f"base point must have arity {desc.param_arity}, got {len(base)}"
-        )
-    if base[0] != 0:
-        raise NoFiberSamplerError(
-            "no fiber sampler for bases with a nonzero t coordinate"
-        )
+    check_fiber_base(desc, base_point, samples)
     strategy = strategy if strategy is not None else builtin_strategy(desc)
     circ = build_circuit_cached(desc.base())
     rng = random.Random(seed)
@@ -656,9 +641,5 @@ def fiber_image(
         fiber_point = (Fraction(0),) + tuple(
             Fraction(rng.randint(-8, 8)) for _ in range(desc.param_arity - 1)
         )
-        coeffs = _interpolate(strategy, _answers(circ, fiber_point, strategy))
-        _, v = apply_post_map(
-            strategy.post_map, strategy.target_support, coeffs, desc.input_arity
-        )
-        seen.add(tuple(v))
+        seen.add(tuple(_play(circ, strategy, fiber_point, desc.input_arity)[2]))
     return tuple(sorted(seen))

@@ -59,7 +59,7 @@ from .families import (
     power_form_row,
     univariate_d,
 )
-from .poly import Monomial, Polynomial
+from .poly import Monomial, Polynomial, root_product_coefficients
 
 VARIANT_BASE = "base"
 VARIANT_DERIVATIVE = "derivative"
@@ -421,10 +421,7 @@ def _hypercube_lk_rows(n: int) -> tuple[list[Monomial], list[list[int]]]:
     """The vertex monomials m_j and, per L_k, the integer coefficient of each m_j."""
     size = hypercube_size(n)
     # f0 = prod_{j<size} (Y - j) as integer coefficients, degree ascending.
-    f0 = [1]
-    for j in range(size):
-        f0 = [0] + f0
-        f0 = [c - j * f0_next for c, f0_next in zip(f0, f0[1:] + [0])]
+    f0 = root_product_coefficients(range(size))
     monos = [tuple((j >> i) & 1 for i in range(n)) for j in range(size)]
     rows = [[0] * size for _ in range(size)]
     for j in range(size):

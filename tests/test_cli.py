@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from quizlab import cli
 from quizlab.cli import main
 
 from conftest import MALFORMED_CIRCUIT_FILES
@@ -204,6 +205,17 @@ def test_formula_cli(capsys):
     assert "equations: 18" in out
 
 
+# Input errors of the game commands at the neural-power desk cap, whose
+# strategy takes seconds to certify; each is reported before it is built.
+SLOW_STRATEGY_INPUT_ERRORS = [
+    ["game", "fiber", "--family", "neural-power", "--n", "6", "--base", "1,1,1,1,1,1,1",
+     "--samples", "5"],
+    ["game", "exact", "--family", "neural-power", "--n", "6", "--hidden", "1"],
+    ["game", "exact", "--family", "neural-power", "--n", "6", "--hidden", "1/0"],
+    ["game", "approx", "--family", "neural-power", "--n", "6", "--germ", "1;;"],
+]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -253,6 +265,7 @@ def test_formula_cli(capsys):
         ["idseq", "sample", "--n=-1", "--m=2", "--set-size=3"],
         ["game", "fiber", "--family=univariate-d", "--d=2", "--base=0", "--samples=0"],
         ["game", "fiber", "--family=univariate-d", "--d=2", "--base=0", "--samples=-1"],
+        *SLOW_STRATEGY_INPUT_ERRORS,
     ],
 )
 def test_malformed_value_exits_2(argv, tmp_path):
@@ -304,12 +317,36 @@ def test_malformed_value_exits_2(argv, tmp_path):
              "--expansion-cap=-1"],
             "--expansion-cap must be at least 1, got -1",
         ),
+        (["circuit", "eval", "--params", "1", "--inputs", "1"], "unknown family variant None"),
+        (["approx", "encode"], "unknown family variant None"),
+        (["game", "approx"], "unknown family variant None"),
     ],
 )
 def test_malformed_value_message_names_it(argv, message, capsys):
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (2, "")
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    zip(
+        SLOW_STRATEGY_INPUT_ERRORS,
+        [
+            "no fiber sampler for bases with a nonzero t coordinate",
+            "hidden point must have arity 7, got 1",
+            "invalid rational '1/0'",
+            "invalid rational ''",
+        ],
+    ),
+)
+def test_game_input_error_precedes_the_strategy(argv, message, monkeypatch, capsys):
+    def no_strategy(*args, **kwargs):
+        raise AssertionError("the strategy was built before the input was checked")
+
+    monkeypatch.setattr(cli, "builtin_strategy", no_strategy)
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_expansion_cap_flag_sets_the_cap(capsys):

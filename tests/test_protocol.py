@@ -371,6 +371,18 @@ def test_non_identifying_points_error():
     )
     with pytest.raises(NonIdentifyingPointsError):
         run_exact(desc, [2], strategy=bad)
+    # every mode plays the same player pass, so every mode converts the error
+    target = expand_family(desc, [2])
+    for mode in (MODE_SYMBOLIC, MODE_NUMERIC):
+        config = ApproxGameConfig(
+            germ=GermInstance.constant([2]),
+            mode=mode,
+            sample_schedule=tuple(Fraction(1, 2 ** k) for k in range(1, 9)),
+        )
+        with pytest.raises(NonIdentifyingPointsError):
+            run_approx(desc, bad, config, target)
+    with pytest.raises(NonIdentifyingPointsError):
+        fiber_image(desc, bad, (0,), samples=3, seed=0)
 
 
 def test_inconsistent_support_signals_nonmembership():
@@ -409,8 +421,6 @@ def test_information_hiding_audit():
     assert "withheld" in t1.export(include_hidden=False)
     audit = t1.export(include_hidden=True)
     assert "3/1" in audit.split("hidden: ")[1]
-    redacted = t1.redacted()
-    assert redacted.hidden is None and redacted.hidden_withheld
 
 
 def test_fiber_image_examples(rng):
