@@ -287,11 +287,11 @@ def cmd_idseq_verify(args) -> None:
 
 
 # The game commands parse and check their input before they build the
-# strategy, whose span certificate is the slow step at the desk caps.
+# strategy, so a usage error never waits for the strategy's set-up.
 def cmd_game_exact(args) -> None:
     desc = family_from_args(args)
     hidden = parameter_point(desc, parse_vector(args.hidden))
-    strategy = builtin_strategy(desc, seed=args.seed)
+    strategy = builtin_strategy(desc)
     transcript = run_exact(desc, hidden, strategy=strategy)
     body = transcript.export(include_hidden=args.audit).rstrip("\n").split("\n")
     emit(args, report_header(args, "game exact") + body)
@@ -332,9 +332,8 @@ def cmd_game_approx(args) -> None:
             target_support=((2, 0), (1, 1), (0, 2)),
         )
     else:
-        if not args.numeric:
-            check_germ(germ, subject.param_arity)
-        strategy = builtin_strategy(subject, seed=args.seed)
+        check_germ(germ, subject.param_arity)
+        strategy = builtin_strategy(subject)
     transcript = run_approx(subject, strategy, config, target)
     body = transcript.export(include_hidden=args.audit).rstrip("\n").split("\n")
     emit(args, report_header(args, "game approx") + body)
@@ -344,7 +343,7 @@ def cmd_game_fiber(args) -> None:
     desc = family_from_args(args)
     base = parse_vector(args.base)
     check_fiber_base(desc, base, args.samples)
-    strategy = builtin_strategy(desc, seed=args.seed)
+    strategy = builtin_strategy(desc)
     vectors = fiber_image(desc, strategy, base, args.samples, args.seed)
     lines = report_header(args, "game fiber") + [f"distinct_vectors: {len(vectors)}"]
     for vec in vectors:

@@ -22,6 +22,10 @@ support.  The modes differ in the point and the ring only:
 * fiber sampler: sampled points of a t = 0 fiber, keeping the distinct
   player vectors.
 
+The built-in strategy asks at points fixed by the support alone, with no
+random draw (``builtin_strategy``); the first round's elimination is the
+only identification check.
+
 Because the questions are fixed before the round, a rational round does
 integer work only.  The strategy carries its question matrix, compiled once
 on first use into integer rows (``Strategy.system``), and each round applies
@@ -73,7 +77,7 @@ from .families import (
     expand_family,
     vertex_elimination,
 )
-from .identify import IdentificationSequence, sample_sequence, verify_linear_span
+from .identify import IdentificationSequence
 from .kronecker import build_theta_matrix, char_poly
 from .poly import Monomial, Polynomial, from_coeff_vector
 from .witness import (
@@ -231,43 +235,32 @@ def symmetric_integer_points(count: int) -> tuple[tuple[int, ...], ...]:
 
 
 def builtin_strategy(desc: FamilyDescriptor, seed: int = 0) -> Strategy:
-    """The library's winning strategy for a family/task.
+    """The library's winning strategy: the base family's generic support,
+    asked at points unisolvent for it, so no draw or certificate is needed.
 
-    Interpolates the base family on its full generic support.  Univariate
-    families on the powers 1, X, ..., X^(m-1) use the fixed symmetric points
-    0, 1, -1, ..., which identify them as any m distinct points do.  Other
-    univariate supports (X alone for neural-power n=1) use 1, 2, ..., m: a
-    matrix of distinct powers at distinct positive points is nonsingular,
-    and the linear-span certificate checks it.  Multivariate families draw
-    points from a small box and re-draw (deterministically) until the
-    certificate passes.
+    The powers 1, X, ..., X^(m-1) of one variable take the symmetric points
+    0, 1, -1, ...; any m distinct points do.  Every other support takes its
+    own exponent vectors:
+
+    * multilinear (hypercube-shift, kronecker-diag): the cube {0,1}^n.  x^T
+      is 1 at the point S exactly when T is a subset of S, a unitriangular
+      matrix (the zeta transform of the subset lattice);
+    * degree below 2^l (easy-power-sum): the principal lattice, a lower set
+      and so unisolvent (Chung and Yao, 1977);
+    * forms of degree n in n variables (neural-power): the slice |a| = n.
+      Setting x_n = n - x_1 - ... - x_(n-1) takes a form vanishing there to
+      a polynomial of degree at most n vanishing on the lower set |b| <= n,
+      hence zero; a form zero on the plane sum(x) = n is zero everywhere.
+
+    ``seed`` has no effect; it stays for callers that pass it.
     """
-    base = desc.base()
-    support = base.base_support()
-    m = len(support)
-    if base.input_arity == 1 and support == tuple([(j,) for j in range(m)]):
-        points = IdentificationSequence.from_points(
-            symmetric_integer_points(m), source_set_size=0, seed=None
-        )
-    elif base.input_arity == 1:
-        points = IdentificationSequence.from_points(
-            [(x,) for x in range(1, m + 1)], source_set_size=0, seed=None
-        )
-        if not verify_linear_span(points, support):
-            raise QuizlabError("could not find identifying question points")
+    support = desc.base_support()
+    if support == tuple([(j,) for j in range(len(support))]):
+        points = symmetric_integer_points(len(support))
     else:
-        box = max(4 * m, 8)
-        attempt = 0
-        while True:
-            candidate = sample_sequence(base.input_arity, m, box, seed + attempt)
-            if verify_linear_span(candidate, support):
-                points = candidate
-                break
-            attempt += 1
-            if attempt > 64:
-                raise QuizlabError("could not find identifying question points")
+        points = support
     return Strategy(
-        question_points=points,
+        question_points=IdentificationSequence.from_points(points),
         target_support=support,
         post_map=TASK_TO_POST[desc.task],
     )
@@ -450,7 +443,7 @@ def check_fiber_base(desc: FamilyDescriptor, base_point: Sequence, samples: int)
 
 
 def check_germ(germ: GermInstance, n_params: int) -> None:
-    """A symbolic round's germ needs one component per circuit parameter."""
+    """A round's germ needs one component per circuit parameter, in either mode."""
     if len(germ.components) != n_params:
         raise ArityMismatchError(
             f"germ has arity {len(germ.components)}, circuit needs {n_params}"
@@ -575,9 +568,9 @@ def run_approx(
     g = _post_polynomial(strategy.post_map, target, n_inputs)
     support_ref = g.support()
     reference = support_ref, g.coeff_vector(support_ref)
+    check_germ(config.germ, circ.n_params)
 
     if config.mode == MODE_SYMBOLIC:
-        check_germ(config.germ, circ.n_params)
         ring = LaurentRing()
         answers, support_star, laurent_star = _play(
             circ, strategy, list(config.germ.components), n_inputs, ring

@@ -206,13 +206,16 @@ def test_formula_cli(capsys):
 
 
 # Input errors of the game commands at the neural-power desk cap, whose
-# strategy takes seconds to certify; each is reported before it is built.
+# first round compiles its questions for minutes; each is reported before
+# the strategy is built.  The last is a wrong-arity germ in numeric mode.
 SLOW_STRATEGY_INPUT_ERRORS = [
     ["game", "fiber", "--family", "neural-power", "--n", "6", "--base", "1,1,1,1,1,1,1",
      "--samples", "5"],
     ["game", "exact", "--family", "neural-power", "--n", "6", "--hidden", "1"],
     ["game", "exact", "--family", "neural-power", "--n", "6", "--hidden", "1/0"],
     ["game", "approx", "--family", "neural-power", "--n", "6", "--germ", "1;;"],
+    ["game", "approx", "--family", "neural-power", "--n", "2", "--germ", "1;1", "--numeric",
+     "--target", "1", "--target-support", "2,0"],
 ]
 
 
@@ -265,6 +268,8 @@ SLOW_STRATEGY_INPUT_ERRORS = [
         ["idseq", "sample", "--n=-1", "--m=2", "--set-size=3"],
         ["game", "fiber", "--family=univariate-d", "--d=2", "--base=0", "--samples=0"],
         ["game", "fiber", "--family=univariate-d", "--d=2", "--base=0", "--samples=-1"],
+        ["game", "approx", "--border", "--germ", "1;1", "--numeric", "--target=1,1,0",
+         "--target-support=2,0;1,1;0,2"],
         *SLOW_STRATEGY_INPUT_ERRORS,
     ],
 )
@@ -294,6 +299,11 @@ def test_malformed_value_exits_2(argv, tmp_path):
             "--samples must be at least 1, got -1",
         ),
         (["game", "approx", "--border", "--samples=0"], "--samples must be at least 1, got 0"),
+        (
+            ["game", "approx", "--border", "--germ", "1;1", "--numeric", "--target=1,1,0",
+             "--target-support=2,0;1,1;0,2"],
+            "germ has arity 2, circuit needs 3",
+        ),
         (
             ["game", "approx", "--border", "--numeric", "--tolerance=-1"],
             "cluster tolerance must be nonnegative, got -1",
@@ -337,6 +347,7 @@ def test_malformed_value_message_names_it(argv, message, capsys):
             "hidden point must have arity 7, got 1",
             "invalid rational '1/0'",
             "invalid rational ''",
+            "germ has arity 2, circuit needs 3",
         ],
     ),
 )

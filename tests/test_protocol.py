@@ -1,6 +1,7 @@
 """Quiz-game rounds: exact, approximative, fibers, information hiding."""
 
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -47,7 +48,7 @@ from quizlab.protocol import (
     run_exact,
     symmetric_integer_points,
 )
-from quizlab.witness import evaluation_matrix
+from quizlab.witness import evaluation_matrix, spans
 from conftest import lagrange_interpolate, random_fraction
 
 
@@ -538,3 +539,47 @@ def test_univariate_points_without_the_constant_start_at_1():
     for desc in (univariate_d(4), easy_power_sum(2, 1), hypercube_shift(1), kronecker_diag(1)):
         m = len(desc.base_support())
         assert builtin_strategy(desc).question_points.points == symmetric_integer_points(m)
+    # Every other support is asked at its own exponent vectors, whatever the seed.
+    for desc in (easy_power_sum(2, 2), neural_power(3), hypercube_shift(3), kronecker_diag(2)):
+        strategy = builtin_strategy(desc)
+        assert strategy.question_points.points == desc.base_support()
+        assert all(builtin_strategy(desc, seed=seed) == strategy for seed in (0, 1, 7))
+
+
+# Every multivariate base support up to its desk cap, and neural-power(1).
+OWN_POINT_SUPPORTS = [
+    *[easy_power_sum(l, n) for n in range(2, 9) for l in range(1, 8 // n + 1)],
+    *[neural_power(n) for n in range(1, 7)],
+    *[hypercube_shift(n) for n in range(2, 6)],
+    *[kronecker_diag(k) for k in range(2, 6)],
+]
+
+
+@pytest.mark.parametrize("desc", OWN_POINT_SUPPORTS, ids=lambda desc: desc.label())
+def test_every_support_spans_at_its_own_exponents(desc):
+    support = desc.base_support()
+    assert spans(builtin_strategy(desc).question_points.points, support)
+
+
+# One round at the desk cap, set-up included, within a wall budget of several
+# times its measured time (0.65 s for neural-power(5), 15 ms or less for the
+# others).  easy-power-sum(4, 2), easy-power-sum(8, 1), univariate-d(64) and
+# neural-power(6) still compile for seconds to minutes, and are left out.
+@pytest.mark.parametrize(
+    "desc, budget_s",
+    [
+        (hypercube_shift(5, TASK_ELIMINATION), 2.0),
+        (kronecker_diag(5, TASK_CHARPOLY), 2.0),
+        (easy_power_sum(2, 4), 2.0),
+        (easy_power_sum(1, 8), 2.0),
+        (neural_power(5), 10.0),
+    ],
+    ids=["hypercube-shift-5", "kronecker-diag-5", "easy-power-sum-2-4", "easy-power-sum-1-8",
+         "neural-power-5"],
+)
+def test_game_exact_at_the_desk_cap_accepts_within_budget(desc, budget_s):
+    hidden = [Fraction((-1) ** j * (j + 1), 1 + j % 2) for j in range(desc.param_arity)]
+    start = time.perf_counter()
+    transcript = run_exact(desc, hidden, strategy=builtin_strategy(desc))
+    assert transcript.verdict == "accept"
+    assert time.perf_counter() - start < budget_s
