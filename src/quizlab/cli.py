@@ -66,7 +66,6 @@ from .protocol import (
     Strategy,
     builtin_strategy,
     check_fiber_base,
-    check_germ,
     fiber_image,
     parameter_point,
     run_approx,
@@ -286,8 +285,8 @@ def cmd_idseq_verify(args) -> None:
     emit(args, report_header(args, "idseq verify") + [f"identifies_span: {ok}"])
 
 
-# The game commands parse and check their input before they build the
-# strategy, so a usage error never waits for the strategy's set-up.
+# The game commands check their input before the first round compiles the
+# strategy's questions (``Strategy.system``), the slow step at a desk cap.
 def cmd_game_exact(args) -> None:
     desc = family_from_args(args)
     hidden = parameter_point(desc, parse_vector(args.hidden))
@@ -332,7 +331,6 @@ def cmd_game_approx(args) -> None:
             target_support=((2, 0), (1, 1), (0, 2)),
         )
     else:
-        check_germ(germ, subject.param_arity)
         strategy = builtin_strategy(subject)
     transcript = run_approx(subject, strategy, config, target)
     body = transcript.export(include_hidden=args.audit).rstrip("\n").split("\n")

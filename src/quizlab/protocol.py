@@ -5,11 +5,11 @@ evaluation questions by running the family circuit at a parameter point;
 the player interpolates exactly on a declared support and re-encodes
 (optionally differentiating, integrating, or repacking vertex values into
 an elimination/characteristic polynomial); the quizmaster compares the
-player's encoding with a reference by evaluation at identification points.
-One player pass (answers, interpolation, post map) and one judge (verdict
-points, ``decide_equal``, transcript) serve every mode, so every mode
-raises NonIdentifyingPointsError when the questions do not pin down the
-support.  The modes differ in the point and the ring only:
+player's encoding with a reference by evaluation at points that identify
+both supports.  One player pass (answers, interpolation, post map) and one
+judge (verdict points, ``decide_equal``, transcript) serve every mode, so
+every mode raises NonIdentifyingPointsError when the questions do not pin
+down the support.  The modes differ in the point and the ring only:
 
 * exact: the hidden point over the rationals, against a reference computed
   directly from it;
@@ -49,6 +49,7 @@ produce byte-identical exports.
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -488,15 +489,21 @@ def _judge(
 ) -> GameTranscript:
     """The quizmaster's verdict on the player's encoding, and the transcript.
 
-    Univariate carriers are compared at the symmetric points up to their
-    degree, multivariate ones at the strategy's question points.
+    The check points identify both supports: for one variable the symmetric
+    points up to the degree; for several the question points when both lie
+    in the strategy's support (its compile showed they identify it), else
+    the exponent vectors of their lower closure A, unisolvent as the falling
+    factorials N_a (a in A) span it, N_a(b) = 0 unless a <= b, N_a(a) != 0.
     """
     (support_star, v_star), (support_ref, v_ref) = player, reference
+    both = [*support_star, *support_ref]  # a list, as in _format_values
     if not support_star or len(support_star[0]) == 1:
-        degree = max([mono[0] for mono in (*support_star, *support_ref)], default=0)
-        check_points = symmetric_integer_points(degree + 1)
-    else:
+        check_points = symmetric_integer_points(max([m[0] for m in both], default=0) + 1)
+    elif set(both) <= set(strategy.target_support):
         check_points = strategy.question_points.points
+    else:
+        closure = {b for a in both for b in itertools.product(*[range(e + 1) for e in a])}
+        check_points = sorted(closure)
     accepted = decide_equal(player, reference, check_points, tolerance)
     return GameTranscript(
         family=family,

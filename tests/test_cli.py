@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from quizlab import cli
+from quizlab import cli, protocol
 from quizlab.cli import main
 
 from conftest import MALFORMED_CIRCUIT_FILES
@@ -94,6 +94,20 @@ def test_game_exact_example(capsys):
     assert "verdict: accept" in out
     assert "quizmaster_message: 7/1;49/1;21/1" in out
     assert "hidden: withheld" in out
+
+
+# The target has x1^2 where the player's limit has x1; the two agree on the
+# cube {0,1}^2 the player asks, so the verdict checks beyond those points.
+@pytest.mark.parametrize("mode", [[], ["--numeric"]], ids=["symbolic", "numeric"])
+def test_game_approx_target_outside_the_support_rejects(mode, capsys):
+    argv = [
+        "game", "approx", "--family", "hypercube-shift", "--n", "2", "--germ", "7/2;-1/2;3",
+        "--target", "7/2,-17/4,9,-21/2", "--target-support", "0,0;2,0;0,1;1,1", *mode,
+    ]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert "player_message: 7/2;-17/4;9/1;-21/2" in out
+    assert "verdict: reject" in out
 
 
 def test_game_exact_audit_includes_hidden(capsys):
@@ -207,7 +221,7 @@ def test_formula_cli(capsys):
 
 # Input errors of the game commands at the neural-power desk cap, whose
 # first round compiles its questions for minutes; each is reported before
-# the strategy is built.  The last is a wrong-arity germ in numeric mode.
+# that compile.  The last is a wrong-arity germ in numeric mode.
 SLOW_STRATEGY_INPUT_ERRORS = [
     ["game", "fiber", "--family", "neural-power", "--n", "6", "--base", "1,1,1,1,1,1,1",
      "--samples", "5"],
@@ -352,10 +366,10 @@ def test_malformed_value_message_names_it(argv, message, capsys):
     ),
 )
 def test_game_input_error_precedes_the_strategy(argv, message, monkeypatch, capsys):
-    def no_strategy(*args, **kwargs):
-        raise AssertionError("the strategy was built before the input was checked")
+    def no_compile(*args, **kwargs):
+        raise AssertionError("the questions were compiled before the input was checked")
 
-    monkeypatch.setattr(cli, "builtin_strategy", no_strategy)
+    monkeypatch.setattr(protocol, "compile_system", no_compile)
     code, out, err = run_cli(argv, capsys)
     assert (code, out, err) == (2, "", f"error: {message}\n")
 

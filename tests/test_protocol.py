@@ -528,6 +528,42 @@ def test_approx_numeric_no_cluster():
         run_approx(desc, None, config, target)
 
 
+def _x1(desc, shift: int) -> Polynomial:
+    return Polynomial.variable(desc.input_arity, 0) - Polynomial.constant(desc.input_arity, shift)
+
+
+# Each pair is a family and a nonzero polynomial outside its support that
+# vanishes at every one of its question points: x1^2 - x1 on the cube,
+# x1 (x1 - 1) (x1 - 2) (x1 - 3) on the lattice |a| < 4, x1 + x2 - 2 on the
+# slice |a| = 2.
+VANISHING_ON_THE_QUESTIONS = [
+    (hypercube_shift(2), lambda d: _x1(d, 0) * _x1(d, 1)),
+    (easy_power_sum(2, 2), lambda d: _x1(d, 0) * _x1(d, 1) * _x1(d, 2) * _x1(d, 3)),
+    (neural_power(2), lambda d: _x1(d, 2) + Polynomial.variable(2, 1)),
+]
+
+
+@pytest.mark.parametrize("mode", [MODE_SYMBOLIC, MODE_NUMERIC])
+@pytest.mark.parametrize(
+    "desc, vanishing", VANISHING_ON_THE_QUESTIONS, ids=["cube", "lattice", "slice"]
+)
+def test_approx_target_outside_the_support_is_rejected(desc, vanishing, mode):
+    hidden = tuple(Fraction(j + 2, 2) for j in range(desc.param_arity))
+    strategy = builtin_strategy(desc)
+    p = vanishing(desc)
+    assert not p.is_zero()
+    assert all(p.evaluate(x) == 0 for x in strategy.question_points.points)
+    limit = expand_family(desc, hidden)
+    config = ApproxGameConfig(
+        germ=GermInstance.constant(hidden),
+        mode=mode,
+        sample_schedule=tuple(Fraction(1, 2 ** k) for k in range(1, 9)),
+        cluster_tolerance=Fraction(1, 64),
+    )
+    assert run_approx(desc, strategy, config, limit).verdict == "accept"
+    assert run_approx(desc, strategy, config, limit + p).verdict == "reject"
+
+
 def test_symmetric_points():
     assert symmetric_integer_points(5) == ((0,), (1,), (-1,), (2,), (-2,))
 
