@@ -12,13 +12,21 @@ rationals each row is cleared of its denominators, and one fraction-free
 loop (Bareiss 1968) serves both callers: run forward only, it gives the
 rank; run as Gauss-Jordan on [A' | diag(s)], it compiles a linear system
 once (``compile_system``) for any number of right-hand sides.  A matrix
-over F_p carries its prime as ``modulus`` and holds integer residues,
-which Gaussian elimination mod p ranks row by row, stopping once the rank
-reaches the width.  A rational rank is certified mod RANK_PRIME first:
-every minor mod p is the residue of the integer minor, so the rank mod p
-never exceeds the rank over Q, and full rank mod p is exact.  Bareiss
-runs only on a shortfall.  perfbench checks span certificates mod
-2^61 - 1, so this prime differs to keep that check independent.
+over F_p carries its prime as ``modulus`` and holds integer residues.
+One kernel ranks every matrix over F_p, row by row, and stops once the
+rank reaches the width.  It packs each row into one int, a field of
+W = 2 bits(p) + bits(width) bits per column (Kronecker substitution over a
+small field, after Dumas, Fousse and Salvy 2011), so that clearing a
+column against a pivot row is one big-integer multiply-add.  Pivot rows
+are kept reduced, every field below p, and a new row's fields start below
+p.  Each of the fewer than width pivots adds at most (p - 1)^2 to a field,
+so a field stays below width * p^2 < 2^W and never carries into the next
+one.  A reduced row is unpacked once, to reduce its fields mod p.  A
+rational rank is certified mod RANK_PRIME first: every minor mod p is the
+residue of the integer minor, so the rank mod p never exceeds the rank
+over Q, and full rank mod p is exact.  Bareiss runs only on a shortfall.
+perfbench checks span certificates mod 2^61 - 1, so this prime differs to
+keep that check independent.
 Root-of-unity matrices are verified modulo a prime p = 1 (mod D+1): the
 entries live in Z[zeta] and reduce to F_p through a ring morphism, so a
 nonzero determinant mod p certifies a nonzero determinant over the
@@ -27,6 +35,7 @@ complex numbers.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import random
@@ -59,7 +68,7 @@ from .families import (
     power_form_row,
     univariate_d,
 )
-from .poly import Monomial, Polynomial, root_product_coefficients
+from .poly import Monomial, root_product_coefficients
 
 VARIANT_BASE = "base"
 VARIANT_DERIVATIVE = "derivative"
@@ -125,20 +134,35 @@ def _bareiss(grid: list[list[int]], width: int, above: bool) -> tuple[list[int],
 
 def _rank_prime_field(rows: Iterable[Sequence[int]], p: int = RANK_PRIME) -> int:
     """Rank over F_p of integer rows, taken one at a time.  Each row is
-    reduced against the pivot rows so far, and the loop stops once the rank
-    reaches the width, so later rows are never even built."""
-    pivots: list[tuple[int, list[int]]] = []
+    packed into one int, one field of w bits per column (the module
+    docstring gives the bound behind w).  Each pivot, in column order, adds
+    (p - f) times its packed row, where f is the row's field at the pivot
+    column mod p.  The row is then unpacked once: its first nonzero field is
+    its pivot, and the scaled row is packed again as a pivot.  The loop stops
+    once the rank reaches the width, so later rows are never even built."""
+    pivots: list[tuple[int, int]] = []  # (pivot column * w, packed row), by column
+    shifts = None
     for row in rows:
-        r = [x % p for x in row]
-        for col, top in pivots:
-            f = r[col]
+        if shifts is None:
+            w = 2 * p.bit_length() + len(row).bit_length()
+            mask = (1 << w) - 1
+            shifts = range(0, len(row) * w, w)
+        acc = 0
+        for x in reversed(row):
+            acc = acc << w | x % p
+        for shift, top in pivots:
+            f = (acc >> shift & mask) % p
             if f:
-                r = [(a - f * b) % p for a, b in zip(r, top)]
-        col = next((j for j, x in enumerate(r) if x), None)
+                acc += (p - f) * top
+        fields = [(acc >> s & mask) % p for s in shifts]
+        col = next((j for j, x in enumerate(fields) if x), None)
         if col is not None:
-            inv = pow(r[col], -1, p)
-            pivots.append((col, [x * inv % p for x in r]))
-            if len(pivots) == len(r):
+            inv = pow(fields[col], -1, p)
+            top = 0
+            for x in reversed(fields):
+                top = top << w | x * inv % p
+            bisect.insort(pivots, (col * w, top))
+            if len(pivots) == len(fields):
                 break
     return len(pivots)
 
@@ -432,22 +456,6 @@ def _hypercube_lk_rows(n: int) -> tuple[list[Monomial], list[list[int]]]:
             carry = f0[deg] + j * carry
             rows[size - deg][j] = -carry
     return monos, rows
-
-
-def hypercube_lk_coefficients(n: int) -> list[Polynomial]:
-    """The direction polynomials L_1..L_{2^n} of the hypercube coefficients.
-
-    Write prod_{j < 2^n} (Y - (j + T * m_j(U))) = Y^{2^n} + B_1 Y^{2^n - 1}
-    + ... + B_{2^n} with m_j(U) = prod_i U_i^[j]_i.  Working mod T^2 gives
-    B_k = const + T * L_k, and the T-linear part of the product is
-    -sum_j m_j(U) * prod_{i != j} (Y - i), so each quotient by (Y - j) is
-    computed by synthetic division of the integer polynomial prod (Y - i).
-    Returns [L_1, ..., L_{2^n}] as polynomials in U_1..U_n.
-    """
-    monos, rows = _hypercube_lk_rows(n)
-    return [
-        Polynomial.make(n, {m: Fraction(c) for m, c in zip(monos, row)}) for row in rows
-    ]
 
 
 def hypercube_lk_matrix(n: int, points: Sequence[Sequence[int]]) -> ExactMatrix:

@@ -41,6 +41,26 @@ def naive_rank(rows) -> int:
     return rank
 
 
+def naive_rank_mod_p(rows, p: int) -> int:
+    """Textbook Gaussian elimination over F_p on lists of residues."""
+    grid = [[x % p for x in row] for row in rows]
+    if not grid:
+        return 0
+    m, n = len(grid), len(grid[0])
+    rank = 0
+    for col in range(n):
+        pivot = next((r for r in range(rank, m) if grid[r][col]), None)
+        if pivot is None:
+            continue
+        grid[rank], grid[pivot] = grid[pivot], grid[rank]
+        inverse = pow(grid[rank][col], -1, p)
+        for r in range(rank + 1, m):
+            factor = grid[r][col] * inverse % p
+            grid[r] = [(a - factor * b) % p for a, b in zip(grid[r], grid[rank])]
+        rank += 1
+    return rank
+
+
 def lagrange_interpolate(xs, ys):
     """Coefficients (ascending) of the unique degree < len(xs) interpolant."""
     xs = [Fraction(x) for x in xs]
@@ -218,6 +238,29 @@ class GenericRationals:
         RationalRing.neg,
     )
     is_zero, to_str = RationalRing.is_zero, RationalRing.to_str
+
+
+def hypercube_lk_coefficients(n):
+    """The direction polynomials L_1..L_{2^n} in U_1..U_n, from their
+    definition: the T-linear part of prod_{j < 2^n} (Y - (j + T m_j(U))),
+    where m_j is the product of the U_i over the set bits i of j, is
+    -sum_j m_j(U) prod_{i != j} (Y - i), and L_k is its Y^(2^n - k)
+    coefficient.  Each product over i != j is multiplied out on its own."""
+    size = 2 ** n
+    others = []
+    for j in range(size):
+        coeffs = [1]  # ascending in Y
+        for i in range(size):
+            if i != j:
+                coeffs = [a - i * b for a, b in zip([0] + coeffs, coeffs + [0])]
+        others.append(coeffs)
+    monos = [tuple((j >> i) & 1 for i in range(n)) for j in range(size)]
+    return [
+        Polynomial.make(
+            n, {mono: Fraction(-others[j][size - k]) for j, mono in enumerate(monos)}
+        )
+        for k in range(1, size + 1)
+    ]
 
 
 def naive_vertex_elimination(f, n):

@@ -17,7 +17,7 @@ from quizlab.families import (
 from quizlab.kronecker import build_theta_matrix, verify_lemma_identities
 from quizlab.witness import (
     VARIANT_BASE,
-    hypercube_lk_coefficients,
+    hypercube_size,
     roots_of_unity_matrix,
 )
 
@@ -30,7 +30,7 @@ NO_OVERRIDE = "; no override"
         (lambda: elimination_poly(11, 1, (1,) * 11), ("n=11", "exceeds 10", NO_OVERRIDE)),
         (lambda: build_theta_matrix(9, 1, (1,) * 9), ("k=9", "exceeds 8", NO_OVERRIDE)),
         (lambda: verify_lemma_identities(6, 1, (1,) * 6), ("k=6", "exceeds 5", NO_OVERRIDE)),
-        (lambda: hypercube_lk_coefficients(6), ("n=6", "exceeds 5", NO_OVERRIDE)),
+        (lambda: hypercube_size(6), ("n=6", "exceeds 5", NO_OVERRIDE)),
         (lambda: roots_of_unity_matrix(65, VARIANT_BASE), ("d = 65", "d <= 64", NO_OVERRIDE)),
         (lambda: easy_power_sum(3, 3), ("n*l = 9", "n*l <= 8", NO_OVERRIDE)),
         (lambda: neural_power(7), ("n = 7", "n <= 6", NO_OVERRIDE)),

@@ -42,7 +42,6 @@ from quizlab.witness import (
     derivative_matrix,
     exact_rank,
     expected_rank,
-    hypercube_lk_coefficients,
     hypercube_lk_matrix,
     _rank_prime_field,
     lower_bound_report,
@@ -50,7 +49,7 @@ from quizlab.witness import (
     roots_of_unity_rank,
     solve_exact,
 )
-from conftest import naive_rank
+from conftest import hypercube_lk_coefficients, naive_rank, naive_rank_mod_p
 
 
 def test_exact_rank_examples():
@@ -241,6 +240,43 @@ def test_rank_prime_field_stops_at_the_row_that_completes_the_rank():
     counted = _CountingRows(rows[:4])
     assert _rank_prime_field(counted, 7) == 2 and counted.taken == 4
     assert _rank_prime_field(iter([]), 7) == 0
+
+
+# Small primes leave a packed row's fields the least room above p^2.
+PACKED_PRIMES = (2, 3, 5, 7, RANK_PRIME)
+
+
+def _residue(rng, p):
+    """An integer standing for a residue: often negative or at least p."""
+    return rng.choice((0, 0, 1, -1, p - 1, p, p + 1, -p, rng.randint(-3 * p, 3 * p)))
+
+
+@pytest.mark.parametrize("p", PACKED_PRIMES)
+def test_packed_rank_every_width_against_naive_rank(p):
+    rng = random.Random(p)
+    assert _rank_prime_field([[]] * 3, p) == 0
+    for width in range(1, 41):
+        dense = [[_residue(rng, p) for _ in range(width)] for _ in range(width + 2)]
+        # A product through a narrow middle has a rank below its width.
+        middle = rng.randint(1, width)
+        left = [[_residue(rng, p) for _ in range(middle)] for _ in range(width)]
+        right = [[_residue(rng, p) for _ in range(width)] for _ in range(middle)]
+        low = [[sum(a * r[j] for a, r in zip(row, right)) for j in range(width)] for row in left]
+        for rows in (dense, low):
+            assert exact_rank(ExactMatrix.from_rows(rows, p)) == naive_rank_mod_p(rows, p)
+
+
+@pytest.mark.parametrize("p", PACKED_PRIMES)
+def test_packed_rank_drives_one_field_to_its_bound(p):
+    # Pivot i is e_i + (p - 1) e_t for the next-to-last column t, and the
+    # last row is their sum.  Its ones take every multiplier to p - 1, so
+    # each of the t reductions adds (p - 1)^2 to field t, which ends near
+    # width * p^2; a carry out of it would leave a nonzero field t + 1.
+    for width in range(3, 41):
+        t = width - 2
+        pivots = [[int(j == i) + (p - 1) * (j == t) for j in range(width)] for i in range(t)]
+        rows = pivots + [[sum(column) for column in zip(*pivots)]]
+        assert exact_rank(ExactMatrix.from_rows(rows, p)) == t == naive_rank_mod_p(rows, p)
 
 
 def test_solve_exact():
