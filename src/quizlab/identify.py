@@ -4,9 +4,9 @@ A point sequence identifies a pair of polynomial carriers when agreement at
 every point forces equality.  Full identification for nonlinear carriers is
 not decided here; the module offers the sufficient linear certificate (the
 evaluation matrix on a spanning support has full column rank, which forces
-f - g = 0 for all f, g in the span) plus a randomized falsifier for the
-nonlinear property.  Points are drawn from {0, ..., set_size - 1} so that a
-declared finite ground set is sampled uniformly.
+f - g = 0 for all f, g in the span).  Points are drawn from
+{0, ..., set_size - 1} so that a declared finite ground set is sampled
+uniformly.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import QuizlabError
-from .families import FamilyDescriptor, expand_family
 from .poly import Monomial
 from .witness import spans
 
@@ -118,33 +117,3 @@ def verify_linear_span(
     pts = points.points if isinstance(points, IdentificationSequence) else points
     return spans(pts, support)
 
-
-def falsify_random(
-    points: IdentificationSequence | Sequence[Sequence[int]],
-    desc_a: FamilyDescriptor,
-    desc_b: FamilyDescriptor,
-    trials: int,
-    seed: int,
-) -> tuple[tuple, tuple] | None:
-    """Randomized search for a pair breaking the identification property.
-
-    Samples parameter points with small integer coordinates and returns
-    (u_a, u_b) with distinct expansions that agree on every point, or None
-    if no counterexample shows up within the trial budget.  Pairs with
-    equal expansions never count.
-    """
-    if desc_a.input_arity != desc_b.input_arity:
-        raise QuizlabError("families must share a variable count")
-    pts = points.points if isinstance(points, IdentificationSequence) else points
-    pts = [tuple(p) for p in pts]
-    rng = random.Random(seed)
-    for _ in range(trials):
-        u_a = tuple(rng.randint(-5, 5) for _ in range(desc_a.param_arity))
-        u_b = tuple(rng.randint(-5, 5) for _ in range(desc_b.param_arity))
-        f_a = expand_family(desc_a, u_a)
-        f_b = expand_family(desc_b, u_b)
-        if f_a == f_b:
-            continue
-        if all(f_a.evaluate(p) == f_b.evaluate(p) for p in pts):
-            return (u_a, u_b)
-    return None

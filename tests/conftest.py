@@ -14,7 +14,10 @@ from fractions import Fraction
 
 import pytest
 
+from quizlab.errors import QuizlabError
 from quizlab.exact import RationalRing
+from quizlab.families import expand_family
+from quizlab.identify import IdentificationSequence
 from quizlab.poly import Polynomial
 
 
@@ -261,6 +264,31 @@ def hypercube_lk_coefficients(n):
         )
         for k in range(1, size + 1)
     ]
+
+
+def falsify_random(points, desc_a, desc_b, trials, seed):
+    """Randomized search for a pair breaking the identification property.
+
+    Samples parameter points with small integer coordinates and returns
+    (u_a, u_b) with distinct expansions that agree on every point, or None
+    if no counterexample shows up within the trial budget.  Pairs with
+    equal expansions never count.
+    """
+    if desc_a.input_arity != desc_b.input_arity:
+        raise QuizlabError("families must share a variable count")
+    pts = points.points if isinstance(points, IdentificationSequence) else points
+    pts = [tuple(p) for p in pts]
+    rng = random.Random(seed)
+    for _ in range(trials):
+        u_a = tuple(rng.randint(-5, 5) for _ in range(desc_a.param_arity))
+        u_b = tuple(rng.randint(-5, 5) for _ in range(desc_b.param_arity))
+        f_a = expand_family(desc_a, u_a)
+        f_b = expand_family(desc_b, u_b)
+        if f_a == f_b:
+            continue
+        if all(f_a.evaluate(p) == f_b.evaluate(p) for p in pts):
+            return (u_a, u_b)
+    return None
 
 
 def naive_vertex_elimination(f, n):

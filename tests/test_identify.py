@@ -12,7 +12,6 @@ from quizlab.errors import ArityMismatchError, QuizlabError
 from quizlab.families import easy_power_sum, univariate_d
 from quizlab.identify import (
     IdentificationSequence,
-    falsify_random,
     minimum_length,
     required_set_size,
     sample_sequence,
@@ -20,7 +19,7 @@ from quizlab.identify import (
 )
 from quizlab.poly import monomials_of_degree
 from quizlab.witness import RANK_PRIME
-from conftest import naive_rank
+from conftest import falsify_random, naive_rank
 
 
 def test_required_set_size_examples():
