@@ -242,7 +242,8 @@ def test_rank_prime_field_stops_at_the_row_that_completes_the_rank():
     assert _rank_prime_field(iter([]), 7) == 0
 
 
-# Small primes leave a packed row's fields the least room above p^2.
+# Tiny primes make zero fields and repeated pivots common; 2^31 - 1, just
+# below a power of two, leaves a packed field the least room above width * p^2.
 PACKED_PRIMES = (2, 3, 5, 7, RANK_PRIME)
 
 
