@@ -64,10 +64,7 @@ from .protocol import (
     MODE_SYMBOLIC,
     ApproxGameConfig,
     Strategy,
-    builtin_strategy,
-    check_fiber_base,
     fiber_image,
-    parameter_point,
     run_approx,
     run_exact,
 )
@@ -285,13 +282,11 @@ def cmd_idseq_verify(args) -> None:
     emit(args, report_header(args, "idseq verify") + [f"identifies_span: {ok}"])
 
 
-# The game commands check their input before the first round compiles the
+# The game commands parse their values and leave every other input check to
+# the protocol, which makes it before the first round compiles the
 # strategy's questions (``Strategy.system``), the slow step at a desk cap.
 def cmd_game_exact(args) -> None:
-    desc = family_from_args(args)
-    hidden = parameter_point(desc, parse_vector(args.hidden))
-    strategy = builtin_strategy(desc)
-    transcript = run_exact(desc, hidden, strategy=strategy)
+    transcript = run_exact(family_from_args(args), parse_vector(args.hidden))
     body = transcript.export(include_hidden=args.audit).rstrip("\n").split("\n")
     emit(args, report_header(args, "game exact") + body)
 
@@ -325,13 +320,12 @@ def cmd_game_approx(args) -> None:
         sample_schedule=schedule,
         cluster_tolerance=rational_from_str(args.tolerance),
     )
+    strategy = None
     if args.border:
         strategy = Strategy(
             question_points=IdentificationSequence.from_points([(1, 0), (0, 1), (1, 1)]),
             target_support=((2, 0), (1, 1), (0, 2)),
         )
-    else:
-        strategy = builtin_strategy(subject)
     transcript = run_approx(subject, strategy, config, target)
     body = transcript.export(include_hidden=args.audit).rstrip("\n").split("\n")
     emit(args, report_header(args, "game approx") + body)
@@ -339,10 +333,7 @@ def cmd_game_approx(args) -> None:
 
 def cmd_game_fiber(args) -> None:
     desc = family_from_args(args)
-    base = parse_vector(args.base)
-    check_fiber_base(desc, base, args.samples)
-    strategy = builtin_strategy(desc)
-    vectors = fiber_image(desc, strategy, base, args.samples, args.seed)
+    vectors = fiber_image(desc, None, parse_vector(args.base), args.samples, args.seed)
     lines = report_header(args, "game fiber") + [f"distinct_vectors: {len(vectors)}"]
     for vec in vectors:
         lines.append("vector: " + ",".join(rational_to_str(x) for x in vec))

@@ -5,11 +5,12 @@ evaluation questions by running the family circuit at a parameter point;
 the player interpolates exactly on a declared support and re-encodes
 (optionally differentiating, integrating, or repacking vertex values into
 an elimination/characteristic polynomial); the quizmaster compares the
-player's encoding with a reference by evaluation at points that identify
-both supports.  One player pass (answers, interpolation, post map) and one
-judge (verdict points, ``decide_equal``, transcript) serve every mode, so
-every mode raises NonIdentifyingPointsError when the questions do not pin
-down the support.  The modes differ in the point and the ring only:
+player's encoding with a reference by evaluation at the exponent vectors
+of the lower closure of both supports, which identify both.  One player
+pass (answers, interpolation, post map) and one judge (check points,
+``decide_equal``, transcript) serve every mode, so every mode raises
+NonIdentifyingPointsError when the questions do not pin down the support.
+The modes differ in the point and the ring only:
 
 * exact: the hidden point over the rationals, against a reference computed
   directly from it;
@@ -24,7 +25,10 @@ down the support.  The modes differ in the point and the ring only:
 
 The built-in strategy asks at points fixed by the support alone, with no
 random draw (``builtin_strategy``); the first round's elimination is the
-only identification check.
+only identification check.  The round entries (``run_exact``,
+``run_approx``, ``fiber_image``) check a round's input (point, germ and
+target arity, fiber base) before that first compile, and are the only
+place that checks it.
 
 Because the questions are fixed before the round, a rational round does
 integer work only.  The strategy carries its question matrix, compiled once
@@ -37,8 +41,8 @@ integers and makes one Fraction, at the output.  The elimination and
 charpoly repacks find the vertex values by subset sums of the cleared
 coefficients and multiply out their roots on integers.  The verdict clears
 each encoding's denominators once and compares cross-multiplied integer
-sums point by point; it evaluates at its own identification points and
-never through the player's compiled system.
+sums point by point; its check points depend on the two supports alone,
+never on the player's questions or compiled system.
 
 Message order is quizmaster -> player -> quizmaster; questions are fixed up
 front, never adaptive.  A transcript's export withholds the hidden point
@@ -51,7 +55,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -117,15 +121,12 @@ class Strategy:
 
     ``system`` is the questions' evaluation matrix on the support, eliminated
     on first use and kept for every later round; it takes no part in
-    equality or hashing.
+    equality, hashing or repr.
     """
 
     question_points: IdentificationSequence
     target_support: tuple[Monomial, ...]
     post_map: str = POST_IDENTITY
-    _system: CompiledSystem | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
         if len(self.target_support) > self.question_points.length:
@@ -133,12 +134,10 @@ class Strategy:
                 "need at least as many question points as support monomials"
             )
 
-    @property
+    @functools.cached_property
     def system(self) -> CompiledSystem:
-        if self._system is None:
-            matrix = evaluation_matrix(self.question_points.points, self.target_support)
-            object.__setattr__(self, "_system", compile_system(matrix.entries))
-        return self._system
+        matrix = evaluation_matrix(self.question_points.points, self.target_support)
+        return compile_system(matrix.entries)
 
 
 @dataclass(frozen=True)
@@ -358,10 +357,20 @@ def reference_encoding(
 
 
 @functools.lru_cache(maxsize=64)
+def _lower_closure(f_support: tuple, g_support: tuple) -> tuple[Monomial, ...]:
+    """The exponent vectors below some monomial of either support, sorted.
+    A round's two supports repeat from round to round, so the closure is
+    cached."""
+    both = [*f_support, *g_support]  # a list, as in _format_values
+    closure = {b for a in both for b in itertools.product(*[range(e + 1) for e in a])}
+    return tuple(sorted(closure))
+
+
+@functools.lru_cache(maxsize=64)
 def _monomial_rows(points: tuple, support: tuple) -> tuple[tuple, ...]:
     """Each point's monomial values over the support, as tuples no caller
-    can change.  A strategy's verdict uses the same points and supports in
-    every round, so the rows are cached."""
+    can change.  A round's check points and supports repeat from round to
+    round, so the rows are cached."""
     return tuple([tuple(monomial_values(point, support)) for point in points])
 
 
@@ -433,24 +442,6 @@ def parameter_point(
     return point
 
 
-def check_fiber_base(desc: FamilyDescriptor, base_point: Sequence, samples: int) -> None:
-    """The fiber sampler's input checks: sample count, base arity, t = 0."""
-    if samples < 1:
-        raise QuizlabError(f"fiber samples must be at least 1, got {samples}")
-    if parameter_point(desc, base_point, "base point")[0] != 0:
-        raise NoFiberSamplerError(
-            "no fiber sampler for bases with a nonzero t coordinate"
-        )
-
-
-def check_germ(germ: GermInstance, n_params: int) -> None:
-    """A round's germ needs one component per circuit parameter, in either mode."""
-    if len(germ.components) != n_params:
-        raise ArityMismatchError(
-            f"germ has arity {len(germ.components)}, circuit needs {n_params}"
-        )
-
-
 def _play(
     circ: Circuit, strategy: Strategy, params: Sequence, n_inputs: int, ring=RATIONALS
 ):
@@ -489,21 +480,15 @@ def _judge(
 ) -> GameTranscript:
     """The quizmaster's verdict on the player's encoding, and the transcript.
 
-    The check points identify both supports: for one variable the symmetric
-    points up to the degree; for several the question points when both lie
-    in the strategy's support (its compile showed they identify it), else
-    the exponent vectors of their lower closure A, unisolvent as the falling
-    factorials N_a (a in A) span it, N_a(b) = 0 unless a <= b, N_a(a) != 0.
+    The check points are fixed by the two supports alone: the exponent
+    vectors of their lower closure A (``_lower_closure``).  A lower set is
+    unisolvent for itself (Chung and Yao, 1977): the falling factorials N_a
+    (a in A) span its polynomials, N_a(b) = 0 unless a <= b, N_a(a) != 0.
+    So the points identify both supports, a correct test sequence in
+    Heintz and Schnorr's sense, whatever questions the player asked.
     """
     (support_star, v_star), (support_ref, v_ref) = player, reference
-    both = [*support_star, *support_ref]  # a list, as in _format_values
-    if not support_star or len(support_star[0]) == 1:
-        check_points = symmetric_integer_points(max([m[0] for m in both], default=0) + 1)
-    elif set(both) <= set(strategy.target_support):
-        check_points = strategy.question_points.points
-    else:
-        closure = {b for a in both for b in itertools.product(*[range(e + 1) for e in a])}
-        check_points = sorted(closure)
+    check_points = _lower_closure(support_star, support_ref)
     accepted = decide_equal(player, reference, check_points, tolerance)
     return GameTranscript(
         family=family,
@@ -555,7 +540,9 @@ def run_approx(
     single accumulation candidate; a pole in any player coefficient raises
     NotHolomorphicAtOriginError (the boundedness condition fails).  Numeric
     mode evaluates a finite schedule exactly and reports the dominant
-    cluster of the tail half, or raises NoStableClusterError.
+    cluster of the tail half, or raises NoStableClusterError.  A target
+    or germ of the wrong arity raises ArityMismatchError before the first
+    round compiles the questions.
     """
     if isinstance(desc_or_circuit, FamilyDescriptor):
         desc = desc_or_circuit
@@ -564,18 +551,22 @@ def run_approx(
             strategy = builtin_strategy(desc)
         if strategy.post_map != TASK_TO_POST[desc.task]:
             raise QuizlabError("strategy post map does not realize the requested task")
-        n_inputs = desc.input_arity
         label = desc.label()
     else:
         circ = desc_or_circuit
         if strategy is None:
             raise QuizlabError("an explicit strategy is required for a raw circuit")
-        n_inputs = circ.n_inputs
         label = f"circuit(n={circ.n_inputs},r={circ.n_params})"
+    n_inputs = circ.n_inputs
+    if target.nvars != n_inputs:
+        raise ArityMismatchError(f"target has arity {target.nvars}, circuit needs {n_inputs}")
     g = _post_polynomial(strategy.post_map, target, n_inputs)
     support_ref = g.support()
     reference = support_ref, g.coeff_vector(support_ref)
-    check_germ(config.germ, circ.n_params)
+    if len(config.germ.components) != circ.n_params:
+        raise ArityMismatchError(
+            f"germ has arity {len(config.germ.components)}, circuit needs {circ.n_params}"
+        )
 
     if config.mode == MODE_SYMBOLIC:
         ring = LaurentRing()
@@ -632,7 +623,12 @@ def fiber_image(
     {(0, u)} maps to one quizmaster message and hence one player vector.
     Only such t = 0 bases have a known fiber sampler.
     """
-    check_fiber_base(desc, base_point, samples)
+    if samples < 1:
+        raise QuizlabError(f"fiber samples must be at least 1, got {samples}")
+    if parameter_point(desc, base_point, "base point")[0] != 0:
+        raise NoFiberSamplerError(
+            "no fiber sampler for bases with a nonzero t coordinate"
+        )
     strategy = strategy if strategy is not None else builtin_strategy(desc)
     circ = build_circuit_cached(desc.base())
     rng = random.Random(seed)

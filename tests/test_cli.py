@@ -284,6 +284,11 @@ SLOW_STRATEGY_INPUT_ERRORS = [
         ["game", "fiber", "--family=univariate-d", "--d=2", "--base=0", "--samples=-1"],
         ["game", "approx", "--border", "--germ", "1;1", "--numeric", "--target=1,1,0",
          "--target-support=2,0;1,1;0,2"],
+        ["game", "approx", "--family=univariate-d", "--d=1", "--germ=2", "--target=3,6",
+         "--target-support=0,7;1,9"],
+        ["game", "approx", "--family=univariate-d", "--d=1", "--germ=2", "--target=3,6",
+         "--target-support=0,7;1,9", "--task=derivative"],
+        ["game", "approx", "--border", "--target=1,1,0", "--target-support=2,0,0;1,1,0;0,2,0"],
         *SLOW_STRATEGY_INPUT_ERRORS,
     ],
 )

@@ -1,5 +1,6 @@
 """Quiz-game rounds: exact, approximative, fibers, information hiding."""
 
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from quizlab import protocol
 from quizlab.approx import GermInstance, border_demo_germ, border_family_circuit, encode
 from quizlab.errors import (
+    ArityMismatchError,
     InconsistentSystemError,
     NoFiberSamplerError,
     NonIdentifyingPointsError,
@@ -562,6 +564,108 @@ def test_approx_target_outside_the_support_is_rejected(desc, vanishing, mode):
     )
     assert run_approx(desc, strategy, config, limit).verdict == "accept"
     assert run_approx(desc, strategy, config, limit + p).verdict == "reject"
+
+
+def test_verdict_does_not_depend_on_the_question_points():
+    # easy-power-sum(2, 2) with the germ 1+e; 1/2; -1, asked at its own
+    # exponent vectors and at spanning points drawn from [0, 39]^2.
+    desc = easy_power_sum(2, 2)
+    germ = _germ([1, F(1, 2), -1], [1, 0, 0])
+    target = encode(germ, desc).h
+    support = desc.base_support()
+    draw = random.Random(0)
+    points = [(draw.randint(0, 39), draw.randint(0, 39)) for _ in support]
+    assert spans(points, support)
+    drawn = Strategy(IdentificationSequence.from_points(points), support)
+    for mode in (MODE_SYMBOLIC, MODE_NUMERIC):
+        config = ApproxGameConfig(
+            germ=germ,
+            mode=mode,
+            sample_schedule=tuple(Fraction(1, 2 ** k) for k in range(1, 13)),
+            cluster_tolerance=Fraction(1, 64),
+        )
+        verdicts = {run_approx(desc, s, config, target).verdict
+                    for s in (builtin_strategy(desc), drawn)}
+        assert len(verdicts) == 1, mode
+
+
+@st.composite
+def closure_cases(draw):
+    """Two encodings in 1 to 3 variables with exponents at most 4: one
+    polynomial permuted and padded with zero terms, two on disjoint
+    supports, or two drawn freely; coefficients may be zero."""
+    nvars = draw(st.integers(1, 3))
+    monos = list(itertools.product(range(5), repeat=nvars))
+    support = draw(st.lists(st.sampled_from(monos), unique=True, max_size=4))
+    coeffs = draw(st.lists(small_fractions, min_size=len(support), max_size=len(support)))
+    terms = list(zip(support, coeffs))
+    kind = draw(st.sampled_from(["equal", "disjoint", "free"]))
+    spare = [m for m in monos if m not in support]
+    if kind == "equal":
+        other = draw(st.permutations(terms))
+        zeros = draw(st.lists(st.sampled_from(spare), unique=True, max_size=2))
+        other += [(m, Fraction(0)) for m in zeros]
+    else:
+        pool = spare if kind == "disjoint" else monos
+        free = draw(st.lists(st.sampled_from(pool), unique=True, max_size=6))
+        other = [(m, draw(small_fractions)) for m in free]
+    f_enc = tuple(support), tuple(coeffs)
+    g_enc = tuple(m for m, _ in other), tuple(c for _, c in other)
+    return f_enc, g_enc
+
+
+@settings(max_examples=300, deadline=None)
+@given(closure_cases())
+def test_lower_closure_decides_equality(case):
+    f_enc, g_enc = case
+
+    def nonzero(enc):
+        return {m: c for m, c in zip(*enc) if c}
+
+    points = protocol._lower_closure(f_enc[0], g_enc[0])
+    expected = nonzero(f_enc) == nonzero(g_enc)
+    assert decide_equal(f_enc, g_enc, points) == expected
+    assert decide_equal(g_enc, f_enc, points) == expected
+
+
+def _target(nvars: int) -> Polynomial:
+    return Polynomial.make(nvars, {(0,) * nvars: Fraction(3), (1,) * nvars: Fraction(6)})
+
+
+# A family or the border circuit with its strategy and germ, and a target of
+# another arity than the circuit's inputs.
+WRONG_ARITY_TARGETS = [
+    (univariate_d(1), None, GermInstance.constant([2]), _target(2), "2, circuit needs 1"),
+    (
+        univariate_d(1, TASK_DERIVATIVE), None, GermInstance.constant([2]), _target(2),
+        "2, circuit needs 1",
+    ),
+    (
+        hypercube_shift(2, TASK_ELIMINATION), None, GermInstance.constant([1, 2, -1]),
+        _target(1), "1, circuit needs 2",
+    ),
+    (border_family_circuit(2), border_strategy(), border_demo_germ(), _target(3),
+     "3, circuit needs 2"),
+]
+
+
+@pytest.mark.parametrize("mode", [MODE_SYMBOLIC, MODE_NUMERIC])
+@pytest.mark.parametrize(
+    "subject, strategy, germ, target, message", WRONG_ARITY_TARGETS,
+    ids=["identity", "derivative", "elimination", "border"],
+)
+def test_approx_target_of_the_wrong_arity_is_refused(
+    subject, strategy, germ, target, message, mode, monkeypatch
+):
+    def no_compile(*args, **kwargs):
+        raise AssertionError("the questions were compiled before the target was checked")
+
+    monkeypatch.setattr(protocol, "compile_system", no_compile)
+    config = ApproxGameConfig(
+        germ=germ, mode=mode, sample_schedule=tuple(Fraction(1, 2 ** k) for k in range(1, 9))
+    )
+    with pytest.raises(ArityMismatchError, match=f"^target has arity {message}$"):
+        run_approx(subject, strategy, config, target)
 
 
 def test_symmetric_points():
