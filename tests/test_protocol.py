@@ -593,18 +593,30 @@ def test_verdict_does_not_depend_on_the_question_points():
 def closure_cases(draw):
     """Two encodings in 1 to 3 variables with exponents at most 4: one
     polynomial permuted and padded with zero terms, two on disjoint
-    supports, or two drawn freely; coefficients may be zero."""
+    supports, two drawn freely, or f and f + c x_i (x_i - 1) ... (x_i - e + 1),
+    which differ only at the points with x_i >= e; coefficients may be zero."""
     nvars = draw(st.integers(1, 3))
     monos = list(itertools.product(range(5), repeat=nvars))
     support = draw(st.lists(st.sampled_from(monos), unique=True, max_size=4))
     coeffs = draw(st.lists(small_fractions, min_size=len(support), max_size=len(support)))
     terms = list(zip(support, coeffs))
-    kind = draw(st.sampled_from(["equal", "disjoint", "free"]))
+    kind = draw(st.sampled_from(["equal", "disjoint", "free", "vanishing"]))
     spare = [m for m in monos if m not in support]
     if kind == "equal":
         other = draw(st.permutations(terms))
         zeros = draw(st.lists(st.sampled_from(spare), unique=True, max_size=2))
         other += [(m, Fraction(0)) for m in zeros]
+    elif kind == "vanishing":
+        i, e = draw(st.integers(0, nvars - 1)), draw(st.integers(1, 4))
+        c = draw(small_fractions.filter(bool))
+        falling = [Fraction(1)]  # coefficients, lowest degree first
+        for j in range(e):
+            falling = [a - j * b for a, b in zip([0, *falling], [*falling, 0])]
+        added = dict(terms)
+        for k, a in enumerate(falling):
+            m = tuple([k if v == i else 0 for v in range(nvars)])
+            added[m] = added.get(m, 0) + c * a
+        other = list(added.items())
     else:
         pool = spare if kind == "disjoint" else monos
         free = draw(st.lists(st.sampled_from(pool), unique=True, max_size=6))
