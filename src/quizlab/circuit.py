@@ -24,11 +24,15 @@ from .errors import (
     ArityMismatchError,
     ExpansionCapExceededError,
     QuizlabError,
+    check_cap,
 )
 from .exact import RATIONALS, RationalRing, rational_from_str, rational_to_str
 from .poly import Polynomial, PolynomialRing
 
 DEFAULT_EXPANSION_CAP = 200_000
+# The parameter count (L+n+1)^2 of ``generic_computation``, so L + n <= 127;
+# the largest circuit allowed builds and prints in about 0.5 s.
+GENERIC_PARAMS_CAP = 2 ** 14
 
 INPUT = "input"
 PARAM = "param"
@@ -411,11 +415,13 @@ def generic_computation(L: int, n: int) -> Circuit:
     for each step i = 1..L, first the left-factor coefficients over the
     basis (1, X_1..X_n, p_1..p_{i-1}), then the right-factor coefficients
     over the same basis; after all steps, the output coefficients over
-    (1, X_1..X_n, p_1..p_L); remaining slots are unused padding.
+    (1, X_1..X_n, p_1..p_L); remaining slots are unused padding.  The
+    parameter count is held to ``GENERIC_PARAMS_CAP``.
     """
     if L < 0 or n < 1:
         raise QuizlabError("need L >= 0 and n >= 1")
     r = (L + n + 1) ** 2
+    check_cap("generic computation", "(L+n+1)^2", r, GENERIC_PARAMS_CAP)
     b = CircuitBuilder(n_inputs=n, n_params=r)
     xs = [b.input(i) for i in range(n)]
     next_param = 0

@@ -1,4 +1,4 @@
-"""Shared exception types.
+"""Shared exception types, and the check of a size against its cap.
 
 Exit-code mapping used by the CLI: usage errors exit 2 (argparse default),
 CapExceededError exits 3, InternalCheckError exits 4.
@@ -15,6 +15,12 @@ class ArityMismatchError(QuizlabError):
 
 class CapExceededError(QuizlabError):
     """A configured desk-scale cap (term count, dimension, degree) was hit."""
+
+
+def check_cap(what: str, name: str, value: int, cap: int) -> None:
+    """Raise CapExceededError when a size that is not a family's exceeds its cap."""
+    if value > cap:
+        raise CapExceededError(f"{what} cap: {name}={value} exceeds {cap}; no override")
 
 
 class ExpansionCapExceededError(CapExceededError):

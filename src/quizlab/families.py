@@ -37,6 +37,7 @@ from .errors import (
     InternalCheckError,
     QuizlabError,
     UnsupportedTaskError,
+    check_cap,
 )
 from .exact import RationalRing, cleared_row
 from .poly import (
@@ -83,12 +84,6 @@ DESK_CAPS = {
 }
 
 ELIMINATION_CAP = 10
-
-
-def check_cap(what: str, name: str, value: int, cap: int) -> None:
-    """Raise CapExceededError when a size that is not a family's exceeds its cap."""
-    if value > cap:
-        raise CapExceededError(f"{what} cap: {name}={value} exceeds {cap}; no override")
 
 
 ParamPoint = tuple[Fraction, ...]

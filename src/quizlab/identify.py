@@ -15,9 +15,14 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import QuizlabError
+from .errors import QuizlabError, check_cap
 from .poly import Monomial
 from .witness import spans
+
+# The bound L * bits(a) on the bits of a^L in ``required_set_size``.  Its
+# binary search takes bits(a) steps on numbers of that size; the slowest
+# call under the cap takes about 0.5 s.
+POWER_BITS_CAP = 2 ** 14
 
 
 def required_set_size(delta: int, L: int, K: int) -> int:
@@ -25,12 +30,15 @@ def required_set_size(delta: int, L: int, K: int) -> int:
 
     The irrational factor (1+L)^(1/L) is handled with outward-rounded
     integer bounds: the result is the least integer c with
-    c^L >= (delta^3 * (1+K*delta))^L * (1+L), found by binary search in
-    [a, 2a] (for L >= 1, the factor lies in (1, 2]), all in integers.
+    c^L >= a^L * (1+L), a = delta^3 * (1+K*delta), found by binary search
+    in [a, 2a] (for L >= 1, the factor lies in (1, 2]), all in integers.
+    The bits of a^L are held to ``POWER_BITS_CAP`` before the search.
     """
     if delta < 2 or L < 1 or K < 1:
         raise QuizlabError("need delta >= 2, L >= 1, K >= 1")
     a = delta ** 3 * (1 + K * delta)
+    bits = L * a.bit_length()
+    check_cap("required set size", "L*bits(delta^3*(1+K*delta))", bits, POWER_BITS_CAP)
     target = a ** L * (1 + L)
     lo, hi = a, 2 * a
     while lo < hi:

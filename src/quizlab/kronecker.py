@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import InternalCheckError, QuizlabError
-from .families import check_cap, theta_diagonal_values, vertex_monomials
+from .errors import InternalCheckError, QuizlabError, check_cap
+from .families import theta_diagonal_values, vertex_monomials
 from .poly import Polynomial, product_of_linear_roots
 
 THETA_CAP = 8

@@ -5,10 +5,9 @@ evaluation questions by running the family circuit at a parameter point;
 the player interpolates exactly on a declared support and re-encodes
 (optionally differentiating, integrating, or repacking vertex values into
 an elimination/characteristic polynomial); the quizmaster compares the
-player's encoding with a reference by evaluation at the exponent vectors
-of the lower closure of both supports, which identify both.  One player
-pass (answers, interpolation, post map) and one judge (check points,
-``decide_equal``, transcript) serve every mode, so every mode raises
+player's encoding with a reference coefficient by coefficient.  One player
+pass (answers, interpolation, post map) and one judge (``decide_equal``,
+transcript) serve every mode, so every mode raises
 NonIdentifyingPointsError when the questions do not pin down the support.
 The modes differ in the point and the ring only:
 
@@ -39,10 +38,8 @@ point fixes, once per round, the circuit's parameter-only values and a
 denominator for every input-dependent node, and each question then runs on
 integers and makes one Fraction, at the output.  The elimination and
 charpoly repacks find the vertex values by subset sums of the cleared
-coefficients and multiply out their roots on integers.  The verdict clears
-each encoding's denominators once and compares cross-multiplied integer
-sums point by point; its check points depend on the two supports alone,
-never on the player's questions or compiled system.
+coefficients and multiply out their roots on integers.  The verdict
+evaluates nothing: it compares the two encodings' nonzero coefficients.
 
 Message order is quizmaster -> player -> quizmaster; questions are fixed up
 front, never adaptive.  A transcript's export withholds the hidden point
@@ -53,7 +50,6 @@ produce byte-identical exports.
 from __future__ import annotations
 
 import functools
-import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -85,14 +81,7 @@ from .families import (
 from .identify import IdentificationSequence
 from .kronecker import build_theta_matrix, char_poly
 from .poly import Monomial, Polynomial, from_coeff_vector
-from .witness import (
-    CompiledSystem,
-    cleared_row,
-    compile_system,
-    evaluation_matrix,
-    monomial_values,
-    solve_exact,
-)
+from .witness import CompiledSystem, compile_system, evaluation_matrix, solve_exact
 
 POST_IDENTITY = "identity"
 POST_DIFFERENTIATE = "differentiate"
@@ -270,28 +259,17 @@ def builtin_strategy(desc: FamilyDescriptor, seed: int = 0) -> Strategy:
 # Player and quizmaster computations
 # ---------------------------------------------------------------------------
 
-def player_interpolate(
-    values: Sequence,
-    points: IdentificationSequence | Sequence[Sequence[int]],
-    support: Sequence[Monomial],
-    system: CompiledSystem | None = None,
-):
+def player_interpolate(values: Sequence, system: CompiledSystem):
     """Unique exact solution of the evaluation system on the support.
 
-    The system matrix is rational (integer points); the values may be
-    rationals or Laurent series.  Raises InconsistentSystemError when the
-    values cannot come from the declared support, and
-    UnderdeterminedSystemError when the points do not pin down the support.
-    The questions are fixed before the round: ``system`` is their matrix
-    already compiled (``Strategy.system``); without it, solve_exact
-    eliminates the matrix once and later calls only apply the compiled map.
+    The questions are fixed before the round, so ``system`` is their matrix
+    on the support already compiled (``Strategy.system``); the values, one
+    per question, may be rationals or Laurent series.  Raises
+    InconsistentSystemError when the values cannot come from the declared
+    support, and UnderdeterminedSystemError when the points do not pin down
+    the support.
     """
-    pts = points.points if isinstance(points, IdentificationSequence) else points
-    if len(values) != len(pts):
-        raise ArityMismatchError("one value per question point required")
-    if system is None:
-        system = evaluation_matrix(pts, support).entries
-    return solve_exact(system, list(values))
+    return solve_exact(system, values)
 
 
 def _post_polynomial(post: str, f: Polynomial, n_inputs: int) -> Polynomial:
@@ -356,66 +334,24 @@ def reference_encoding(
     return support, reference_poly.coeff_vector(support)
 
 
-@functools.lru_cache(maxsize=64)
-def _lower_closure(f_support: tuple, g_support: tuple) -> tuple[Monomial, ...]:
-    """The exponent vectors below some monomial of either support, sorted.
-    A round's two supports repeat from round to round, so the closure is
-    cached."""
-    both = [*f_support, *g_support]  # a list, as in _format_values
-    closure = {b for a in both for b in itertools.product(*[range(e + 1) for e in a])}
-    return tuple(sorted(closure))
-
-
-@functools.lru_cache(maxsize=64)
-def _monomial_rows(points: tuple, support: tuple) -> tuple[tuple, ...]:
-    """Each point's monomial values over the support, as tuples no caller
-    can change.  A round's check points and supports repeat from round to
-    round, so the rows are cached."""
-    return tuple([tuple(monomial_values(point, support)) for point in points])
-
-
 def decide_equal(
     f_enc: tuple[Sequence[Monomial], Sequence],
     g_enc: tuple[Sequence[Monomial], Sequence],
-    points: IdentificationSequence | Sequence[Sequence[int]],
     tolerance: Fraction | None = None,
 ) -> bool:
-    """Equality of two encodings by evaluation at identification points.
+    """Equality of two encodings, coefficient by coefficient.
 
-    With identifying points this decides polynomial equality; with
-    arbitrary points the test is one-sided (False is conclusive, True is
-    not).  ``tolerance`` switches to |lhs - rhs| <= tolerance per point,
-    used only by the numeric approximative mode.
-
-    Coefficients are rationals (int or Fraction).  Each
-    encoding is cleared once to integer coefficients F / f and G / g, so
-    lhs = L / f and rhs = R / g with L and R sums of monomial values
-    (integers at an integer point), and the test is L g = R f, or
-    b |L g - R f| <= a f g for a tolerance a / b.  The points are evaluated
-    here, never through the player's compiled system, so the verdict does
-    not check the player against itself; their monomial values are cached
-    per (points, support).
+    An encoding is a support and one rational coefficient per monomial; a
+    monomial outside a support counts as 0, so the encodings are equal
+    exactly when their nonzero coefficients agree.  ``tolerance`` switches
+    to |f_m - g_m| <= tolerance for every monomial m of either support, the
+    per-coefficient reading that numeric mode's cluster step also takes.
     """
-    pts = points.points if isinstance(points, IdentificationSequence) else points
-    # The keys are built from lists, as in every round (see _format_values).
-    pts = tuple([tuple(p) for p in pts])
-    (f_support, f_coeffs), (g_support, g_coeffs) = f_enc, g_enc
-    f, big_f = cleared_row(f_coeffs)
-    g, big_g = cleared_row(g_coeffs)
-    if tolerance is not None:
-        tolerance = Fraction(tolerance)
-        a, b = tolerance.numerator, tolerance.denominator
-    f_rows = _monomial_rows(pts, tuple([tuple(m) for m in f_support]))
-    g_rows = _monomial_rows(pts, tuple([tuple(m) for m in g_support]))
-    for f_row, g_row in zip(f_rows, g_rows):
-        left = sum(c * m for c, m in zip(big_f, f_row) if c) * g
-        right = sum(c * m for c, m in zip(big_g, g_row) if c) * f
-        if tolerance is None:
-            if left != right:
-                return False
-        elif b * abs(left - right) > a * f * g:
-            return False
-    return True
+    f = {m: c for m, c in zip(*f_enc) if c}
+    g = {m: c for m, c in zip(*g_enc) if c}
+    if tolerance is None:
+        return f == g
+    return all(abs(f.get(m, 0) - g.get(m, 0)) <= tolerance for m in f.keys() | g.keys())
 
 
 # ---------------------------------------------------------------------------
@@ -457,9 +393,7 @@ def _play(
         points = [[ring.from_rational(x) for x in p] for p in points]
     answers = circ.evaluate_points(params, points, ring)
     try:
-        coeffs = player_interpolate(
-            answers, strategy.question_points, strategy.target_support, strategy.system
-        )
+        coeffs = player_interpolate(answers, strategy.system)
     except UnderdeterminedSystemError as exc:
         raise NonIdentifyingPointsError(str(exc)) from exc
     support, vector = apply_post_map(
@@ -480,16 +414,14 @@ def _judge(
 ) -> GameTranscript:
     """The quizmaster's verdict on the player's encoding, and the transcript.
 
-    The check points are fixed by the two supports alone: the exponent
-    vectors of their lower closure A (``_lower_closure``).  A lower set is
-    unisolvent for itself (Chung and Yao, 1977): the falling factorials N_a
-    (a in A) span its polynomials, N_a(b) = 0 unless a <= b, N_a(a) != 0.
-    So the points identify both supports, a correct test sequence in
-    Heintz and Schnorr's sense, whatever questions the player asked.
+    Both encodings are coefficient vectors on explicit supports, so the
+    verdict compares their nonzero coefficients (``decide_equal``), one rule
+    for every mode and arity.  The reference never reads the player's
+    questions or compiled system, so the verdict never checks the player
+    against itself.
     """
     (support_star, v_star), (support_ref, v_ref) = player, reference
-    check_points = _lower_closure(support_star, support_ref)
-    accepted = decide_equal(player, reference, check_points, tolerance)
+    accepted = decide_equal(player, reference, tolerance)
     return GameTranscript(
         family=family,
         mode=mode,

@@ -51,6 +51,7 @@ from .errors import (
     NonLinearCurveError,
     QuizlabError,
     UnderdeterminedSystemError,
+    check_cap,
 )
 from .exact import cleared_row, modular_root_of_unity, smallest_prime_modulus
 from .families import (
@@ -63,7 +64,6 @@ from .families import (
     NEURAL_POWER,
     FamilyDescriptor,
     beta_curve,
-    check_cap,
     expand_family,
     power_form_row,
     univariate_d,

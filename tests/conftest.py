@@ -291,6 +291,23 @@ def falsify_random(points, desc_a, desc_b, trials, seed):
     return None
 
 
+def naive_coefficient_gap(f_enc, g_enc) -> Fraction:
+    """The largest absolute coefficient of f - g, for two (support,
+    coefficients) encodings: each made a Polynomial term by term, then
+    subtracted."""
+
+    def polynomial(enc, nvars):
+        total = Polynomial.zero(nvars)
+        for mono, c in zip(*enc):
+            total = total + Polynomial.make(nvars, {tuple(mono): Fraction(c)})
+        return total
+
+    monos = [*f_enc[0], *g_enc[0]]
+    nvars = len(monos[0]) if monos else 1
+    difference = polynomial(f_enc, nvars) - polynomial(g_enc, nvars)
+    return max([abs(c) for c in difference.terms.values()], default=Fraction(0))
+
+
 def naive_vertex_elimination(f, n):
     """prod (Y - f(v)) over the vertices v of {0,1}^n, vertex j having bit i
     of j as coordinate i: f evaluated at each vertex, then the sparse product."""

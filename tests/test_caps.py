@@ -2,6 +2,7 @@
 
 import pytest
 
+from quizlab.circuit import generic_computation
 from quizlab.errors import CapExceededError, ExpansionCapExceededError, UnsupportedTaskError
 from quizlab.families import (
     TASK_CHARPOLY,
@@ -14,6 +15,7 @@ from quizlab.families import (
     neural_power,
     univariate_d,
 )
+from quizlab.identify import required_set_size
 from quizlab.kronecker import build_theta_matrix, verify_lemma_identities
 from quizlab.witness import (
     VARIANT_BASE,
@@ -34,6 +36,11 @@ NO_OVERRIDE = "; no override"
         (lambda: roots_of_unity_matrix(65, VARIANT_BASE), ("d = 65", "d <= 64", NO_OVERRIDE)),
         (lambda: easy_power_sum(3, 3), ("n*l = 9", "n*l <= 8", NO_OVERRIDE)),
         (lambda: neural_power(7), ("n = 7", "n <= 6", NO_OVERRIDE)),
+        (
+            lambda: required_set_size(2, 3277, 1),
+            ("L*bits(delta^3*(1+K*delta))=16385", "exceeds 16384", NO_OVERRIDE),
+        ),
+        (lambda: generic_computation(127, 1), ("(L+n+1)^2=16641", "exceeds 16384", NO_OVERRIDE)),
     ],
 )
 def test_cap_message_names_value_cap_and_override(call, expected):

@@ -45,13 +45,12 @@ from quizlab.protocol import (
     builtin_strategy,
     decide_equal,
     fiber_image,
-    player_interpolate,
     run_approx,
     run_exact,
     symmetric_integer_points,
 )
-from quizlab.witness import evaluation_matrix, spans
-from conftest import lagrange_interpolate, random_fraction
+from quizlab.witness import spans
+from conftest import lagrange_interpolate, naive_coefficient_gap, random_fraction
 
 
 def border_strategy() -> Strategy:
@@ -181,94 +180,78 @@ def test_derivative_round():
     assert transcript.verdict == "accept"
 
 
-def test_player_interpolate_examples():
-    coeffs = player_interpolate(
-        [Fraction(7), Fraction(49), Fraction(21)],
-        [(0,), (1,), (-1,)],
-        ((0,), (1,), (2,)),
-    )
-    assert coeffs == [Fraction(7), Fraction(14), Fraction(28)]
-    zeros = player_interpolate(
-        [Fraction(0)] * 3, [(0,), (1,), (-1,)], ((0,), (1,), (2,))
-    )
-    assert zeros == [Fraction(0)] * 3
-    with pytest.raises(InconsistentSystemError):
-        player_interpolate([Fraction(0), Fraction(1)], [(0,), (0,)], ((0,),))
-    with pytest.raises(UnderdeterminedSystemError):
-        player_interpolate([Fraction(0), Fraction(0)], [(5,), (5,)], ((0,), (1,)))
-
-
 def test_decide_equal_examples():
     support = ((0,), (1,), (2,), (3,))
     zero = ((0,),), (Fraction(0),)
     theta_at_one = support, expand_family(univariate_d(3), [1]).coeff_vector(support)
-    points = symmetric_integer_points(5)
-    assert decide_equal(theta_at_one, zero, points)
+    assert decide_equal(theta_at_one, zero)
     a = (((0,), (1,)), (Fraction(1), Fraction(2)))
     b = (((1,), (0,)), (Fraction(2), Fraction(1)))  # same polynomial, permuted
-    assert decide_equal(a, b, points)
+    assert decide_equal(a, b)
     x = (((1,),), (Fraction(1),))
     x_squared = (((2,),), (Fraction(1),))
-    assert not decide_equal(x, x_squared, [(0,), (1,), (2,)])
+    assert not decide_equal(x, x_squared)
     # a tolerance bound is inclusive
     third, half = (((0,),), (Fraction(1, 3),)), (((0,),), (Fraction(1, 2),))
-    assert decide_equal(third, half, [(1,)], tolerance=Fraction(1, 6))
-    assert not decide_equal(third, half, [(1,)], tolerance=Fraction(1, 7))
+    assert decide_equal(third, half, tolerance=Fraction(1, 6))
+    assert not decide_equal(third, half, tolerance=Fraction(1, 7))
 
 
-def naive_encoding_value(enc, point) -> Fraction:
-    """sum of c * prod x^e over the encoding's terms, in Fractions."""
-    total = Fraction(0)
-    for mono, c in zip(*enc):
-        term = Fraction(c)
-        for x, e in zip(point, mono):
-            term *= Fraction(x) ** e
-        total += term
-    return total
+def naive_decide_equal(f_enc, g_enc, tolerance=None) -> bool:
+    return naive_coefficient_gap(f_enc, g_enc) <= (tolerance or 0)
 
 
-def test_decide_equal_cached_rows_match_naive_oracle():
-    points = [(1, 2), (-3, 1), (2, -2), (0, 5)]
+def test_decide_equal_matches_naive_oracle():
     square = (((2, 0), (1, 1), (0, 0)), (Fraction(1, 2), Fraction(-3), Fraction(7, 4)))
     permuted = (((0, 0), (2, 0), (1, 1)), (Fraction(7, 4), Fraction(1, 2), Fraction(-3)))
     nudged = (square[0], (Fraction(1, 2), Fraction(-3), Fraction(7, 4) + Fraction(1, 100)))
+    extended = ((*square[0], (0, 2)), (*square[1], Fraction(1)))
     cases = [
-        (square, nudged, None),  # same support
-        (square, permuted, None),  # different supports
-        (square, nudged, Fraction(1, 100)),  # tolerance, inclusive
-        (square, nudged, Fraction(1, 101)),
+        (square, nudged, None, False),  # same support
+        (square, permuted, None, True),  # different supports
+        (square, nudged, Fraction(1, 100), True),  # tolerance, inclusive
+        (square, nudged, Fraction(1, 101), False),
+        (square, extended, Fraction(1, 64), False),  # a monomial of g alone
     ]
-    for f_enc, g_enc, tolerance in cases:
-        expected = all(
-            abs(naive_encoding_value(f_enc, p) - naive_encoding_value(g_enc, p))
-            <= (tolerance or 0)
-            for p in points
-        )
-        hits = protocol._monomial_rows.cache_info().hits
-        # The second call reads both supports' rows from the cache.
-        for _ in range(2):
-            assert decide_equal(f_enc, g_enc, points, tolerance) == expected
-        assert protocol._monomial_rows.cache_info().hits >= hits + 2
-    rows = protocol._monomial_rows(tuple(points), square[0])
-    assert type(rows) is tuple and all(type(row) is tuple for row in rows)
+    for f_enc, g_enc, tolerance, expected in cases:
+        assert naive_decide_equal(f_enc, g_enc, tolerance) == expected
+        assert decide_equal(f_enc, g_enc, tolerance) == expected
 
 
-def fraction_decide_equal(f_enc, g_enc, points, tolerance=None):
-    """The verdict by Fraction sums at each point: the slow reference."""
-    f_rows = evaluation_matrix(points, f_enc[0]).entries
-    g_rows = evaluation_matrix(points, g_enc[0]).entries
+def test_decide_equal_tolerance_is_per_coefficient():
+    # Within 1/64 in every coefficient of a degree-4 encoding, but off by
+    # (1 + 4 + 16 + 64 + 256)/64 at Y = 4: accepted.
+    support = tuple([(j,) for j in range(5)])
+    reference = support, (Fraction(3), Fraction(-11), Fraction(51, 4), Fraction(-6), Fraction(1))
+    tolerance = Fraction(1, 64)
+    shifted = support, tuple([c + tolerance for c in reference[1]])
+    at_four = [sum(c * 4 ** j for j, c in enumerate(enc[1])) for enc in (reference, shifted)]
+    assert at_four[1] - at_four[0] == Fraction(341, 64)
+    assert decide_equal(shifted, reference, tolerance)
+    # One coefficient over the tolerance is rejected.
+    over = support, (*shifted[1][:4], reference[1][4] + tolerance + Fraction(1, 2 ** 20))
+    assert not decide_equal(over, reference, tolerance)
+    assert not decide_equal(reference, over, tolerance)
 
-    def value(coeffs, row):
-        return sum((Fraction(c) * m for c, m in zip(coeffs, row)), Fraction(0))
 
-    for f_row, g_row in zip(f_rows, g_rows):
-        lhs, rhs = value(f_enc[1], f_row), value(g_enc[1], g_row)
-        if tolerance is None:
-            if lhs != rhs:
-                return False
-        elif abs(lhs - rhs) > tolerance:
-            return False
-    return True
+def test_numeric_round_reads_the_tolerance_per_coefficient():
+    # The dominant cluster lies within 1/64 of the reference in every
+    # coefficient; the largest error is 15877/1048576, at Y.
+    desc = kronecker_diag(2, TASK_CHARPOLY)
+    germ = _germ([F(1, 2), 2, -1], [0, 0, 1])
+    config = ApproxGameConfig(
+        germ=germ,
+        mode=MODE_NUMERIC,
+        sample_schedule=tuple(Fraction(1, 2 ** k) for k in range(1, 13)),
+        cluster_tolerance=Fraction(1, 64),
+    )
+    transcript = run_approx(desc, None, config, encode(germ, desc).h)
+    errors = [
+        abs(Fraction(p) - Fraction(r))
+        for p, r in zip(transcript.player_message, transcript.reference)
+    ]
+    assert max(errors) == errors[1] == Fraction(15877, 1048576)
+    assert transcript.verdict == "accept"
 
 
 small_fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
@@ -277,8 +260,8 @@ small_fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 @st.composite
 def verdict_cases(draw):
     """Two encodings of one polynomial (permuted, padded with zeros), or of
-    two polynomials that differ by a small or a free perturbation, with
-    integer or rational points and an optional tolerance."""
+    two polynomials that differ by a small or a free perturbation, with an
+    optional tolerance."""
     nvars = draw(st.integers(1, 2))
     monos = monomials_below_degree(nvars, 4)
     support = draw(st.lists(st.sampled_from(monos), unique=True, max_size=6))
@@ -298,23 +281,19 @@ def verdict_cases(draw):
     else:
         free = draw(st.lists(st.sampled_from(monos), unique=True, max_size=6))
         other = [(m, draw(small_fractions)) for m in free]
-    coordinate = st.integers(-6, 6) if draw(st.booleans()) else small_fractions
-    points = draw(
-        st.lists(st.tuples(*[coordinate] * nvars), min_size=1, max_size=8)
-    )
     tolerance = draw(st.none() | st.fractions(min_value=0, max_value=1, max_denominator=64))
     f_enc = tuple(support), tuple(coeffs)
     g_enc = tuple(m for m, _ in other), tuple(c for _, c in other)
-    return f_enc, g_enc, points, tolerance
+    return f_enc, g_enc, tolerance
 
 
 @settings(max_examples=400, deadline=None)
 @given(verdict_cases())
-def test_integer_verdict_matches_fraction_reference(case):
-    f_enc, g_enc, points, tolerance = case
-    expected = fraction_decide_equal(f_enc, g_enc, points, tolerance)
-    assert decide_equal(f_enc, g_enc, points, tolerance) == expected
-    assert decide_equal(g_enc, f_enc, points, tolerance) == expected
+def test_verdict_matches_naive_coefficient_oracle(case):
+    f_enc, g_enc, tolerance = case
+    expected = naive_decide_equal(f_enc, g_enc, tolerance)
+    assert decide_equal(f_enc, g_enc, tolerance) == expected
+    assert decide_equal(g_enc, f_enc, tolerance) == expected
 
 
 def test_strategy_compiles_its_system_once(monkeypatch, rng):
@@ -590,7 +569,7 @@ def test_verdict_does_not_depend_on_the_question_points():
 
 
 @st.composite
-def closure_cases(draw):
+def support_cases(draw):
     """Two encodings in 1 to 3 variables with exponents at most 4: one
     polynomial permuted and padded with zero terms, two on disjoint
     supports, two drawn freely, or f and f + c x_i (x_i - 1) ... (x_i - e + 1),
@@ -627,17 +606,12 @@ def closure_cases(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(closure_cases())
-def test_lower_closure_decides_equality(case):
+@given(support_cases())
+def test_exact_verdict_is_equality_of_polynomials(case):
     f_enc, g_enc = case
-
-    def nonzero(enc):
-        return {m: c for m, c in zip(*enc) if c}
-
-    points = protocol._lower_closure(f_enc[0], g_enc[0])
-    expected = nonzero(f_enc) == nonzero(g_enc)
-    assert decide_equal(f_enc, g_enc, points) == expected
-    assert decide_equal(g_enc, f_enc, points) == expected
+    expected = naive_coefficient_gap(f_enc, g_enc) == 0
+    assert decide_equal(f_enc, g_enc) == expected
+    assert decide_equal(g_enc, f_enc) == expected
 
 
 def _target(nvars: int) -> Polynomial:

@@ -40,6 +40,7 @@ from quizlab.witness import (
     ExactMatrix,
     compile_system,
     derivative_matrix,
+    evaluation_matrix,
     exact_rank,
     expected_rank,
     hypercube_lk_matrix,
@@ -288,6 +289,20 @@ def test_solve_exact():
         solve_exact([[1], [1]], [Fraction(0), Fraction(1)])
     with pytest.raises(UnderdeterminedSystemError):
         solve_exact([[1, 1]], [Fraction(0)])
+
+
+def test_solve_exact_interpolates_on_evaluation_matrices():
+    def interpolate(values, points, support):
+        return solve_exact(evaluation_matrix(points, support).entries, values)
+
+    symmetric, quadratic = [(0,), (1,), (-1,)], ((0,), (1,), (2,))
+    coeffs = interpolate([Fraction(7), Fraction(49), Fraction(21)], symmetric, quadratic)
+    assert coeffs == [Fraction(7), Fraction(14), Fraction(28)]
+    assert interpolate([Fraction(0)] * 3, symmetric, quadratic) == [Fraction(0)] * 3
+    with pytest.raises(InconsistentSystemError):
+        interpolate([Fraction(0), Fraction(1)], [(0,), (0,)], ((0,),))
+    with pytest.raises(UnderdeterminedSystemError):
+        interpolate([Fraction(0), Fraction(0)], [(5,), (5,)], ((0,), (1,)))
 
 
 def _matrix(draw, m: int, n: int) -> list[list[int]]:
