@@ -107,10 +107,15 @@ def validate_instance(germ: GermInstance, desc_or_circuit: FamilyDescriptor | Ci
         raise ArityMismatchError(
             f"germ has arity {germ.arity}, family expects {arity}"
         )
-    for comp in germ.components:
+    return _unknown_component(germ) is None
+
+
+def _unknown_component(germ: GermInstance) -> int | None:
+    """The 1-based index of the first component that carries no known term."""
+    for index, comp in enumerate(germ.components, 1):
         if not comp.coeffs and comp.bound is not None:
-            return False
-    return True
+            return index
+    return None
 
 
 def encode(
@@ -124,9 +129,14 @@ def encode(
     coefficients.  If any output coefficient has a pole the result is
     non-holomorphic and names the offending monomial; if truncation hides
     the needed low-order terms, PrecisionUnderflowError asks the caller to
-    retry with a higher precision.
+    retry with a higher precision.  A germ that ``validate_instance`` refuses
+    raises QuizlabError naming its unknown component.
     """
-    validate_instance(germ, desc_or_circuit)
+    if not validate_instance(germ, desc_or_circuit):
+        raise QuizlabError(
+            f"germ component {_unknown_component(germ)} is a truncated zero with no "
+            "known term; no precision can encode it"
+        )
     circ = _circuit_for(desc_or_circuit)
     if precision is None:
         precision = DEFAULT_LAURENT_PRECISION

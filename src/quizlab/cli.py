@@ -1,10 +1,11 @@
 """Batch command-line front end.
 
-Every subcommand emits a report that embeds the package version and the
-full effective configuration; identical argument vectors (including seeds)
-produce byte-identical reports, so wall-clock timing is only included when
-asked for explicitly.  Exit codes: 0 success, 2 usage or input error,
-3 desk-scale cap exceeded, 4 internal invariant violation.
+Every report embeds the package version and the full effective
+configuration; identical argument vectors (including seeds) produce
+byte-identical reports, so wall-clock timing is only included when asked
+for explicitly.  Exit codes: 0 success, 2 usage or input error (an --out
+that cannot be written included), 3 desk-scale cap exceeded, 4 internal
+invariant violation.
 
 Value syntax on the command line:
 
@@ -24,6 +25,7 @@ circuit expand's --expansion-cap (default 200000) is its term cap.
 from __future__ import annotations
 
 import argparse
+import random
 import sys
 from fractions import Fraction
 
@@ -73,12 +75,10 @@ from .witness import (
     ExactMatrix,
     exact_rank,
     hypercube_lk_matrix,
-    hypercube_size,
     lower_bound_report,
     roots_of_unity_matrix,
+    sample_hypercube_points,
 )
-
-import random
 
 # Widest exponent gap of a parsed germ component: every Laurent series
 # stores a dense window from its lowest to its highest exponent.
@@ -148,69 +148,53 @@ def add_family_flags(parser: argparse.ArgumentParser, required: bool = True) -> 
     parser.add_argument("--k", type=int, help="kronecker block count")
 
 
-def report_header(args, command: str) -> list[str]:
-    config = []
-    for key in sorted(vars(args)):
-        if key in ("func", "out"):
-            continue
-        config.append(f"{key}={getattr(args, key)}")
-    return [
-        f"quizlab-report v{__version__}",
-        f"command: {command}",
-        "config: " + " ".join(config),
-    ]
+def approx_subject(args) -> tuple[FamilyDescriptor | Circuit, GermInstance]:
+    """The (subject, germ) pair of the approx-family commands."""
+    subject = border_family_circuit(2) if args.border else family_from_args(args)
+    germ = parse_germ(args.germ) if args.germ else border_demo_germ()
+    return subject, germ
 
 
-def emit(args, lines: list[str]) -> None:
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+def add_approx_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--border", action="store_true", help="use the border demo family")
+    add_family_flags(parser, required=False)
+    parser.add_argument("--germ", default=None)
 
 
-def poly_lines(f: Polynomial) -> list[str]:
-    return [
-        "polynomial: "
-        + " ".join(
-            f"({','.join(str(e) for e in mono)}):{coeff}" for mono, coeff in f.to_pairs()
-        )
-    ]
+def poly_line(f: Polynomial) -> str:
+    terms = (f"({','.join(map(str, mono))}):{coeff}" for mono, coeff in f.to_pairs())
+    return "polynomial: " + " ".join(terms)
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers
+# Subcommand handlers: each returns its report body as a list of lines
 # ---------------------------------------------------------------------------
 
-def cmd_family_expand(args) -> None:
+def cmd_family_expand(args) -> list[str]:
     desc = family_from_args(args)
     f = expand_family(desc, parse_vector(args.u))
-    emit(args, report_header(args, "family expand") + [f"family: {desc.label()}"] + poly_lines(f))
+    return [f"family: {desc.label()}", poly_line(f)]
 
 
-def cmd_family_eval(args) -> None:
-    desc = family_from_args(args)
-    f = expand_family(desc, parse_vector(args.u))
-    value = f.evaluate(parse_vector(args.x))
-    emit(args, report_header(args, "family eval") + [f"value: {rational_to_str(value)}"])
+def cmd_family_eval(args) -> list[str]:
+    f = expand_family(family_from_args(args), parse_vector(args.u))
+    return [f"value: {rational_to_str(f.evaluate(parse_vector(args.x)))}"]
 
 
-def cmd_family_emit_formula(args) -> None:
+def cmd_family_emit_formula(args) -> list[str]:
     rep = emit_formula(args.n)
-    lines = report_header(args, "family emit-formula") + [
+    return [
         f"equations: {rep.equation_count}",
         f"symbols: {rep.symbol_count}",
         f"formula: {rep.text}",
     ]
-    emit(args, lines)
 
 
-def cmd_circuit_build(args) -> None:
+def cmd_circuit_build(args) -> list[str]:
     desc = family_from_args(args)
     circ = build_circuit(desc.base())
     size = circ.size()
-    lines = report_header(args, "circuit build") + [
+    return [
         f"family: {desc.base().label()}",
         f"gates: {size.gates}",
         f"leaves: {size.leaves}",
@@ -218,7 +202,6 @@ def cmd_circuit_build(args) -> None:
         f"gate_bound: {circuit_gate_bound(desc)}",
         "circuit: " + circ.to_text().rstrip("\n"),
     ]
-    emit(args, lines)
 
 
 def _load_circuit(args) -> Circuit:
@@ -231,71 +214,63 @@ def _load_circuit(args) -> Circuit:
         except UnicodeDecodeError:
             raise QuizlabError(f"circuit file {args.circuit_file!r} is not text") from None
         return Circuit.from_text(text)
-    desc = family_from_args(args)
-    return build_circuit(desc.base())
+    return build_circuit(family_from_args(args).base())
 
 
-def cmd_circuit_eval(args) -> None:
+def cmd_circuit_eval(args) -> list[str]:
     circ = _load_circuit(args)
     value = circ.evaluate(parse_vector(args.params), parse_vector(args.inputs))
-    emit(args, report_header(args, "circuit eval") + [f"value: {rational_to_str(value)}"])
+    return [f"value: {rational_to_str(value)}"]
 
 
-def cmd_circuit_expand(args) -> None:
+def cmd_circuit_expand(args) -> list[str]:
     if args.expansion_cap < 1:
         raise QuizlabError(f"--expansion-cap must be at least 1, got {args.expansion_cap}")
     circ = _load_circuit(args)
-    f = circ.expand(parse_vector(args.params), cap=args.expansion_cap)
-    emit(args, report_header(args, "circuit expand") + poly_lines(f))
+    return [poly_line(circ.expand(parse_vector(args.params), cap=args.expansion_cap))]
 
 
-def cmd_circuit_generic(args) -> None:
+def cmd_circuit_generic(args) -> list[str]:
     circ = generic_computation(args.big_l, args.n)
     size = circ.size()
-    lines = report_header(args, "circuit generic") + [
+    return [
         f"param_arity: {circ.n_params}",
         f"gates: {size.gates}",
         f"essential_muls: {size.essential_muls}",
         "circuit: " + circ.to_text().rstrip("\n"),
     ]
-    emit(args, lines)
 
 
-def cmd_idseq_size(args) -> None:
+def cmd_idseq_size(args) -> list[str]:
     value = required_set_size(args.delta, args.big_l, args.big_k)
-    lines = report_header(args, "idseq size") + [
+    return [
         f"required_set_size: {value}",
         f"minimum_length: {minimum_length(args.big_l)}",
     ]
-    emit(args, lines)
 
 
-def cmd_idseq_sample(args) -> None:
-    seq = sample_sequence(args.n, args.m, args.set_size, args.seed)
-    emit(args, report_header(args, "idseq sample") + seq.to_text().rstrip("\n").split("\n"))
+def cmd_idseq_sample(args) -> list[str]:
+    return sample_sequence(args.n, args.m, args.set_size, args.seed).to_text().splitlines()
 
 
-def cmd_idseq_verify(args) -> None:
+def cmd_idseq_verify(args) -> list[str]:
     points = parse_points(args.points)
     support = parse_points(args.support)
-    ok = verify_linear_span(points, sort_support(support))
-    emit(args, report_header(args, "idseq verify") + [f"identifies_span: {ok}"])
+    return [f"identifies_span: {verify_linear_span(points, sort_support(support))}"]
 
 
 # The game commands parse their values and leave every other input check to
 # the protocol, which makes it before the first round compiles the
 # strategy's questions (``Strategy.system``), the slow step at a desk cap.
-def cmd_game_exact(args) -> None:
+def cmd_game_exact(args) -> list[str]:
     transcript = run_exact(family_from_args(args), parse_vector(args.hidden))
-    body = transcript.export(include_hidden=args.audit).rstrip("\n").split("\n")
-    emit(args, report_header(args, "game exact") + body)
+    return transcript.export(include_hidden=args.audit).splitlines()
 
 
-def cmd_game_approx(args) -> None:
+def cmd_game_approx(args) -> list[str]:
     if args.samples < 1:
         raise QuizlabError(f"--samples must be at least 1, got {args.samples}")
-    subject = border_family_circuit(2) if args.border else family_from_args(args)
-    germ = parse_germ(args.germ) if args.germ else border_demo_germ()
+    subject, germ = approx_subject(args)
     if args.target:
         target_support = parse_points(args.target_support)
         values = parse_vector(args.target)
@@ -304,10 +279,7 @@ def cmd_game_approx(args) -> None:
                 "--target-support must list one monomial per --target value: "
                 f"{len(values)} values, {len(target_support)} monomials"
             )
-        target = Polynomial.make(
-            len(target_support[0]),
-            dict(zip(target_support, values)),
-        )
+        target = Polynomial.make(len(target_support[0]), dict(zip(target_support, values)))
     else:
         enc = encode(germ, subject)
         if not enc.holomorphic:
@@ -327,67 +299,53 @@ def cmd_game_approx(args) -> None:
             target_support=((2, 0), (1, 1), (0, 2)),
         )
     transcript = run_approx(subject, strategy, config, target)
-    body = transcript.export(include_hidden=args.audit).rstrip("\n").split("\n")
-    emit(args, report_header(args, "game approx") + body)
+    return transcript.export(include_hidden=args.audit).splitlines()
 
 
-def cmd_game_fiber(args) -> None:
-    desc = family_from_args(args)
-    vectors = fiber_image(desc, None, parse_vector(args.base), args.samples, args.seed)
-    lines = report_header(args, "game fiber") + [f"distinct_vectors: {len(vectors)}"]
-    for vec in vectors:
-        lines.append("vector: " + ",".join(rational_to_str(x) for x in vec))
-    emit(args, lines)
+def cmd_game_fiber(args) -> list[str]:
+    vectors = fiber_image(
+        family_from_args(args), None, parse_vector(args.base), args.samples, args.seed
+    )
+    return [f"distinct_vectors: {len(vectors)}"] + [
+        "vector: " + ",".join(rational_to_str(x) for x in vec) for vec in vectors
+    ]
 
 
-def cmd_witness_report(args) -> None:
-    desc = family_from_args(args)
-    rep = lower_bound_report(desc, trials=args.trials, seed=args.seed)
-    body = rep.to_text(include_timing=args.timing).rstrip("\n").split("\n")
+def cmd_witness_report(args) -> list[str]:
+    rep = lower_bound_report(family_from_args(args), trials=args.trials, seed=args.seed)
     if args.format == "csv":
-        body = rep.to_csv().rstrip("\n").split("\n")
-    emit(args, report_header(args, "witness report") + body)
+        return rep.to_csv().splitlines()
+    return rep.to_text(include_timing=args.timing).splitlines()
 
 
-def cmd_witness_rank(args) -> None:
+def cmd_witness_rank(args) -> list[str]:
     rows = [
         [rational_from_str(x) for x in line.split(",")]
         for line in args.matrix.split(";")
     ]
-    rank = exact_rank(ExactMatrix.from_rows(rows))
-    emit(args, report_header(args, "witness rank") + [f"rank: {rank}"])
+    return [f"rank: {exact_rank(ExactMatrix.from_rows(rows))}"]
 
 
-def cmd_witness_roots(args) -> None:
+def cmd_witness_roots(args) -> list[str]:
     matrix, p = roots_of_unity_matrix(args.d, args.variant)
-    rank = exact_rank(matrix)
-    lines = report_header(args, "witness roots-of-unity") + [
+    return [
         f"modulus: {p}",
-        f"rank: {rank}",
+        f"rank: {exact_rank(matrix)}",
         f"rows: {matrix.rows}",
         f"cols: {matrix.cols}",
     ]
-    emit(args, lines)
 
 
-def cmd_witness_hypercube_lk(args) -> None:
+def cmd_witness_hypercube_lk(args) -> list[str]:
     if args.points:
         points = parse_points(args.points)
     else:
-        size = hypercube_size(args.n)
-        rng = random.Random(args.seed)
-        points = tuple(
-            tuple(rng.randint(1, 4 * size) for _ in range(args.n)) for _ in range(size)
-        )
+        points = sample_hypercube_points(random.Random(args.seed), args.n)
     matrix = hypercube_lk_matrix(args.n, points)
-    lines = report_header(args, "witness hypercube-lk") + [
-        f"rank: {exact_rank(matrix)}",
-        f"expected: {2 ** args.n}",
-    ]
-    emit(args, lines)
+    return [f"rank: {exact_rank(matrix)}", f"expected: {2 ** args.n}"]
 
 
-def cmd_kron_verify(args) -> None:
+def cmd_kron_verify(args) -> list[str]:
     if args.trials < 1:
         raise QuizlabError(f"need at least one trial, got {args.trials}")
     rng = random.Random(args.seed)
@@ -396,27 +354,25 @@ def cmd_kron_verify(args) -> None:
         s = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         u = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(args.k)]
         results.append(verify_lemma_identities(args.k, s, u))
-    all_ok = all(all(triple) for triple in results)
-    lines = report_header(args, "kron verify") + [
+    return [
         f"trials: {args.trials}",
         f"identities: {results[-1]}",
-        f"all_true: {all_ok}",
+        f"all_true: {all(all(triple) for triple in results)}",
     ]
-    emit(args, lines)
 
 
-def cmd_kron_charpoly(args) -> None:
-    theta, ops = build_theta_matrix(args.k, rational_from_str(args.s), parse_vector(args.u))
+def cmd_kron_charpoly(args) -> list[str]:
+    s, u = rational_from_str(args.s), parse_vector(args.u)
+    theta, ops = build_theta_matrix(args.k, s, u)
     cp = char_poly(theta)
-    reference = elimination_poly(args.k, rational_from_str(args.s), parse_vector(args.u))
-    lines = report_header(args, "kron charpoly") + [
+    return [
         f"operations: {ops}",
-        f"matches_elimination_poly: {cp == reference}",
-    ] + poly_lines(cp)
-    emit(args, lines)
+        f"matches_elimination_poly: {cp == elimination_poly(args.k, s, u)}",
+        poly_line(cp),
+    ]
 
 
-def cmd_neural_train(args) -> None:
+def cmd_neural_train(args) -> list[str]:
     batch = random_batch(args.n, args.batch_size, args.seed)
     rng = random.Random(args.seed + 1)
     target_weights = tuple(rng.uniform(-1.0, 1.0) for _ in range(args.n + 1))
@@ -429,43 +385,36 @@ def cmd_neural_train(args) -> None:
         target_weights=target_weights,
     )
     rep = train(config)
-    body = rep.to_text().rstrip("\n").split("\n")
     if args.format == "csv":
-        body = rep.curve_csv().rstrip("\n").split("\n")
-    emit(args, report_header(args, "neural train") + body)
+        return rep.curve_csv().splitlines()
+    return rep.to_text().splitlines()
 
 
-def cmd_neural_gradcheck(args) -> None:
+def cmd_neural_gradcheck(args) -> list[str]:
     rng = random.Random(args.seed)
     weights = tuple(rng.uniform(-1.0, 1.0) for _ in range(args.n + 1))
     net = PolyActivationNet(args.n, weights)
     batch = random_batch(args.n, args.batch_size, args.seed + 1)
     targets = tuple(rng.uniform(-1.0, 1.0) for _ in batch)
     err = finite_diff_check(net, batch, targets, h=args.step)
-    emit(args, report_header(args, "neural gradcheck") + [f"max_relative_error: {err!r}"])
+    return [f"max_relative_error: {err!r}"]
 
 
-def cmd_approx_encode(args) -> None:
-    germ = parse_germ(args.germ) if args.germ else border_demo_germ()
-    subject = border_family_circuit(2) if args.border else family_from_args(args)
+def cmd_approx_encode(args) -> list[str]:
+    subject, germ = approx_subject(args)
     enc = encode(germ, subject, precision=args.precision)
-    lines = report_header(args, "approx encode") + [f"holomorphic: {enc.holomorphic}"]
-    if enc.holomorphic:
-        lines.append("h: " + str(enc.h))
-        lines.append("h_prime_leading: " + str(enc.h_prime_leading))
-    else:
-        lines.append(f"offending_monomial: {enc.offending_monomial}")
-    emit(args, lines)
+    if not enc.holomorphic:
+        return ["holomorphic: False", f"offending_monomial: {enc.offending_monomial}"]
+    return ["holomorphic: True", f"h: {enc.h}", f"h_prime_leading: {enc.h_prime_leading}"]
 
 
-def cmd_approx_demo(args) -> None:
-    germ = parse_germ(args.germ) if args.germ else border_demo_germ()
-    subject = border_family_circuit(2) if args.border else family_from_args(args)
+def cmd_approx_demo(args) -> list[str]:
+    subject, germ = approx_subject(args)
     enc = encode(germ, subject)
     if not enc.holomorphic:
         raise QuizlabError("germ does not encode a polynomial")
     report = closure_membership_demo(subject, enc.h, germ, depth=args.depth)
-    emit(args, report_header(args, "approx demo") + report.to_text().rstrip("\n").split("\n"))
+    return report.to_text().splitlines()
 
 
 # ---------------------------------------------------------------------------
@@ -482,28 +431,28 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"quizlab {__version__}")
     groups = parser.add_subparsers(dest="group", required=True)
 
-    def new(group, name: str, handler, family: bool = False):
+    def new(group, name: str, handler, flags=None):
         sub = group.add_parser(name)
         sub.set_defaults(func=handler)
         sub.add_argument("--out", default=None, help="write the report to this path")
         sub.add_argument("--seed", type=int, default=0)
-        if family:
-            add_family_flags(sub)
+        if flags:
+            flags(sub)
         return sub
 
     family = groups.add_parser("family").add_subparsers(dest="command", required=True)
-    sub = new(family, "expand", cmd_family_expand, family=True)
+    sub = new(family, "expand", cmd_family_expand, add_family_flags)
     sub.add_argument("--u", required=True, help="parameter vector")
-    sub = new(family, "eval", cmd_family_eval, family=True)
+    sub = new(family, "eval", cmd_family_eval, add_family_flags)
     sub.add_argument("--u", required=True)
     sub.add_argument("--x", required=True, help="input point")
     sub = new(family, "emit-formula", cmd_family_emit_formula)
     sub.add_argument("--n", type=int, required=True)
 
     circuit = groups.add_parser("circuit").add_subparsers(dest="command", required=True)
-    sub = new(circuit, "build", cmd_circuit_build, family=True)
+    sub = new(circuit, "build", cmd_circuit_build, add_family_flags)
     for name, handler in (("eval", cmd_circuit_eval), ("expand", cmd_circuit_expand)):
-        sub = new(circuit, name, handler, family=False)
+        sub = new(circuit, name, handler)
         sub.add_argument("--circuit-file", default=None)
         add_family_flags(sub, required=False)
         sub.add_argument("--params", required=True)
@@ -529,25 +478,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--support", required=True, help="monomial exponent tuples")
 
     game = groups.add_parser("game").add_subparsers(dest="command", required=True)
-    sub = new(game, "exact", cmd_game_exact, family=True)
+    sub = new(game, "exact", cmd_game_exact, add_family_flags)
     sub.add_argument("--hidden", required=True)
     sub.add_argument("--audit", action="store_true", help="include the hidden point")
-    sub = new(game, "approx", cmd_game_approx)
-    sub.add_argument("--border", action="store_true", help="use the border demo family")
-    add_family_flags(sub, required=False)
-    sub.add_argument("--germ", default=None)
+    sub = new(game, "approx", cmd_game_approx, add_approx_flags)
     sub.add_argument("--target", default=None, help="target coefficient vector")
     sub.add_argument("--target-support", default=None)
     sub.add_argument("--numeric", action="store_true")
     sub.add_argument("--samples", type=int, default=12)
     sub.add_argument("--tolerance", default="1/64")
     sub.add_argument("--audit", action="store_true")
-    sub = new(game, "fiber", cmd_game_fiber, family=True)
+    sub = new(game, "fiber", cmd_game_fiber, add_family_flags)
     sub.add_argument("--base", required=True)
     sub.add_argument("--samples", type=int, default=50)
 
     witness = groups.add_parser("witness").add_subparsers(dest="command", required=True)
-    sub = new(witness, "report", cmd_witness_report, family=True)
+    sub = new(witness, "report", cmd_witness_report, add_family_flags)
     sub.add_argument("--trials", type=int, default=100)
     sub.add_argument("--format", choices=("text", "csv"), default="text")
     sub.add_argument("--timing", action="store_true")
@@ -582,25 +528,37 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--step", type=float, default=1e-5)
 
     approx = groups.add_parser("approx").add_subparsers(dest="command", required=True)
-    sub = new(approx, "encode", cmd_approx_encode)
-    sub.add_argument("--border", action="store_true")
-    add_family_flags(sub, required=False)
-    sub.add_argument("--germ", default=None)
+    sub = new(approx, "encode", cmd_approx_encode, add_approx_flags)
     sub.add_argument("--precision", type=int, default=None)
-    sub = new(approx, "demo", cmd_approx_demo)
-    sub.add_argument("--border", action="store_true")
-    add_family_flags(sub, required=False)
-    sub.add_argument("--germ", default=None)
+    sub = new(approx, "demo", cmd_approx_demo, add_approx_flags)
     sub.add_argument("--depth", type=int, default=10)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        args.func(args)
+        body = args.func(args)
+        config = " ".join(
+            f"{key}={value}"
+            for key, value in sorted(vars(args).items())
+            if key not in ("func", "out")
+        )
+        header = [
+            f"quizlab-report v{__version__}",
+            f"command: {args.group} {args.command}",
+            f"config: {config}",
+        ]
+        text = "\n".join(header + body) + "\n"
+        if args.out:
+            try:
+                with open(args.out, "w") as handle:
+                    handle.write(text)
+            except OSError as exc:
+                raise QuizlabError(f"cannot write report: {exc}") from None
+        else:
+            sys.stdout.write(text)
     except CapExceededError as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return 3

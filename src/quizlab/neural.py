@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .approx import coefficient_distance
 from .errors import ArityMismatchError, QuizlabError
 from .families import expand_family, neural_power
 
@@ -208,12 +209,9 @@ def polynomial_distance(n: int, weights_a: Sequence[float], weights_b: Sequence[
     about polynomials, not about floats.
     """
     desc = neural_power(n)
-    fa = expand_family(desc, rounded_weight_fractions(weights_a))
-    fb = expand_family(desc, rounded_weight_fractions(weights_b))
-    monos = set(fa.terms) | set(fb.terms)
-    return max(
-        (abs(fa.coefficient(m) - fb.coefficient(m)) for m in monos),
-        default=Fraction(0),
+    return coefficient_distance(
+        expand_family(desc, rounded_weight_fractions(weights_a)),
+        expand_family(desc, rounded_weight_fractions(weights_b)),
     )
 
 

@@ -178,23 +178,20 @@ class GameTranscript:
     def export(self, include_hidden: bool = False) -> str:
         """Structured-text serialization; the quizmaster export redacts hidden."""
 
-        def fmt_monos(monos) -> str:
-            return ";".join(",".join(str(e) for e in m) for m in monos)
-
-        def fmt_points(points) -> str:
-            return ";".join(",".join(str(x) for x in p) for p in points)
+        def fmt_tuples(tuples) -> str:
+            return ";".join(",".join(str(x) for x in t) for t in tuples)
 
         lines = [
             "transcript v1",
             f"family: {self.family}",
             f"mode: {self.mode}",
             f"post_map: {self.post_map}",
-            f"strategy.points: {fmt_points(self.strategy_points)}",
-            f"strategy.support: {fmt_monos(self.strategy_support)}",
+            f"strategy.points: {fmt_tuples(self.strategy_points)}",
+            f"strategy.support: {fmt_tuples(self.strategy_support)}",
             f"quizmaster_message: {';'.join(self.quizmaster_message)}",
-            f"player_support: {fmt_monos(self.player_support)}",
+            f"player_support: {fmt_tuples(self.player_support)}",
             f"player_message: {';'.join(self.player_message)}",
-            f"reference_support: {fmt_monos(self.reference_support)}",
+            f"reference_support: {fmt_tuples(self.reference_support)}",
             f"reference: {';'.join(self.reference)}",
             f"verdict: {self.verdict}",
         ]

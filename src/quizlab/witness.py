@@ -537,6 +537,19 @@ def _sample_distinct(rng: random.Random, count: int, box: int) -> list[int]:
     return rng.sample(range(1, box + 1), count)
 
 
+def sample_hypercube_points(rng: random.Random, n: int) -> list[tuple[int, ...]]:
+    """2^n distinct points of the box [1, 2^(n+2)]^n, sorted.
+
+    A repeated point repeats a column of the L_k matrix, so the draw
+    rejects it the way the power-sum sampler rejects repeated base points.
+    """
+    size = hypercube_size(n)
+    points: set[tuple[int, ...]] = set()
+    while len(points) < size:
+        points.add(tuple(rng.randint(1, 4 * size) for _ in range(n)))
+    return sorted(points)
+
+
 def _ray_of(direction: tuple[int, ...]) -> tuple[int, ...]:
     g = 0
     for x in direction:
@@ -594,10 +607,7 @@ def lower_bound_report(
             matrix = derivative_matrix(desc.base(), curves)
         elif desc.variant in (HYPERCUBE_SHIFT, KRONECKER_DIAG):
             n = desc.input_arity
-            points: set[tuple[int, ...]] = set()
-            while len(points) < 2 ** n:
-                points.add(tuple(rng.randint(1, box) for _ in range(n)))
-            matrix = hypercube_lk_matrix(n, sorted(points))
+            matrix = hypercube_lk_matrix(n, sample_hypercube_points(rng, n))
         else:  # univariate-d, deterministic modular witness
             ranks.append(roots_of_unity_rank(desc.d, VARIANT_BASE))
             continue

@@ -21,7 +21,7 @@ from quizlab.errors import (
     QuizlabError,
 )
 from quizlab.exact import LaurentSeries
-from quizlab.families import build_circuit, easy_power_sum, expand_family
+from quizlab.families import build_circuit, easy_power_sum, expand_family, univariate_d
 from quizlab.poly import Polynomial
 
 
@@ -33,6 +33,18 @@ def test_validate_instance():
         validate_instance(GermInstance.constant((1, 2)), easy_power_sum(1, 2))
     sentinel = LaurentSeries(low=0, coeffs=(), bound=0)
     assert not validate_instance(GermInstance.make([sentinel, 1, 1]), easy_power_sum(1, 2))
+
+
+# A truncated zero carries no known term at any precision: encode refuses
+# it by name instead of encoding h = -1 or asking for more precision.
+@pytest.mark.parametrize("zero", [LaurentSeries(3, (), 3), LaurentSeries(0, (), 0)])
+def test_encode_refuses_a_germ_that_validate_instance_refuses(zero):
+    desc = univariate_d(2)
+    germ = GermInstance.make([zero])
+    assert not validate_instance(germ, desc)
+    with pytest.raises(QuizlabError, match="germ component 1 is a truncated zero") as info:
+        encode(germ, desc)
+    assert not isinstance(info.value, PrecisionUnderflowError)
 
 
 def test_encode_border_family():

@@ -289,6 +289,8 @@ SLOW_STRATEGY_INPUT_ERRORS = [
         ["game", "approx", "--family=univariate-d", "--d=1", "--germ=2", "--target=3,6",
          "--target-support=0,7;1,9", "--task=derivative"],
         ["game", "approx", "--border", "--target=1,1,0", "--target-support=2,0,0;1,1,0;0,2,0"],
+        ["family", "emit-formula", "--n=2", "--out={dir}"],
+        ["family", "emit-formula", "--n=2", "--out={dir}/missing/r.txt"],
         *SLOW_STRATEGY_INPUT_ERRORS,
     ],
 )

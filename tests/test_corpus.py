@@ -1,6 +1,7 @@
 """Every corpus argv replays to its golden stdout, stderr and exit code."""
 
 import argparse
+from pathlib import Path
 
 import pytest
 
@@ -38,8 +39,37 @@ def _subcommands(parser: argparse.ArgumentParser, prefix=()):
         yield from _subcommands(sub, prefix + (name,))
 
 
+COMMANDS = set(_subcommands(build_parser()))
+
+
 def test_corpus_covers_every_subcommand():
-    commands = set(_subcommands(build_parser()))
-    assert commands and all(len(command) == 2 for command in commands)
+    assert COMMANDS and all(len(command) == 2 for command in COMMANDS)
     covered = {tuple(line.split()[:2]) for line in LINES}
-    assert commands <= covered, sorted(commands - covered)
+    assert COMMANDS <= covered, sorted(COMMANDS - covered)
+
+
+def _first_success_per_subcommand() -> list[str]:
+    first = {}
+    for line in LINES:
+        command = tuple(line.split()[:2])
+        if command in COMMANDS and RECORDS.get(line, {}).get("exit") == 0:
+            first.setdefault(command, line)
+    return list(first.values())
+
+
+FIRST_SUCCESS = _first_success_per_subcommand()
+
+
+def test_every_subcommand_has_a_successful_record():
+    assert {tuple(line.split()[:2]) for line in FIRST_SUCCESS} == COMMANDS
+
+
+# ``main`` writes every report through one path: with --out the file holds
+# exactly the bytes the record holds for stdout, and both streams stay empty.
+@pytest.mark.parametrize("line", FIRST_SUCCESS)
+def test_out_file_holds_the_recorded_stdout(line, environment):
+    report = Path("report.txt")
+    record = replay(f"{line} --out={report}")
+    assert (record["exit"], record["stdout"], record["stderr"]) == (0, "", "")
+    assert report.read_bytes() == RECORDS[line]["stdout"].encode()
+    report.unlink()

@@ -48,6 +48,7 @@ from quizlab.witness import (
     lower_bound_report,
     roots_of_unity_matrix,
     roots_of_unity_rank,
+    sample_hypercube_points,
     solve_exact,
 )
 from conftest import hypercube_lk_coefficients, naive_rank, naive_rank_mod_p
@@ -584,6 +585,16 @@ def test_hypercube_lk_random_rank(rng):
         if exact_rank(hypercube_lk_matrix(2, points)) == 4:
             hits += 1
     assert hits >= 19
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_sample_hypercube_points_are_distinct_sorted_and_in_the_box(n):
+    # For n = 1 the first two draws repeat at seeds 0, 11 and 13.
+    for seed in range(20):
+        points = sample_hypercube_points(random.Random(seed), n)
+        assert len(points) == len(set(points)) == 2 ** n
+        assert points == sorted(points)
+        assert all(len(u) == n and all(1 <= x <= 2 ** (n + 2) for x in u) for u in points)
 
 
 def test_hypercube_lk_matches_symbolic_elimination():
