@@ -28,6 +28,7 @@ from typing import Sequence
 from .circuit import Circuit, CircuitBuilder
 from .errors import (
     ArityMismatchError,
+    CapExceededError,
     PrecisionUnderflowError,
     QuizlabError,
 )
@@ -40,11 +41,34 @@ from .families import FamilyDescriptor, build_circuit
 from .poly import Monomial, Polynomial, PolynomialRing
 
 
+# Widest exponent gap of a germ component: every Laurent series stores a
+# dense window from its lowest to its highest exponent.
+GERM_GAP_CAP = 64
+
+
+def check_germ_gap(index: int, low: int, high: int) -> None:
+    """Refuse component ``index`` (from 1) when its exponents span e^low..e^high
+    with a gap over ``GERM_GAP_CAP``."""
+    if high - low > GERM_GAP_CAP:
+        raise CapExceededError(
+            f"germ exponent gap cap: component {index} spans e^{low}..e^{high}, "
+            f"gap {high - low} exceeds {GERM_GAP_CAP}; no override"
+        )
+
+
 @dataclass(frozen=True)
 class GermInstance:
-    """Vector of truncated Laurent series, one component per parameter."""
+    """Vector of truncated Laurent series, one component per parameter.
+
+    Each component's coefficient window spans at most ``GERM_GAP_CAP``
+    exponents, however the germ is built.
+    """
 
     components: tuple[LaurentSeries, ...]
+
+    def __post_init__(self):
+        for index, comp in enumerate(self.components, 1):
+            check_germ_gap(index, comp.low, comp.low + max(len(comp.coeffs) - 1, 0))
 
     @staticmethod
     def make(components: Sequence) -> "GermInstance":

@@ -19,7 +19,9 @@ Value syntax on the command line:
 Every family is held to its desk cap (easy-power-sum n*l <= 8,
 neural-power n <= 6, hypercube-shift n <= 5, kronecker-diag k <= 5,
 univariate-d d <= 64) before any work starts, and no setting raises it.
-circuit expand's --expansion-cap (default 200000) is its term cap.
+So are the loop counts (neural train --epochs <= 100000, witness report
+--trials <= 1000, game fiber --samples <= 10000, kron verify --trials <=
+1000).  circuit expand's --expansion-cap (default 200000) is its term cap.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .approx import (
     GermInstance,
     border_demo_germ,
     border_family_circuit,
+    check_germ_gap,
     closure_membership_demo,
     encode,
 )
@@ -58,7 +61,7 @@ from .identify import (
     sample_sequence,
     verify_linear_span,
 )
-from .kronecker import build_theta_matrix, char_poly, verify_lemma_identities
+from .kronecker import build_theta_matrix, char_poly, verify_lemma_trials
 from .neural import PolyActivationNet, TrainConfig, finite_diff_check, random_batch, train
 from .poly import Polynomial, sort_support
 from .protocol import (
@@ -79,11 +82,6 @@ from .witness import (
     roots_of_unity_matrix,
     sample_hypercube_points,
 )
-
-# Widest exponent gap of a parsed germ component: every Laurent series
-# stores a dense window from its lowest to its highest exponent.
-GERM_GAP_CAP = 64
-
 
 def parse_vector(text: str) -> tuple[Fraction, ...]:
     if not text:
@@ -123,12 +121,7 @@ def parse_germ(text: str) -> GermInstance:
             exp = parse_int(exp_part.lstrip("^")) if exp_part else 1
             pairs.append((exp, coeff))
         exps = [exp for exp, coeff in pairs if coeff]
-        low, high = min(exps, default=0), max(exps, default=0)
-        if high - low > GERM_GAP_CAP:
-            raise CapExceededError(
-                f"germ exponent gap cap: component {index} spans e^{low}..e^{high}, "
-                f"gap {high - low} exceeds {GERM_GAP_CAP}; no override"
-            )
+        check_germ_gap(index, min(exps, default=0), max(exps, default=0))
         components.append(LaurentSeries.from_pairs(pairs))
     return GermInstance.make(components)
 
@@ -346,14 +339,7 @@ def cmd_witness_hypercube_lk(args) -> list[str]:
 
 
 def cmd_kron_verify(args) -> list[str]:
-    if args.trials < 1:
-        raise QuizlabError(f"need at least one trial, got {args.trials}")
-    rng = random.Random(args.seed)
-    results = []
-    for _ in range(args.trials):
-        s = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-        u = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(args.k)]
-        results.append(verify_lemma_identities(args.k, s, u))
+    results = verify_lemma_trials(args.k, args.trials, args.seed)
     return [
         f"trials: {args.trials}",
         f"identities: {results[-1]}",

@@ -11,6 +11,7 @@ uniformly.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Sequence
@@ -20,8 +21,8 @@ from .poly import Monomial
 from .witness import spans
 
 # The bound L * bits(a) on the bits of a^L in ``required_set_size``.  Its
-# binary search takes bits(a) steps on numbers of that size; the slowest
-# call under the cap takes about 0.5 s.
+# Newton root takes O(log bits(a)) steps on numbers of that size; the
+# slowest call under the cap takes about 2 ms.
 POWER_BITS_CAP = 2 ** 14
 
 
@@ -30,24 +31,40 @@ def required_set_size(delta: int, L: int, K: int) -> int:
 
     The irrational factor (1+L)^(1/L) is handled with outward-rounded
     integer bounds: the result is the least integer c with
-    c^L >= a^L * (1+L), a = delta^3 * (1+K*delta), found by binary search
-    in [a, 2a] (for L >= 1, the factor lies in (1, 2]), all in integers.
-    The bits of a^L are held to ``POWER_BITS_CAP`` before the search.
+    c^L >= a^L * (1+L), a = delta^3 * (1+K*delta), all in integers.
+    The bits of a^L are held to ``POWER_BITS_CAP`` before the root.
     """
     if delta < 2 or L < 1 or K < 1:
         raise QuizlabError("need delta >= 2, L >= 1, K >= 1")
     a = delta ** 3 * (1 + K * delta)
     bits = L * a.bit_length()
     check_cap("required set size", "L*bits(delta^3*(1+K*delta))", bits, POWER_BITS_CAP)
-    target = a ** L * (1 + L)
-    lo, hi = a, 2 * a
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if mid ** L >= target:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    return _ceil_root(a ** L * (1 + L), L)
+
+
+def _ceil_root(target: int, L: int) -> int:
+    """The least c with c^L >= target, for target >= 1, by Newton's method
+    on integers.
+
+    The start is 2^(log2(target) / L), taken from the top 53 bits of
+    target (a float of target itself overflows above 2^1024) and raised by
+    a relative 2^-30, far more than the float's error, so it lies just above
+    the root and each step about doubles the correct bits.  Correctness
+    does not rest on the start: one step from any x > 0 lands at or above
+    the floor root r (AM-GM, and a floor of a floor), and from there every
+    step strictly decreases until it reaches r.
+    """
+    shift = max(0, target.bit_length() - 53)
+    log_root = (math.log2(target >> shift) + shift) / L
+    whole = int(log_root)
+    x = ((int(2 ** (log_root - whole + 52)) + (1 << 22)) << whole >> 52) + 1
+    x = ((L - 1) * x + target // x ** (L - 1)) // L
+    while True:
+        y = ((L - 1) * x + target // x ** (L - 1)) // L
+        if y >= x:
+            break
+        x = y
+    return x if x ** L == target else x + 1
 
 
 def minimum_length(L: int) -> int:

@@ -15,6 +15,7 @@ Fraction once.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -25,6 +26,8 @@ from .poly import Polynomial, product_of_linear_roots
 
 THETA_CAP = 8
 LEMMA_CAP = 5
+# Random points per lemma check; 1000 trials at k = LEMMA_CAP take about 7 s.
+LEMMA_TRIALS_CAP = 1000
 
 
 @dataclass(frozen=True)
@@ -162,3 +165,22 @@ def verify_lemma_identities(k: int, s, u: Sequence) -> tuple[bool, bool, bool]:
     second = product == vertex_monomials(k, coords)
     third = char_poly(theta) == product_of_linear_roots(theta_diagonal_values(k, s, coords))
     return (first, second, third)
+
+
+def verify_lemma_trials(k: int, trials: int, seed: int) -> list[tuple[bool, bool, bool]]:
+    """``verify_lemma_identities`` at ``trials`` random points, one result
+    per point.  One rng seeded with ``seed`` draws each point's s, then
+    u_1..u_k, every coordinate a/b with -9 <= a <= 9 and 1 <= b <= 9.  The
+    count and k are held to their caps before anything is drawn.
+    """
+    if trials < 1:
+        raise QuizlabError(f"need at least one trial, got {trials}")
+    check_cap("lemma-identity", "trials", trials, LEMMA_TRIALS_CAP)
+    check_cap("lemma-identity", "k", k, LEMMA_CAP)
+    rng = random.Random(seed)
+    results = []
+    for _ in range(trials):
+        s = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        u = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(k)]
+        results.append(verify_lemma_identities(k, s, u))
+    return results

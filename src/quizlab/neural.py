@@ -19,10 +19,12 @@ from fractions import Fraction
 from typing import Sequence
 
 from .approx import coefficient_distance
-from .errors import ArityMismatchError, QuizlabError
+from .errors import ArityMismatchError, QuizlabError, check_cap
 from .families import expand_family, neural_power
 
 DIVERGENCE_LIMIT = 1e12
+# Gradient steps per run; 100000 epochs take about 7 s at n = 6 on a batch of 20.
+EPOCHS_CAP = 100_000
 WEIGHT_ROUNDING_DENOMINATOR = 10 ** 6
 
 
@@ -150,6 +152,7 @@ class TrainConfig:
             raise QuizlabError("learning rate must be nonnegative")
         if self.epochs < 1:
             raise QuizlabError("need at least one epoch")
+        check_cap("training", "epochs", self.epochs, EPOCHS_CAP)
         if not self.batch:
             raise QuizlabError("batch must be nonempty")
         if self.targets is None and self.target_weights is None:

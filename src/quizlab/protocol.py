@@ -30,9 +30,11 @@ target arity, fiber base) before that first compile, and are the only
 place that checks it.
 
 Because the questions are fixed before the round, a rational round does
-integer work only.  The strategy carries its question matrix, compiled once
-on first use into integer rows (``Strategy.system``), and each round applies
-it to the answers.  The quizmaster answers every question in one
+integer work only, and so does the symbolic solve.  The strategy carries
+its question matrix, compiled once on first use into integer rows
+(``Strategy.system``), and each round applies it to the answers: rational
+answers as one integer column, Laurent answers as one integer column per
+power of e.  The quizmaster answers every question in one
 ``Circuit.evaluate_points`` call at the integer question points: the hidden
 point fixes, once per round, the circuit's parameter-only values and a
 denominator for every input-dependent node, and each question then runs on
@@ -64,6 +66,7 @@ from .errors import (
     NoStableClusterError,
     QuizlabError,
     UnderdeterminedSystemError,
+    check_cap,
 )
 from .exact import RATIONALS, LaurentRing, laurent_limit, rational_to_str
 from .families import (
@@ -99,6 +102,9 @@ TASK_TO_POST = {
 
 MODE_SYMBOLIC = "symbolic"
 MODE_NUMERIC = "numeric"
+
+# Fiber points per image; 10000 samples take about 5 s at hypercube-shift(5).
+FIBER_SAMPLES_CAP = 10_000
 
 VERDICT_ACCEPT = "accept"
 VERDICT_REJECT = "reject"
@@ -554,6 +560,7 @@ def fiber_image(
     """
     if samples < 1:
         raise QuizlabError(f"fiber samples must be at least 1, got {samples}")
+    check_cap("fiber image", "samples", samples, FIBER_SAMPLES_CAP)
     if parameter_point(desc, base_point, "base point")[0] != 0:
         raise NoFiberSamplerError(
             "no fiber sampler for bases with a nonzero t coordinate"

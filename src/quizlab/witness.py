@@ -11,7 +11,11 @@ the power forms), so on integer curves no Fraction is made.  Over the
 rationals each row is cleared of its denominators, and one fraction-free
 loop (Bareiss 1968) serves both callers: run forward only, it gives the
 rank; run as Gauss-Jordan on [A' | diag(s)], it compiles a linear system
-once (``compile_system``) for any number of right-hand sides.  A matrix
+once (``compile_system``) for any number of right-hand sides.  A compiled
+solve is integer work too, over the rationals and over Laurent series
+alike: the compiled rows act on b one power of e at a time, each power a
+rational column cleared to integers once, and each unknown takes one
+exact division per column.  A matrix
 over F_p carries its prime as ``modulus`` and holds integer residues.
 One kernel ranks every matrix over F_p, row by row, and stops once the
 rank reaches the width.  It packs each row into one int, a field of
@@ -38,6 +42,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import operator
 import random
 import time
 from dataclasses import dataclass
@@ -53,7 +58,14 @@ from .errors import (
     UnderdeterminedSystemError,
     check_cap,
 )
-from .exact import cleared_row, modular_root_of_unity, smallest_prime_modulus
+from .exact import (
+    _ZERO,
+    LaurentSeries,
+    _window,
+    cleared_row,
+    modular_root_of_unity,
+    smallest_prime_modulus,
+)
 from .families import (
     CURVE_FIXED_DIRECTION,
     CURVE_POWER_TOWER,
@@ -75,6 +87,10 @@ VARIANT_DERIVATIVE = "derivative"
 VARIANT_INTEGRAL = "integral"
 
 RANK_PRIME = 2 ** 31 - 1  # certifies rational ranks; see the module docstring
+# Trials per lower-bound report.  1000 trials take about 12 s at
+# hypercube-shift(5), and about 17 minutes at easy-power-sum(l=8, n=1),
+# whose single trial takes about 1 s.
+REPORT_TRIALS_CAP = 1000
 
 
 @dataclass(frozen=True)
@@ -197,8 +213,11 @@ class CompiledSystem:
     ``rows[:rank]`` divided by ``denominators`` form a left inverse of A on
     ``pivot_cols``; ``rows[rank:]`` span the left null space of A, so b lies
     in the column space of A exactly when each of them vanishes on b.  All
-    entries are integers: solving applies one integer combination to b and
-    makes one exact division per unknown.
+    entries are integers, and they act on b one rational column at a time:
+    a rational b is one column, and a vector of Laurent series is one column
+    per power of e that carries a nonzero coefficient.  Each column is
+    cleared to integers once, so each row is one integer dot product per
+    column and each unknown one Fraction per column.
     """
 
     unknowns: int
@@ -211,22 +230,30 @@ class CompiledSystem:
         return len(self.pivot_cols)
 
     def solve(self, rhs: Sequence) -> list:
-        """The unique x with A x = rhs; rhs entries may be Fractions or any
-        module over the rationals (Laurent series).
+        """The unique x with A x = rhs; rhs entries are ints, Fractions or
+        Laurent series.
 
-        Rational right-hand sides are cleared to integers b' = s * b once,
-        so each unknown is one integer combination over d * s.  Raises
-        InconsistentSystemError when no solution exists (checked first) and
-        UnderdeterminedSystemError when it is not unique.
+        A rational rhs gives a Fraction per unknown.  If any entry is a
+        Laurent series, every entry is read as one (a rational as an exact
+        constant) and each unknown is a Laurent series.  A row's result is
+        known below the least bound among the entries it combines with a
+        nonzero coefficient, so a null row that meets a truncated entry
+        never vanishes.  Raises InconsistentSystemError when no solution
+        exists (checked first), UnderdeterminedSystemError when it is not
+        unique, and QuizlabError for any other entry type.
         """
         b = list(rhs)
         if len(b) != len(self.rows):
             raise QuizlabError("matrix and right-hand side differ in length")
-        scale = None
         if all(isinstance(x, (int, Fraction)) for x in b):
-            scale, b = cleared_row(b)
+            scale, column = cleared_row(b)
+
+            def apply(row: Sequence[int], d: int):
+                return Fraction(sum(map(operator.mul, row, column)), d * scale)
+        else:
+            apply = _laurent_columns(b)
         for row in self.rows[self.rank :]:
-            if _combine(row, b):
+            if apply(row, 1):
                 raise InconsistentSystemError(
                     "values are not explainable within the declared support"
                 )
@@ -235,24 +262,46 @@ class CompiledSystem:
                 f"system rank {self.rank} < {self.unknowns} unknowns"
             )
         # Full column rank: the pivot columns are 0..n-1, in order.
-        if scale is not None:
-            return [
-                Fraction(_combine(row, b), d * scale)
-                for row, d in zip(self.rows, self.denominators)
-            ]
-        return [
-            Fraction(1, d) * _combine(row, b)
-            for row, d in zip(self.rows, self.denominators)
-        ]
+        return [apply(row, d) for row, d in zip(self.rows, self.denominators)]
 
 
-def _combine(coeffs: Sequence[int], values: Sequence):
-    """The sum of c * v over the nonzero c; no compiled row is all zero."""
-    total = None
-    for c, v in zip(coeffs, values):
-        if c:
-            total = c * v if total is None else total + c * v
-    return total
+def _laurent_columns(b: Sequence) -> Callable[[Sequence[int], int], LaurentSeries]:
+    """The map taking a compiled row and its denominator d to the row's
+    combination of the Laurent entries of b, divided by d.
+
+    Each power of e with a nonzero coefficient in b is one column, cleared
+    to integers once.  A column at or past the row's bound is not applied.
+    """
+    series = []
+    for x in b:
+        if isinstance(x, LaurentSeries):
+            series.append(x)
+        elif isinstance(x, (int, Fraction)):
+            series.append(LaurentSeries.from_rational(x))
+        else:
+            raise QuizlabError(f"cannot solve for a right-hand side of {type(x).__name__}")
+    powers: dict[int, list] = {}
+    for i, s in enumerate(series):
+        for k, c in enumerate(s.coeffs, s.low):
+            if c:
+                powers.setdefault(k, [0] * len(series))[i] = c
+    columns = [(k, *cleared_row(powers[k])) for k in sorted(powers)]
+    low = columns[0][0] if columns else 0
+    width = columns[-1][0] - low + 1 if columns else 0
+    truncated = [(i, s.bound) for i, s in enumerate(series) if s.bound is not None]
+
+    def apply(row: Sequence[int], d: int) -> LaurentSeries:
+        bound = min((t for i, t in truncated if row[i]), default=None)
+        acc = [_ZERO] * width
+        for k, scale, column in columns:
+            if bound is not None and k >= bound:
+                break
+            dot = sum(map(operator.mul, row, column))
+            if dot:
+                acc[k - low] = Fraction(dot, d * scale)
+        return _window(low, acc, bound)
+
+    return apply
 
 
 def compile_system(matrix_rows: Sequence[Sequence[Fraction]]) -> CompiledSystem:
@@ -293,8 +342,8 @@ def compile_system(matrix_rows: Sequence[Sequence[Fraction]]) -> CompiledSystem:
 def solve_exact(
     matrix_rows: Sequence[Sequence[Fraction]] | CompiledSystem, rhs: Sequence
 ) -> list:
-    """Solve A x = b exactly, where A is rational and b lives in any module
-    over the rationals (Fractions or Laurent series).
+    """Solve A x = b exactly, where A is rational and b holds ints,
+    Fractions or Laurent series (``CompiledSystem.solve``).
 
     Returns the unique solution.  Raises InconsistentSystemError when no
     solution exists and UnderdeterminedSystemError when the solution is not
@@ -585,6 +634,7 @@ def lower_bound_report(
     """
     if trials < 1:
         raise QuizlabError(f"need at least one trial, got {trials}")
+    check_cap("witness report", "trials", trials, REPORT_TRIALS_CAP)
     k_expected = expected_rank(desc)
     started = time.monotonic()
     ranks: list[int] = []

@@ -14,8 +14,8 @@ from fractions import Fraction
 
 import pytest
 
-from quizlab.errors import QuizlabError
-from quizlab.exact import RationalRing
+from quizlab.errors import InconsistentSystemError, QuizlabError, UnderdeterminedSystemError
+from quizlab.exact import LaurentSeries, RationalRing
 from quizlab.families import expand_family
 from quizlab.identify import IdentificationSequence
 from quizlab.poly import Polynomial
@@ -317,6 +317,45 @@ def naive_vertex_elimination(f, n):
         for j in range(2 ** n)
     ]
     return sparse_root_product(roots, ring)
+
+
+def scalar_compiled_solve(system, rhs):
+    """A compiled system applied by scalar arithmetic: each unknown is
+    Fraction(1, d) * (the sum of c * v over the row's nonzero c), in the
+    right-hand side's own ring, and a null row fails on any truthy sum.
+    If any entry is a Laurent series, rationals are lifted to constants.
+    The Laurent arithmetic is the library's, which the naive_laurent_*
+    oracles above check."""
+    b = list(rhs)
+    if any(isinstance(v, LaurentSeries) for v in b):
+        b = [v if isinstance(v, LaurentSeries) else LaurentSeries.from_rational(v) for v in b]
+
+    def combine(row):
+        total = None
+        for c, v in zip(row, b):
+            if c:
+                total = c * v if total is None else total + c * v
+        return total
+
+    for row in system.rows[system.rank :]:
+        if combine(row):
+            raise InconsistentSystemError("null row does not vanish")
+    if system.rank < system.unknowns:
+        raise UnderdeterminedSystemError("rank below the unknowns")
+    return [Fraction(1, d) * combine(row) for row, d in zip(system.rows, system.denominators)]
+
+
+def bisected_power_root(a: int, L: int) -> int:
+    """The least c with c^L >= a^L * (1 + L), by binary search in [a, 2a]."""
+    target = a ** L * (1 + L)
+    lo, hi = a, 2 * a
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid ** L >= target:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 # Malformed circuit documents, by file name, for the CLI's exit-2 cases.

@@ -2,8 +2,10 @@
 
 import pytest
 
+from quizlab.approx import GermInstance
 from quizlab.circuit import generic_computation
 from quizlab.errors import CapExceededError, ExpansionCapExceededError, UnsupportedTaskError
+from quizlab.exact import LaurentSeries
 from quizlab.families import (
     TASK_CHARPOLY,
     TASK_ELIMINATION,
@@ -16,10 +18,13 @@ from quizlab.families import (
     univariate_d,
 )
 from quizlab.identify import required_set_size
-from quizlab.kronecker import build_theta_matrix, verify_lemma_identities
+from quizlab.kronecker import build_theta_matrix, verify_lemma_identities, verify_lemma_trials
+from quizlab.neural import TrainConfig
+from quizlab.protocol import fiber_image
 from quizlab.witness import (
     VARIANT_BASE,
     hypercube_size,
+    lower_bound_report,
     roots_of_unity_matrix,
 )
 
@@ -41,6 +46,29 @@ NO_OVERRIDE = "; no override"
             ("L*bits(delta^3*(1+K*delta))=16385", "exceeds 16384", NO_OVERRIDE),
         ),
         (lambda: generic_computation(127, 1), ("(L+n+1)^2=16641", "exceeds 16384", NO_OVERRIDE)),
+        # Loop counts, each just over its cap: the count is checked before any loop.
+        (
+            lambda: TrainConfig(2, 0.01, 100_001, ((0.5, 0.5),), target_weights=(0, 0, 0)),
+            ("training cap: epochs=100001", "exceeds 100000", NO_OVERRIDE),
+        ),
+        (
+            lambda: lower_bound_report(hypercube_shift(2), trials=1001, seed=0),
+            ("witness report cap: trials=1001", "exceeds 1000", NO_OVERRIDE),
+        ),
+        (
+            lambda: fiber_image(easy_power_sum(2, 2), None, (0, 0, 0), samples=10_001, seed=0),
+            ("fiber image cap: samples=10001", "exceeds 10000", NO_OVERRIDE),
+        ),
+        (
+            lambda: verify_lemma_trials(3, 1001, 0),
+            ("lemma-identity cap: trials=1001", "exceeds 1000", NO_OVERRIDE),
+        ),
+        # k is held to its cap before any point is drawn.
+        (lambda: verify_lemma_trials(6, 1, 0), ("k=6", "exceeds 5", NO_OVERRIDE)),
+        (
+            lambda: GermInstance.make([1, LaurentSeries.from_pairs([(-1, 1), (64, 2)])]),
+            ("component 2 spans e^-1..e^64", "gap 65 exceeds 64", NO_OVERRIDE),
+        ),
     ],
 )
 def test_cap_message_names_value_cap_and_override(call, expected):
@@ -71,6 +99,15 @@ def test_descriptor_holds_each_family_to_its_desk_cap(
     # A usage error is still raised before the cap.
     with pytest.raises(UnsupportedTaskError):
         make(*over_cap, unsupported)
+
+
+def test_germ_gap_is_held_however_the_germ_is_built():
+    at_cap = LaurentSeries.from_pairs([(0, 1), (64, 1)])
+    over_cap = LaurentSeries(0, (1,) + (0,) * 64 + (1,), 70)
+    assert GermInstance.make([at_cap]).components == (at_cap,)
+    for build in (GermInstance.make, lambda comps: GermInstance(tuple(comps))):
+        with pytest.raises(CapExceededError, match="gap 65 exceeds 64; no override"):
+            build([at_cap, over_cap])
 
 
 def test_expansion_cap_message_names_override_and_node():

@@ -1,6 +1,7 @@
 """Identification sequences: bounds, sampling, certificates, falsification."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,9 @@ from quizlab import witness
 from quizlab.errors import ArityMismatchError, QuizlabError
 from quizlab.families import easy_power_sum, univariate_d
 from quizlab.identify import (
+    POWER_BITS_CAP,
     IdentificationSequence,
+    _ceil_root,
     minimum_length,
     required_set_size,
     sample_sequence,
@@ -19,7 +22,7 @@ from quizlab.identify import (
 )
 from quizlab.poly import monomials_of_degree
 from quizlab.witness import RANK_PRIME
-from conftest import falsify_random, naive_rank
+from conftest import bisected_power_root, falsify_random, naive_rank
 
 
 def test_required_set_size_examples():
@@ -36,6 +39,43 @@ def test_required_set_size_float_crosscheck():
         assert exact == math.ceil(approx) or abs(exact - approx) < 1e-6
     with pytest.raises(QuizlabError):
         required_set_size(1, 1, 1)
+
+
+@st.composite
+def set_size_inputs(draw):
+    """(delta, L, K) with L * bits(a) within the cap, a = delta^3 (1 + K delta)."""
+    L = draw(st.integers(1, 64))
+    delta = draw(st.integers(2, 2 ** draw(st.integers(1, POWER_BITS_CAP // (5 * L)))))
+    K = draw(st.integers(1, 2 ** 12))
+    bits = (delta ** 3 * (1 + K * delta)).bit_length()
+    return delta, max(1, min(L, POWER_BITS_CAP // bits)), K
+
+
+@settings(max_examples=300, deadline=None)
+@given(set_size_inputs())
+def test_required_set_size_matches_binary_search(inputs):
+    delta, L, K = inputs
+    a = delta ** 3 * (1 + K * delta)
+    assert required_set_size(delta, L, K) == bisected_power_root(a, L)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 2 ** 200), st.integers(1, 40), st.integers(-1, 1))
+def test_ceil_root_is_the_least_root_next_to_exact_powers(c, L, offset):
+    target = c ** L + offset
+    if target >= 1:
+        root = _ceil_root(target, L)
+        assert root ** L >= target > (root - 1) ** L
+
+
+def test_required_set_size_at_the_cap_is_fast():
+    # The worst shapes under the cap; a binary search over [a, 2a] takes up to 0.6 s on them.
+    for delta, L in ((2 ** 1365 - 1, 3), (2 ** 1024 - 1, 4), (2, 3276)):
+        started = time.perf_counter()
+        size = required_set_size(delta, L, 1)
+        assert time.perf_counter() - started < 0.1
+        a = delta ** 3 * (1 + delta)
+        assert size ** L >= a ** L * (1 + L) > (size - 1) ** L
 
 
 def test_sample_sequence_determinism():

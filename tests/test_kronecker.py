@@ -7,7 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quizlab.errors import CapExceededError
+from quizlab import kronecker
+from quizlab.errors import CapExceededError, QuizlabError
 from quizlab.families import elimination_poly
 from quizlab.kronecker import (
     SquareMatrix,
@@ -16,6 +17,7 @@ from quizlab.kronecker import (
     kron_product,
     kron_sum,
     verify_lemma_identities,
+    verify_lemma_trials,
 )
 from quizlab.poly import Polynomial
 from conftest import cofactor_determinant, dense_kron_product, dense_kron_sum, random_fraction
@@ -140,6 +142,26 @@ def test_verify_lemma_identities(rng):
             s = random_fraction(rng)
             u = [random_fraction(rng) for _ in range(k)]
             assert verify_lemma_identities(k, s, u) == (True, True, True)
+
+
+def test_verify_lemma_trials_draws_s_then_u_per_trial():
+    rng = random.Random(7)
+    expected = []
+    for _ in range(4):
+        s = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        u = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(3)]
+        expected.append(verify_lemma_identities(3, s, u))
+    assert verify_lemma_trials(3, 4, 7) == expected == [(True, True, True)] * 4
+    for trials in (0, -1):
+        with pytest.raises(QuizlabError, match=f"need at least one trial, got {trials}"):
+            verify_lemma_trials(3, trials, 7)
+
+
+def test_verify_lemma_trials_checks_k_before_drawing(monkeypatch):
+    # Each trial draws k coordinates, so an over-cap k must stop before the rng.
+    monkeypatch.setattr(kronecker, "random", None)
+    with pytest.raises(CapExceededError, match="k=6 exceeds 5"):
+        verify_lemma_trials(6, 1, 0)
 
 
 def test_charpoly_matches_elimination_poly(rng):

@@ -37,6 +37,7 @@ from quizlab.witness import (
     VARIANT_BASE,
     VARIANT_DERIVATIVE,
     VARIANT_INTEGRAL,
+    CompiledSystem,
     ExactMatrix,
     compile_system,
     derivative_matrix,
@@ -51,7 +52,12 @@ from quizlab.witness import (
     sample_hypercube_points,
     solve_exact,
 )
-from conftest import hypercube_lk_coefficients, naive_rank, naive_rank_mod_p
+from conftest import (
+    hypercube_lk_coefficients,
+    naive_rank,
+    naive_rank_mod_p,
+    scalar_compiled_solve,
+)
 
 
 def test_exact_rank_examples():
@@ -306,31 +312,34 @@ def test_solve_exact_interpolates_on_evaluation_matrices():
         interpolate([Fraction(0), Fraction(0)], [(5,), (5,)], ((0,), (1,)))
 
 
-def _matrix(draw, m: int, n: int) -> list[list[int]]:
-    return [draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)) for _ in range(m)]
+def _matrix(draw, m: int, n: int, entries) -> list[list[int]]:
+    return [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(m)]
 
 
 @st.composite
 def linear_systems(draw):
     """(A, b): A is a small integer matrix, square, tall or wide, and of low
     rank when it is a product through a narrow middle; b is built from a
-    solution (consistent) or drawn freely, as Fractions or exact Laurent
-    polynomials."""
+    solution (consistent) or drawn freely, as Fractions, as exact Laurent
+    polynomials, or as truncated series mixed with exact ones and Fractions.
+    A truncated draw often keeps no term: the all-cancelled window
+    (bound, (), bound)."""
     m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    # Sparse entries give compiled rows with zeros, so rows meet different entries.
+    entries = draw(st.sampled_from([st.integers(-3, 3), st.sampled_from([0, 0, 0, 1, -1, 2])]))
     if draw(st.booleans()):
-        a = _matrix(draw, m, n)
+        a = _matrix(draw, m, n, entries)
     else:
         k = draw(st.integers(0, min(m, n) - 1))
-        left, right = _matrix(draw, m, k), _matrix(draw, k, n)
+        left, right = _matrix(draw, m, k, entries), _matrix(draw, k, n, entries)
         a = [[sum(x * y for x, y in zip(row, col)) for col in zip(*right)] if k else [0] * n
              for row in left]
     coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=4)
-    if draw(st.booleans()):
-        scalar = coeffs
-    else:
-        scalar = st.lists(st.tuples(st.integers(-2, 2), coeffs), max_size=3).map(
-            LaurentSeries.from_pairs
-        )
+    exact = st.lists(st.tuples(st.integers(-2, 2), coeffs), max_size=3).map(
+        LaurentSeries.from_pairs
+    )
+    truncated = st.builds(lambda s, t: s + LaurentSeries(t, (), t), exact, st.integers(-3, 3))
+    scalar = draw(st.sampled_from([coeffs, exact, st.one_of(truncated, exact, coeffs)]))
     if draw(st.booleans()):
         x = draw(st.lists(scalar, min_size=n, max_size=n))
         b = [_dot(row, x) for row in a]
@@ -343,23 +352,45 @@ def _dot(row, values):
     return sum((c * v for c, v in zip(row, values)), Fraction(0))
 
 
-def _coefficient_columns(b) -> list[list[Fraction]]:
-    """One rational column per power of e present in b (the power 0 for Fractions)."""
-    series = [v if isinstance(v, LaurentSeries) else LaurentSeries.from_rational(v) for v in b]
-    powers = sorted({e for s in series for e, _ in s.to_pairs()})
-    return [[s.coefficient(e) for s in series] for e in powers]
+def _lift(v) -> LaurentSeries:
+    return v if isinstance(v, LaurentSeries) else LaurentSeries.from_rational(v)
+
+
+def _coefficient_columns(series) -> list[list[Fraction]]:
+    """One rational column per power of e with a known nonzero coefficient
+    in the series; an unknown coefficient reads as 0."""
+    known = [dict(s.to_pairs()) for s in series]
+    powers = sorted({e for terms in known for e in terms})
+    return [[terms.get(e, Fraction(0)) for terms in known] for e in powers]
+
+
+def _agree(s: LaurentSeries, t: LaurentSeries) -> bool:
+    """The two series have the same coefficients below both bounds."""
+    top = min((x.bound for x in (s, t) if x.bound is not None), default=None)
+    return [(e, c) for e, c in s.to_pairs() if top is None or e < top] == [
+        (e, c) for e, c in t.to_pairs() if top is None or e < top
+    ]
 
 
 @settings(max_examples=300, deadline=None)
 @given(linear_systems())
+@example(([[1], [1]], [LaurentSeries(0, (), 0), LaurentSeries(0, (), 0)]))
 def test_solve_exact_against_naive_rank(system):
     a, b = system
     m, n = len(a), len(a[0])
     rank = naive_rank(a)
-    columns = _coefficient_columns(b)
-    consistent = not columns or naive_rank(
-        [list(row) + list(extra) for row, extra in zip(a, zip(*columns))]
-    ) == rank
+    series = [_lift(v) for v in b]
+
+    def extends_rank(columns):
+        return naive_rank([list(row) + list(extra) for row, extra in zip(a, zip(*columns))]) > rank
+
+    # A null row meets entry i exactly when e_i lies outside the column
+    # space of A, and a null row that meets a truncated entry never vanishes.
+    columns = _coefficient_columns(series)
+    consistent = not (columns and extends_rank(columns)) and not any(
+        s.bound is not None and extends_rank([[int(j == i) for j in range(m)]])
+        for i, s in enumerate(series)
+    )
 
     compiled = compile_system(a)
     assert compiled.rank == rank
@@ -380,34 +411,81 @@ def test_solve_exact_against_naive_rank(system):
             solve_exact(a, b)
     else:
         x = solve_exact(a, b)
-        assert [_dot(row, x) for row in a] == list(b)
+        image = [_dot(row, x) for row in a]
+        if all(s.bound is None for s in series):
+            assert [_lift(v) for v in image] == series
+        else:
+            assert all(_agree(_lift(v), s) for v, s in zip(image, series))
         assert compiled.solve(b) == x
+
+
+def _outcome(solve, compiled, rhs):
+    """The solution with every Laurent unknown as (low, coeffs, bound), or
+    the exception type."""
+    try:
+        x = solve(compiled, rhs)
+    except (InconsistentSystemError, UnderdeterminedSystemError) as exc:
+        return type(exc)
+    return [(v.low, v.coeffs, v.bound) if isinstance(v, LaurentSeries) else v for v in x]
+
+
+@settings(max_examples=400, deadline=None)
+@given(linear_systems())
+@example(([[1, 0], [1, 1]], [LaurentSeries.from_pairs([(0, 1)]), LaurentSeries(1, (1,), 2)]))
+@example(([[1], [1]], [LaurentSeries(0, (), 0), LaurentSeries(0, (), 0)]))
+def test_compiled_solve_matches_scalar_oracle(system):
+    a, b = system
+    compiled = compile_system(a)
+    fast = _outcome(CompiledSystem.solve, compiled, b)
+    assert fast == _outcome(scalar_compiled_solve, compiled, b)
+    if isinstance(fast, list) and any(isinstance(v, LaurentSeries) for v in b):
+        assert all(type(v) is tuple for v in fast)
 
 
 @settings(max_examples=300, deadline=None)
 @given(linear_systems())
-def test_integer_cleared_solve_matches_generic_path(system):
-    # Rational right-hand sides take the integer path; the same values as
-    # constant Laurent series take the generic one.
+def test_integer_cleared_solve_matches_scalar_oracle(system):
+    # Rational right-hand sides take the single integer column; the same
+    # values as constant Laurent series take one column per power of e.
     a, b = system
-    rational = [v.coefficient(0) if isinstance(v, LaurentSeries) else v for v in b]
+    rational = [dict(v.to_pairs()).get(0, Fraction(0)) if isinstance(v, LaurentSeries) else v
+                for v in b]
     mixed = [int(v) if v.denominator == 1 else v for v in rational]
     lifted = [LaurentSeries.from_rational(v) for v in rational]
     compiled = compile_system(a)
 
-    def outcome(rhs):
-        try:
-            return compiled.solve(rhs)
-        except (InconsistentSystemError, UnderdeterminedSystemError) as exc:
-            return type(exc)
-
-    fast, generic = outcome(rational), outcome(lifted)
-    assert outcome(mixed) == fast
-    if isinstance(generic, list):
+    fast = _outcome(CompiledSystem.solve, compiled, rational)
+    assert _outcome(CompiledSystem.solve, compiled, mixed) == fast
+    assert _outcome(scalar_compiled_solve, compiled, rational) == fast
+    columns = _outcome(CompiledSystem.solve, compiled, lifted)
+    if isinstance(fast, list):
         assert all(type(x) is Fraction for x in fast)
-        assert fast == [x.coefficient(0) for x in generic]
+        assert [LaurentSeries(*x).coefficient(0) for x in columns] == fast
     else:
-        assert fast is generic
+        assert fast is columns
+
+
+def test_solve_refuses_a_right_hand_side_outside_q_and_laurent():
+    compiled = compile_system([[1, 0], [0, 1]])
+    for rhs in ([1.5, 1], [LaurentSeries.epsilon(), 0.5], ["1", 1]):
+        with pytest.raises(QuizlabError, match="cannot solve for a right-hand side"):
+            compiled.solve(rhs)
+
+
+def test_laurent_solve_bounds_each_row_by_its_own_entries():
+    # x0 = b0 and x1 = b1 - b0: x0 sees only the exact entry, x1 the
+    # truncated one too; a rational entry is an exact constant.
+    compiled = compile_system([[1, 0], [1, 1]])
+    b0 = LaurentSeries.from_pairs([(-1, 2), (3, 1)])
+    b1 = LaurentSeries(0, (Fraction(5), Fraction(0), Fraction(7)), 3)
+    x0, x1 = compiled.solve([b0, b1])
+    assert x0 == b0
+    assert (x1.low, x1.coeffs, x1.bound) == (-1, (-2, 5, 0, 7), 3)
+    assert compiled.solve([Fraction(1, 2), b1])[0] == LaurentSeries.from_rational(Fraction(1, 2))
+    # A null row that meets a truncated entry never vanishes, even on a
+    # window whose known terms all cancel.
+    with pytest.raises(InconsistentSystemError):
+        compile_system([[1], [1]]).solve([LaurentSeries(0, (), 0), LaurentSeries(0, (), 0)])
 
 
 def test_derivative_matrix_power_sum():
