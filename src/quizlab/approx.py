@@ -31,6 +31,7 @@ from .errors import (
     CapExceededError,
     PrecisionUnderflowError,
     QuizlabError,
+    check_cap,
 )
 from .exact import (
     DEFAULT_LAURENT_PRECISION,
@@ -54,6 +55,26 @@ def check_germ_gap(index: int, low: int, high: int) -> None:
             f"germ exponent gap cap: component {index} spans e^{low}..e^{high}, "
             f"gap {high - low} exceeds {GERM_GAP_CAP}; no override"
         )
+
+
+# Lengths of a halving schedule eps_k = 2^-k.  The k-th sample's parameters
+# carry k-bit denominators, so a schedule costs more than linearly in its
+# length (numeric mode also compares every pair of tail vectors).  At the cap,
+# game approx --numeric --samples=100 takes about 4.5 s at univariate-d(64)
+# past the strategy's compile, and approx demo --depth=100 about 3 s at
+# neural-power(6).
+SAMPLES_CAP = 100
+DEMO_DEPTH_CAP = 100
+
+
+def halving_schedule(count: int, what: str, cap: int) -> tuple[Fraction, ...]:
+    """The schedule eps_k = 2^-k for k = 1..count.  ``what`` names the count
+    in the messages; a count below 1 or over ``cap`` is refused before any
+    sample is built."""
+    if count < 1:
+        raise QuizlabError(f"{what} must be at least 1, got {count}")
+    check_cap("halving schedule", what, count, cap)
+    return tuple([Fraction(1, 2 ** k) for k in range(1, count + 1)])
 
 
 @dataclass(frozen=True)
@@ -349,13 +370,11 @@ def closure_membership_demo(
     nonincreasing); where the monomial certificate applies, non-membership
     of the target in the exact image is recorded as well.
     """
-    if depth < 1:
-        raise QuizlabError(f"demo depth must be at least 1, got {depth}")
+    eps_values = halving_schedule(depth, "demo depth", DEMO_DEPTH_CAP)
     enc = encode(germ, desc_or_circuit)
     if not enc.holomorphic or enc.h != target:
         raise QuizlabError("the germ does not encode the requested target")
     circ = _circuit_for(desc_or_circuit)
-    eps_values = tuple(Fraction(1, 2 ** k) for k in range(1, depth + 1))
     distances = []
     for point in sequence_from_germ(germ, eps_values):
         value = circ.expand(point)

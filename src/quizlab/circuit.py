@@ -9,7 +9,9 @@ binary add/sub/mul gates.  Gate counts and leaf counts are reported
 separately; family size bounds are checked against gates only.
 
 Evaluation is ring-generic.  Expansion (symbolic or at fixed parameters) is
-evaluation over a polynomial ring with a term-count cap.
+evaluation over a polynomial ring with a term-count cap.  At integer input
+points over the rationals or truncated Laurent scalars, the input-dependent
+nodes run on integers (``Circuit.evaluate_points``).
 """
 
 from __future__ import annotations
@@ -26,7 +28,18 @@ from .errors import (
     QuizlabError,
     check_cap,
 )
-from .exact import RATIONALS, RationalRing, rational_from_str, rational_to_str
+from .exact import (
+    RATIONALS,
+    LaurentRing,
+    LaurentSeries,
+    RationalRing,
+    cleared_row,
+    rational_from_str,
+    rational_to_str,
+    window_add,
+    window_mul,
+    window_truncate,
+)
 from .poly import Polynomial, PolynomialRing
 
 DEFAULT_EXPANSION_CAP = 200_000
@@ -113,15 +126,21 @@ class Circuit:
         The first point runs every node in order; later points reuse the
         parameter-only nodes (``input_dependence``) and run only the
         input-dependent ones, so each parameter-only node is evaluated once.
-        Over the rationals at integer points the input-dependent nodes run
-        on integers instead (``_integer_points``).
+        At integer points the input-dependent nodes run on integers instead:
+        over the rationals as numerators (``_integer_points``), over Laurent
+        scalars as integer coefficient windows (``_integer_windows``).
+        Polynomial rings, non-integer points and points already lifted to
+        the ring keep the node loop.
         """
         if len(params) != self.n_params:
             raise ArityMismatchError(
                 f"expected {self.n_params} parameters, got {len(params)}"
             )
-        if isinstance(ring, RationalRing) and all(type(x) is int for p in points for x in p):
-            return self._integer_points(params, points)
+        if all(type(x) is int for p in points for x in p):
+            if isinstance(ring, RationalRing):
+                return self._integer_points(params, points)
+            if isinstance(ring, LaurentRing):
+                return self._integer_windows(params, points, ring)
         values: list = [None] * len(self.nodes)
         results = []
         order = range(len(self.nodes))
@@ -160,22 +179,18 @@ class Circuit:
                 raise ExpansionCapExceededError(f"{exc} (at node {i})", node=i) from exc
             values[i] = v
 
-    def _integer_points(self, params, points) -> list[Fraction]:
-        """``evaluate_points`` over the rationals at integer points.
+    def _integer_steps(self, dens: list[int]) -> list[tuple]:
+        """The input-dependent nodes as steps on integers, shared by both
+        integer kernels.
 
-        The parameters fix, once per call, a denominator D_i for every
-        input-dependent node: 1 for an input, D_a D_b for a product, and
-        lcm(D_a, D_b) for a sum or difference, whose operands are scaled by
-        the integers D_i / D_a and D_i / D_b.  A parameter-only node,
-        evaluated once by the node loop, is its own reduced numerator over
-        its denominator.  Each point then computes every input-dependent
-        numerator N_i in integers and makes one Fraction(N, D) at the output.
+        ``dens`` holds the denominator of every parameter-only node and 1
+        elsewhere; this fills in D_i for every input-dependent node: 1 for
+        an input, D_a D_b for a product, and lcm(D_a, D_b) for a sum or
+        difference.  A sum's step carries the integer scales D_i / D_a and
+        D_i / D_b of its operands; a difference's second scale is negated,
+        so both are steps of kind ADD.
         """
         nodes = self.nodes
-        values: list = [None] * len(nodes)
-        self._run(self._parameter_only_nodes, values, params, None, RATIONALS)
-        nums = [0 if v is None else v.numerator for v in values]
-        dens = [1 if v is None else v.denominator for v in values]
         steps = []
         for i in self._input_dependent_nodes:
             node = nodes[i]
@@ -187,7 +202,26 @@ class Circuit:
                 steps.append((MUL, i, a, b, 0, 0))
             else:
                 dens[i] = math.lcm(dens[a], dens[b])
-                steps.append((node.kind, i, a, b, dens[i] // dens[a], dens[i] // dens[b]))
+                sb = dens[i] // dens[b]
+                steps.append((ADD, i, a, b, dens[i] // dens[a], sb if node.kind == ADD else -sb))
+        return steps
+
+    def _integer_points(self, params, points) -> list[Fraction]:
+        """``evaluate_points`` over the rationals at integer points.
+
+        The parameters are evaluated once by the node loop; each
+        parameter-only node is its own reduced numerator over its
+        denominator, and ``_integer_steps`` gives every input-dependent
+        node its denominator D_i.  Each point then computes every
+        input-dependent numerator N_i in integers and makes one
+        Fraction(N, D) at the output.
+        """
+        nodes = self.nodes
+        values: list = [None] * len(nodes)
+        self._run(self._parameter_only_nodes, values, params, None, RATIONALS)
+        nums = [0 if v is None else v.numerator for v in values]
+        dens = [1 if v is None else v.denominator for v in values]
+        steps = self._integer_steps(dens)
         out, den = self.output, dens[self.output]
         results = []
         for inputs in points:
@@ -197,11 +231,53 @@ class Circuit:
                     nums[i] = nums[a] * nums[b]
                 elif kind == ADD:
                     nums[i] = sa * nums[a] + sb * nums[b]
-                elif kind == SUB:
-                    nums[i] = sa * nums[a] - sb * nums[b]
                 else:
                     nums[i] = inputs[a]
             results.append(Fraction(nums[out], den))
+        return results
+
+    def _integer_windows(self, params, points, ring: LaurentRing) -> list[LaurentSeries]:
+        """``evaluate_points`` over truncated Laurent scalars at integer points.
+
+        The germ fixes the parameter-only nodes once, through the node loop;
+        each is cleared to a common denominator D_i, the lcm of its
+        coefficients' denominators, and kept as the integer window
+        (low, numerators, bound).  ``_integer_steps`` gives every
+        input-dependent node its denominator.  Each point then computes every
+        input-dependent node as an integer window with the rules of
+        ``LaurentSeries`` (``window_add``, ``window_mul``, truncated to the
+        ring's precision after every gate).  A numerator is zero exactly
+        when the Fraction coefficient is, so every low, bound and truncation
+        is the node loop's, and the output makes one Fraction(N_k, D) per
+        coefficient.
+        """
+        nodes = self.nodes
+        values: list = [None] * len(nodes)
+        self._run(self._parameter_only_nodes, values, params, None, ring)
+        windows: list = [None] * len(nodes)
+        dens = [1] * len(nodes)
+        for i in self._parameter_only_nodes:
+            v = values[i]
+            dens[i], nums = cleared_row(v.coeffs)
+            windows[i] = (v.low, tuple(nums), v.bound)
+        steps = self._integer_steps(dens)
+        precision = ring.precision
+        out, den = self.output, dens[self.output]
+        results = []
+        for inputs in points:
+            self._check_inputs(inputs)
+            for kind, i, a, b, sa, sb in steps:
+                if kind == MUL:
+                    w = window_mul(windows[a], windows[b], 0)
+                elif kind == ADD:
+                    w = window_add(windows[a], windows[b], 0, sa, sb)
+                else:
+                    x = inputs[a]
+                    windows[i] = (0, (x,), None) if x else (0, (), None)
+                    continue
+                windows[i] = window_truncate(w, precision)
+            low, coeffs, bound = windows[out]
+            results.append(LaurentSeries(low, tuple([Fraction(c, den) for c in coeffs]), bound))
         return results
 
     @functools.cached_property

@@ -21,7 +21,10 @@ neural-power n <= 6, hypercube-shift n <= 5, kronecker-diag k <= 5,
 univariate-d d <= 64) before any work starts, and no setting raises it.
 So are the loop counts (neural train --epochs <= 100000, witness report
 --trials <= 1000, game fiber --samples <= 10000, kron verify --trials <=
-1000).  circuit expand's --expansion-cap (default 200000) is its term cap.
+1000, game approx --samples <= 100, approx demo --depth <= 100) and the
+neural batch (--batch-size <= 100000, and neural train --epochs times
+--batch-size <= 2000000).  circuit expand's --expansion-cap (default
+200000) is its term cap.
 """
 
 from __future__ import annotations
@@ -33,12 +36,14 @@ from fractions import Fraction
 
 from . import __version__
 from .approx import (
+    SAMPLES_CAP,
     GermInstance,
     border_demo_germ,
     border_family_circuit,
     check_germ_gap,
     closure_membership_demo,
     encode,
+    halving_schedule,
 )
 from .circuit import DEFAULT_EXPANSION_CAP, Circuit, generic_computation
 from .errors import CapExceededError, InternalCheckError, QuizlabError
@@ -261,8 +266,7 @@ def cmd_game_exact(args) -> list[str]:
 
 
 def cmd_game_approx(args) -> list[str]:
-    if args.samples < 1:
-        raise QuizlabError(f"--samples must be at least 1, got {args.samples}")
+    schedule = halving_schedule(args.samples, "--samples", SAMPLES_CAP)
     subject, germ = approx_subject(args)
     if args.target:
         target_support = parse_points(args.target_support)
@@ -278,7 +282,6 @@ def cmd_game_approx(args) -> list[str]:
         if not enc.holomorphic:
             raise QuizlabError("germ does not encode a polynomial; supply --target")
         target = enc.h
-    schedule = tuple(Fraction(1, 2 ** k) for k in range(1, args.samples + 1))
     config = ApproxGameConfig(
         germ=germ,
         mode=MODE_NUMERIC if args.numeric else MODE_SYMBOLIC,

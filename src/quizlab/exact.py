@@ -6,10 +6,14 @@ indeterminate ``e`` (for epsilon) are finite coefficient windows with an
 explicit knowledge bound: a series is either exact (a Laurent polynomial)
 or known only below some order, and every operation propagates that bound.
 
-A shared ring-adapter protocol (``RationalRing``, ``LaurentRing``) lets
-circuit evaluation and polynomial arithmetic run over either backend with
-one code path.  The prime-field helpers choose the modulus and the root of
-unity of the modular rank certificate; they work on plain int residues.
+The Laurent rules (trim, add, multiply, truncate) are functions on the
+stored (low, coeffs, bound) triples, for Fraction and int coefficients
+alike, so the circuit's integer kernel uses the same rules as
+``LaurentSeries``.  A shared ring-adapter protocol (``RationalRing``,
+``LaurentRing``) lets circuit evaluation and polynomial arithmetic run over
+either backend with one code path.  The prime-field helpers choose the
+modulus and the root of unity of the modular rank certificate; they work on
+plain int residues.
 """
 
 from __future__ import annotations
@@ -223,28 +227,19 @@ class LaurentSeries:
 
     # -- arithmetic -----------------------------------------------------------
 
+    @property
+    def window(self) -> tuple:
+        """The triple (low, coeffs, bound) that the window rules work on."""
+        return self.low, self.coeffs, self.bound
+
     def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
-        other = _coerce(other)
-        bound = _min_bound(self.bound, other.bound)
-        if not other.coeffs:
-            return _window(self.low, self.coeffs, bound)
-        if not self.coeffs:
-            return _window(other.low, other.coeffs, bound)
-        low = min(self.low, other.low)
-        high = max(self.low + len(self.coeffs), other.low + len(other.coeffs))
-        acc = [_ZERO] * (high - low)
-        start = self.low - low
-        acc[start : start + len(self.coeffs)] = self.coeffs
-        for k, c in enumerate(other.coeffs, other.low - low):
-            acc[k] += c
-        return _window(low, acc, bound)
+        return LaurentSeries(*window_add(self.window, _coerce(other).window))
 
     def __radd__(self, other) -> "LaurentSeries":
         return self.__add__(other)
 
     def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
-        other = _coerce(other)
-        return self + (-other)
+        return LaurentSeries(*window_add(self.window, _coerce(other).window, sb=-1))
 
     def __neg__(self) -> "LaurentSeries":
         return LaurentSeries(self.low, tuple([-c for c in self.coeffs]), self.bound)
@@ -255,42 +250,16 @@ class LaurentSeries:
             if not other:
                 return LaurentSeries.zero()
             return LaurentSeries(self.low, tuple([c * other for c in self.coeffs]), self.bound)
-        other = _coerce(other)
-        if self.is_zero() or other.is_zero():
-            return LaurentSeries.zero()
-        bound = None
-        if self.bound is not None:
-            bound = self.bound + _effective_low(other)
-        if other.bound is not None:
-            b2 = other.bound + _effective_low(self)
-            bound = b2 if bound is None else min(bound, b2)
-        low = self.low + other.low
-        size = len(self.coeffs) + len(other.coeffs) - 1
-        if bound is not None:
-            size = min(size, bound - low)
-        acc = [_ZERO] * size
-        for i, a in enumerate(self.coeffs[:size]):
-            if a:
-                for k, b in enumerate(other.coeffs[: size - i], i):
-                    if b:
-                        acc[k] += a * b
-        return _window(low, acc, bound)
+        return LaurentSeries(*window_mul(self.window, _coerce(other).window))
 
     def __rmul__(self, other) -> "LaurentSeries":
         return self.__mul__(other)
 
     def truncate(self, precision: int) -> "LaurentSeries":
         """Keep at most ``precision`` leading terms, marking the rest unknown."""
-        if precision < 1:
-            raise ValueError("precision must be positive")
-        if not self.coeffs:
-            return self
-        span = len(self.coeffs)
-        if span <= precision:
-            return self
-        cap = self.low + precision
-        bound = cap if self.bound is None else min(self.bound, cap)
-        return _window(self.low, self.coeffs, bound)
+        window = self.window
+        cut = window_truncate(window, precision)
+        return self if cut is window else LaurentSeries(*cut)
 
     def substitute(self, value: Fraction) -> Fraction:
         """Evaluate an exact Laurent polynomial at a nonzero rational point."""
@@ -315,6 +284,21 @@ def _coerce(x) -> LaurentSeries:
     raise TypeError(f"cannot coerce {type(x).__name__} to LaurentSeries")
 
 
+def _window(low: int, acc, bound: int | None) -> LaurentSeries:
+    """The series of ``window_trim(low, acc, bound)``."""
+    return LaurentSeries(*window_trim(low, acc, bound))
+
+
+# ---------------------------------------------------------------------------
+# Coefficient windows
+# ---------------------------------------------------------------------------
+#
+# The rules of Laurent arithmetic, on the triples (low, coeffs, bound) that
+# LaurentSeries stores.  They only ask whether a coefficient is zero, so they
+# serve Fraction coefficients (LaurentSeries) and the integer numerators of
+# ``Circuit.evaluate_points`` alike: ``zero`` is the zero of the
+# coefficients' type, which fills the gaps of a sum or product.
+
 def _min_bound(a: int | None, b: int | None) -> int | None:
     if a is None:
         return b
@@ -323,29 +307,104 @@ def _min_bound(a: int | None, b: int | None) -> int | None:
     return min(a, b)
 
 
-def _effective_low(s: LaurentSeries) -> int:
+def _effective_low(low: int, coeffs, bound: int | None) -> int:
     # For an all-cancelled window the lowest possibly-nonzero order is the bound.
-    if s.coeffs:
-        return s.low
-    return s.bound if s.bound is not None else 0
+    if coeffs:
+        return low
+    return bound if bound is not None else 0
 
 
-def _window(low: int, acc, bound: int | None) -> LaurentSeries:
-    """The series with coefficient ``acc[i]`` at e^(low + i), known below ``bound``.
+def window_trim(low: int, acc, bound: int | None) -> tuple:
+    """The window with coefficient ``acc[i]`` at e^(low + i), known below ``bound``.
 
     Exponents at or past the bound are dropped and zeros are trimmed at both
-    ends; an all-zero window is the exact zero, or (bound, (), bound) when
-    truncated.
+    ends; an all-zero window is the exact zero (0, (), None), or
+    (bound, (), bound) when truncated.
     """
     hi = len(acc) if bound is None else max(0, min(len(acc), bound - low))
     while hi and not acc[hi - 1]:
         hi -= 1
     if not hi:
-        return LaurentSeries(bound if bound is not None else 0, (), bound)
+        return (bound if bound is not None else 0), (), bound
     lo = 0
     while not acc[lo]:
         lo += 1
-    return LaurentSeries(low + lo, tuple(acc[lo:hi]), bound)
+    return low + lo, tuple(acc[lo:hi]), bound
+
+
+def window_add(a: tuple, b: tuple, zero=_ZERO, sa: int = 1, sb: int = 1) -> tuple:
+    """The window of sa*a + sb*b, known below the smaller bound.
+
+    ``sa`` and ``sb`` are nonzero integer scales, so they move no zero;
+    ``sb = -1`` subtracts.
+    """
+    alow, ac, abound = a
+    blow, bc, bbound = b
+    if abound is None and bbound is None and alow == blow and len(ac) == 1 == len(bc):
+        # Two exact monomials of one order.
+        c = (ac[0] if sa == 1 else sa * ac[0]) + (bc[0] if sb == 1 else sb * bc[0])
+        return (alow, (c,), None) if c else (0, (), None)
+    bound = _min_bound(abound, bbound)
+    if sa != 1:
+        ac = [sa * c for c in ac]
+    if not bc:
+        return window_trim(alow, ac, bound)
+    if sb == -1:
+        bc = [-c for c in bc]
+    elif sb != 1:
+        bc = [sb * c for c in bc]
+    if not ac:
+        return window_trim(blow, bc, bound)
+    low = min(alow, blow)
+    acc = [zero] * (max(alow + len(ac), blow + len(bc)) - low)
+    start = alow - low
+    acc[start : start + len(ac)] = ac
+    for k, c in enumerate(bc, blow - low):
+        acc[k] += c
+    return window_trim(low, acc, bound)
+
+
+def window_mul(a: tuple, b: tuple, zero=_ZERO) -> tuple:
+    """The window of a*b.  A truncated factor bounds the product at its own
+    bound plus the other factor's lowest possibly-nonzero order, and no
+    coefficient at or past that bound is computed."""
+    alow, ac, abound = a
+    blow, bc, bbound = b
+    if abound is None and bbound is None and len(ac) == 1 == len(bc):
+        # Two exact monomials, the product of a constant germ and a question.
+        c = ac[0] * bc[0]
+        return (alow + blow, (c,), None) if c else (0, (), None)
+    if (not ac and abound is None) or (not bc and bbound is None):
+        return 0, (), None
+    bound = None
+    if abound is not None:
+        bound = abound + _effective_low(blow, bc, bbound)
+    if bbound is not None:
+        b2 = bbound + _effective_low(alow, ac, abound)
+        bound = b2 if bound is None else min(bound, b2)
+    low = alow + blow
+    size = len(ac) + len(bc) - 1
+    if bound is not None:
+        size = min(size, bound - low)
+    acc = [zero] * size
+    for i, x in enumerate(ac[:size]):
+        if x:
+            for k, y in enumerate(bc[: size - i], i):
+                if y:
+                    acc[k] += x * y
+    return window_trim(low, acc, bound)
+
+
+def window_truncate(window: tuple, precision: int) -> tuple:
+    """Keep at most ``precision`` leading terms, marking the rest unknown;
+    a window already that short comes back as the same object."""
+    if precision < 1:
+        raise ValueError("precision must be positive")
+    low, coeffs, bound = window
+    if len(coeffs) <= precision:
+        return window
+    cap = low + precision
+    return window_trim(low, coeffs, cap if bound is None else min(bound, cap))
 
 
 def laurent_limit(a: LaurentSeries) -> Fraction:

@@ -25,6 +25,12 @@ from .families import expand_family, neural_power
 DIVERGENCE_LIMIT = 1e12
 # Gradient steps per run; 100000 epochs take about 7 s at n = 6 on a batch of 20.
 EPOCHS_CAP = 100_000
+# Points per batch, and the points a training run visits (epochs x batch
+# size): every epochs value up to EPOCHS_CAP stays open at the default batch
+# of 20.  At n = 6 the work cap takes about 5 s, and a gradient check on
+# the largest batch about 2 s.
+BATCH_SIZE_CAP = 100_000
+TRAINING_WORK_CAP = 2_000_000
 WEIGHT_ROUNDING_DENOMINATOR = 10 ** 6
 
 
@@ -153,6 +159,9 @@ class TrainConfig:
         if self.epochs < 1:
             raise QuizlabError("need at least one epoch")
         check_cap("training", "epochs", self.epochs, EPOCHS_CAP)
+        check_cap(
+            "training", "epochs*batch_size", self.epochs * len(self.batch), TRAINING_WORK_CAP
+        )
         if not self.batch:
             raise QuizlabError("batch must be nonempty")
         if self.targets is None and self.target_weights is None:
@@ -189,7 +198,9 @@ class TrainReport:
 
 
 def random_batch(n: int, size: int, seed: int) -> tuple[tuple[float, ...], ...]:
-    """Sample points uniformly from [-1, 1]^n, reproducible per seed."""
+    """Sample points uniformly from [-1, 1]^n, reproducible per seed; a size
+    over ``BATCH_SIZE_CAP`` is refused before any draw."""
+    check_cap("batch", "size", size, BATCH_SIZE_CAP)
     rng = random.Random(seed)
     return tuple(
         tuple(rng.uniform(-1.0, 1.0) for _ in range(n)) for _ in range(size)

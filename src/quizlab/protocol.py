@@ -35,10 +35,12 @@ its question matrix, compiled once on first use into integer rows
 (``Strategy.system``), and each round applies it to the answers: rational
 answers as one integer column, Laurent answers as one integer column per
 power of e.  The quizmaster answers every question in one
-``Circuit.evaluate_points`` call at the integer question points: the hidden
-point fixes, once per round, the circuit's parameter-only values and a
-denominator for every input-dependent node, and each question then runs on
-integers and makes one Fraction, at the output.  The elimination and
+``Circuit.evaluate_points`` call at the integer question points, unlifted:
+the hidden point or the germ fixes, once per round, the circuit's
+parameter-only values and a denominator for every input-dependent node, and
+each question then runs on integers, as numerators over the rationals and
+as integer coefficient windows over Laurent scalars, and makes its
+Fractions at the output only.  The elimination and
 charpoly repacks find the vertex values by subset sums of the cleared
 coefficients and multiply out their roots on integers.  The verdict
 evaluates nothing: it compares the two encodings' nonzero coefficients.
@@ -387,14 +389,11 @@ def _play(
     """The player's pass at one parameter point: the quizmaster's answers,
     the interpolation on the strategy's carried system, and the post map.
 
-    Over the rationals the integer question points go in as they are, so
-    the circuit runs them on integers; other rings get them lifted.
+    The integer question points go in as they are, so the circuit runs
+    them on integers over the rationals and over Laurent scalars alike.
     Returns (answers, output support, output vector).
     """
-    points = strategy.question_points.points
-    if ring is not RATIONALS:
-        points = [[ring.from_rational(x) for x in p] for p in points]
-    answers = circ.evaluate_points(params, points, ring)
+    answers = circ.evaluate_points(params, strategy.question_points.points, ring)
     try:
         coeffs = player_interpolate(answers, strategy.system)
     except UnderdeterminedSystemError as exc:

@@ -1,10 +1,23 @@
 """Every desk-scale cap names the measured value, the cap and its override."""
 
+from fractions import Fraction
+
 import pytest
 
-from quizlab.approx import GermInstance
+from quizlab.approx import (
+    DEMO_DEPTH_CAP,
+    SAMPLES_CAP,
+    GermInstance,
+    closure_membership_demo,
+    halving_schedule,
+)
 from quizlab.circuit import generic_computation
-from quizlab.errors import CapExceededError, ExpansionCapExceededError, UnsupportedTaskError
+from quizlab.errors import (
+    CapExceededError,
+    ExpansionCapExceededError,
+    QuizlabError,
+    UnsupportedTaskError,
+)
 from quizlab.exact import LaurentSeries
 from quizlab.families import (
     TASK_CHARPOLY,
@@ -19,7 +32,7 @@ from quizlab.families import (
 )
 from quizlab.identify import required_set_size
 from quizlab.kronecker import build_theta_matrix, verify_lemma_identities, verify_lemma_trials
-from quizlab.neural import TrainConfig
+from quizlab.neural import EPOCHS_CAP, TRAINING_WORK_CAP, TrainConfig, random_batch
 from quizlab.protocol import fiber_image
 from quizlab.witness import (
     VARIANT_BASE,
@@ -63,6 +76,24 @@ NO_OVERRIDE = "; no override"
             lambda: verify_lemma_trials(3, 1001, 0),
             ("lemma-identity cap: trials=1001", "exceeds 1000", NO_OVERRIDE),
         ),
+        (
+            lambda: halving_schedule(101, "--samples", SAMPLES_CAP),
+            ("halving schedule cap: --samples=101", "exceeds 100", NO_OVERRIDE),
+        ),
+        # The demo refuses its depth before it encodes the germ.
+        (
+            lambda: closure_membership_demo(easy_power_sum(1, 1), None, None, depth=101),
+            ("halving schedule cap: demo depth=101", "exceeds 100", NO_OVERRIDE),
+        ),
+        (
+            lambda: random_batch(2, 100_001, 0),
+            ("batch cap: size=100001", "exceeds 100000", NO_OVERRIDE),
+        ),
+        # 66,667 epochs of 30 points visit 2,000,010 points.
+        (
+            lambda: TrainConfig(2, 0.01, 66_667, ((0.5, 0.5),) * 30, target_weights=(0, 0, 0)),
+            ("training cap: epochs*batch_size=2000010", "exceeds 2000000", NO_OVERRIDE),
+        ),
         # k is held to its cap before any point is drawn.
         (lambda: verify_lemma_trials(6, 1, 0), ("k=6", "exceeds 5", NO_OVERRIDE)),
         (
@@ -99,6 +130,22 @@ def test_descriptor_holds_each_family_to_its_desk_cap(
     # A usage error is still raised before the cap.
     with pytest.raises(UnsupportedTaskError):
         make(*over_cap, unsupported)
+
+
+def test_halving_schedule_up_to_its_caps():
+    for cap in (SAMPLES_CAP, DEMO_DEPTH_CAP):
+        schedule = halving_schedule(cap, "count", cap)
+        assert schedule == tuple(Fraction(1, 2 ** k) for k in range(1, cap + 1))
+    with pytest.raises(QuizlabError, match="^--samples must be at least 1, got 0$"):
+        halving_schedule(0, "--samples", SAMPLES_CAP)
+
+
+def test_training_work_cap_comes_after_the_epochs_cap():
+    # Every epochs value up to its cap stays open at the default batch of 20.
+    assert EPOCHS_CAP * 20 <= TRAINING_WORK_CAP
+    TrainConfig(2, 0.01, EPOCHS_CAP, ((0.5, 0.5),) * 20, target_weights=(0, 0, 0))
+    with pytest.raises(CapExceededError, match="^training cap: epochs=100001 "):
+        TrainConfig(2, 0.01, EPOCHS_CAP + 1, ((0.5, 0.5),) * 30, target_weights=(0, 0, 0))
 
 
 def test_germ_gap_is_held_however_the_germ_is_built():

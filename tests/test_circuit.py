@@ -26,7 +26,7 @@ from quizlab.families import (
     univariate_d,
 )
 from quizlab.poly import Polynomial, PolynomialRing
-from conftest import random_fraction
+from conftest import naive_laurent_window, random_fraction
 
 
 def test_power_sum_eval_example():
@@ -264,13 +264,27 @@ def test_evaluate_points_matches_per_point_evaluate(desc, params, points, int_po
         assert laurent == [circ.evaluate(germ, p, ring) for p in lifted]
         expected = circ.evaluate_points(substituted, rational_points)
         assert [v.substitute(at) for v in laurent] == expected
+    # Unlifted integer points take the integer windows.
+    windows = circ.evaluate_points(germ, int_points, ring)
+    assert windows == laurent
+    assert all(type(c) is Fraction for v in windows for c in v.coeffs)
+
+
+@st.composite
+def laurent_germ_components(draw):
+    """Exact and truncated germ components; a bound at or below every term
+    gives an all-cancelled window (bound, (), bound)."""
+    terms = draw(st.dictionaries(st.integers(-2, 3), small_fractions, max_size=3))
+    bound = draw(st.none() | st.integers(-2, 5))
+    return LaurentSeries(*naive_laurent_window(terms, bound))
 
 
 @st.composite
 def circuits_with_points(draw):
     """A random circuit of add, sub and mul gates over inputs, parameters,
-    rational constants and a parameter polynomial, with parameters and
-    integer points for it."""
+    rational constants and a parameter polynomial, with rational parameters,
+    a Laurent germ, a Laurent precision and integer points (zero coordinates
+    often) for it."""
     n, r = draw(st.integers(1, 3)), draw(st.integers(0, 3))
     b = CircuitBuilder(n_inputs=n, n_params=r)
     nodes = [b.input(i) for i in range(n)] + [b.param(j) for j in range(r)]
@@ -283,17 +297,79 @@ def circuits_with_points(draw):
         nodes.append(gate(draw(st.sampled_from(nodes)), draw(st.sampled_from(nodes))))
     circ = b.finish(nodes[-1])
     params = draw(st.lists(small_fractions, min_size=r, max_size=r))
-    points = draw(st.lists(st.lists(small_ints, min_size=n, max_size=n), max_size=4))
-    return circ, params, points
+    germ = draw(st.lists(laurent_germ_components(), min_size=r, max_size=r))
+    precision = draw(st.integers(1, 8))
+    coordinates = st.just(0) | small_ints
+    points = draw(st.lists(st.lists(coordinates, min_size=n, max_size=n), max_size=4))
+    return circ, params, germ, precision, points
 
 
 @settings(max_examples=150, deadline=None)
 @given(circuits_with_points())
 def test_integer_points_match_the_node_loop(case):
-    circ, params, points = case
+    circ, params, _, _, points = case
     got = circ.evaluate_points(params, points)
     assert all(type(v) is Fraction for v in got)
     assert got == circ.evaluate_points(params, [[Fraction(x) for x in p] for p in points])
+
+
+def _laurent_outcome(circ, germ, points, ring):
+    """Each value's stored window and text, or the type of the error raised."""
+    try:
+        values = circ.evaluate_points(germ, points, ring)
+    except Exception as exc:  # the two paths must fail alike
+        return type(exc)
+    assert all(type(c) is Fraction for v in values for c in v.coeffs)
+    return [((v.low, v.coeffs, v.bound), str(v)) for v in values]
+
+
+def _family_case(desc, germ, precision, points):
+    circ = build_circuit(desc.base())
+    return circ, None, germ[: circ.n_params], precision, [p[: circ.n_inputs] for p in points]
+
+
+ALL_CANCELLED = LaurentSeries(1, (), 1)
+TRUNCATED = LaurentSeries(0, (Fraction(1, 2), Fraction(-1, 3)), 2)
+
+
+def _cancelling_case():
+    """(1 + e) X - X at precision 1: the product is cut to 1 + O(e) before
+    the difference cancels it, so the value is O(e), not e."""
+    b = CircuitBuilder(n_inputs=1, n_params=1)
+    x = b.input(0)
+    circ = b.finish(b.sub(b.mul(b.param(0), x), x))
+    return circ, None, [LaurentSeries(0, (Fraction(1), Fraction(1)), None)], 1, [[1], [0]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    circuits_with_points()
+    | st.builds(
+        _family_case,
+        st.sampled_from(FAMILY_CIRCUITS),
+        st.lists(laurent_germ_components(), min_size=3, max_size=3),
+        st.integers(1, 8),
+        st.lists(st.lists(st.just(0) | small_ints, min_size=2, max_size=2), max_size=4),
+    )
+)
+# A zero question coordinate times a truncated germ is the exact zero, and a
+# product with an all-cancelled germ is known only below that germ's bound
+# plus the other factor's order.
+@example(
+    _family_case(FAMILY_CIRCUITS[0], [TRUNCATED, ALL_CANCELLED, TRUNCATED], 2, [[0, 0], [1, 2]])
+)
+@example(_family_case(FAMILY_CIRCUITS[1], [TRUNCATED] * 3, 1, [[0, 0], [3, 0]]))
+@example(
+    _family_case(FAMILY_CIRCUITS[2], [ALL_CANCELLED, TRUNCATED, TRUNCATED], 3, [[2, 1], [0, 1]])
+)
+@example(_cancelling_case())  # every gate is truncated, not only the output
+def test_integer_windows_match_the_node_loop_at_lifted_points(case):
+    circ, _, germ, precision, points = case
+    ring = LaurentRing(precision)
+    lifted = [[ring.from_rational(x) for x in p] for p in points]
+    assert _laurent_outcome(circ, germ, points, ring) == _laurent_outcome(
+        circ, germ, lifted, ring
+    )
 
 
 def _first_failure(circ, params, points, ring):

@@ -165,6 +165,16 @@ def test_laurent_scalar_arithmetic_against_naive_oracle(a, q):
     assert_laurent(a - q, naive_laurent_add(na, naive_laurent_neg(nq)))
 
 
+@given(st.integers(-4, 4), st.integers(-4, 4), laurent_series())
+def test_all_cancelled_window_is_ordered_by_its_bound(low, bound, b):
+    # A window with no stored coefficient is zero below its bound, whatever
+    # low it stores, so a product takes the bound as its order.
+    a = LaurentSeries(low, (), bound)
+    expected = naive_laurent_mul(({}, bound), naive_laurent(b))
+    assert_laurent(a * b, expected)
+    assert_laurent(b * a, expected)
+
+
 @given(laurent_series(), st.integers(1, 6))
 def test_laurent_truncate_against_naive_oracle(a, precision):
     assert_laurent(a.truncate(precision), naive_laurent_truncate(naive_laurent(a), precision))
