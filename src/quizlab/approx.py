@@ -37,6 +37,7 @@ from .exact import (
     DEFAULT_LAURENT_PRECISION,
     LaurentRing,
     LaurentSeries,
+    printable,
 )
 from .families import FamilyDescriptor, build_circuit
 from .poly import Monomial, Polynomial, PolynomialRing
@@ -336,7 +337,7 @@ class ClosureDemoReport:
             f"encodes: {self.encoded}",
         ]
         for eps, dist in zip(self.eps_values, self.distances):
-            lines.append(f"eps={eps} coefficient_distance={dist}")
+            lines.append(f"eps={printable(eps)} coefficient_distance={printable(dist)}")
         lines.append(f"distances_decreasing: {self.distances_decreasing}")
         if self.nonmembership_certified:
             status = "certified (target outside the exact image)"

@@ -24,7 +24,8 @@ So are the loop counts (neural train --epochs <= 100000, witness report
 1000, game approx --samples <= 100, approx demo --depth <= 100) and the
 neural batch (--batch-size <= 100000, and neural train --epochs times
 --batch-size <= 2000000).  circuit expand's --expansion-cap (default
-200000) is its term cap.
+200000) is its term cap.  No report prints a number whose numerator or
+denominator has more than 4300 digits; such a command exits 3.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .approx import (
 )
 from .circuit import DEFAULT_EXPANSION_CAP, Circuit, generic_computation
 from .errors import CapExceededError, InternalCheckError, QuizlabError
-from .exact import LaurentSeries, rational_from_str, rational_to_str
+from .exact import LaurentSeries, printable, rational_from_str, rational_to_str
 from .families import (
     SIZE_PARAMS,
     TASK_IDENTITY,
@@ -242,7 +243,7 @@ def cmd_circuit_generic(args) -> list[str]:
 def cmd_idseq_size(args) -> list[str]:
     value = required_set_size(args.delta, args.big_l, args.big_k)
     return [
-        f"required_set_size: {value}",
+        f"required_set_size: {printable(value)}",
         f"minimum_length: {minimum_length(args.big_l)}",
     ]
 

@@ -24,6 +24,7 @@ from fractions import Fraction
 from typing import Collection
 
 from .errors import (
+    CapExceededError,
     NoSuchRootError,
     NotHolomorphicAtOriginError,
     PrecisionUnderflowError,
@@ -33,14 +34,39 @@ from .errors import (
 DEFAULT_LAURENT_PRECISION = 8
 _ZERO = Fraction(0)
 
+# Python's default ``sys.get_int_max_str_digits()``; a report refuses a longer
+# number whatever that setting is.
+PRINT_DIGITS_CAP = 4300
+_PRINT_BOUND = 10 ** PRINT_DIGITS_CAP
+
 
 # ---------------------------------------------------------------------------
 # Rationals
 # ---------------------------------------------------------------------------
 
+def _print_cap_error(q: int | Fraction) -> CapExceededError:
+    part = max(abs(q.numerator), q.denominator)
+    near = int(math.log10(part))  # the float log may miss the digit count by one
+    digits = near + (part >= 10 ** near) + (part >= 10 ** (near + 1))
+    return CapExceededError(f"print cap: digits={digits} exceeds {PRINT_DIGITS_CAP}; no override")
+
+
+def printable(q: int | Fraction) -> int | Fraction:
+    """q itself, when its numerator and denominator have at most
+    PRINT_DIGITS_CAP digits each, else CapExceededError.  Reports print
+    rationals, Laurent coefficients and other unbounded numbers through it."""
+    if abs(q.numerator) < _PRINT_BOUND and q.denominator < _PRINT_BOUND:
+        return q
+    raise _print_cap_error(q)
+
+
 def rational_to_str(q: Fraction) -> str:
-    """Serialize a rational as ``num/den`` (den always present and positive)."""
-    return f"{q.numerator}/{q.denominator}"
+    """Serialize a rational as ``num/den`` (den always present and positive),
+    with ``printable``'s check inline: every game round prints dozens."""
+    n, d = q.numerator, q.denominator
+    if abs(n) < _PRINT_BOUND and d < _PRINT_BOUND:
+        return f"{n}/{d}"
+    raise _print_cap_error(q)
 
 
 def rational_from_str(text: str) -> Fraction:
@@ -212,6 +238,7 @@ class LaurentSeries:
     def __str__(self) -> str:
         parts = []
         for exp, c in self.to_pairs():
+            c = printable(c)
             if exp == 0:
                 parts.append(f"{c}")
             elif exp == 1:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -87,11 +88,6 @@ ELIMINATION_CAP = 10
 
 
 ParamPoint = tuple[Fraction, ...]
-
-
-def binary_digit(j: int, i: int) -> int:
-    """i-th digit (1-based, least significant first) of j in binary."""
-    return (j >> (i - 1)) & 1
 
 
 @dataclass(frozen=True)
@@ -177,19 +173,8 @@ class FamilyDescriptor:
         return multilinear_monomials(self.input_arity)
 
     def task_support(self) -> tuple[Monomial, ...]:
-        """Monomial support of the task image (univariate in Y for repacks).
-
-        Every game round asks for it, so its tuples are built from lists
-        (see ``protocol._format_values``).
-        """
-        if self.task == TASK_IDENTITY:
-            return self.base_support()
-        if self.task == TASK_DERIVATIVE:
-            return tuple([(j,) for j in range(self.d)])
-        if self.task == TASK_INTEGRAL:
-            return tuple([(j,) for j in range(1, self.d + 2)])
-        degree = 2 ** self.input_arity
-        return tuple([(j,) for j in range(degree + 1)])
+        """Monomial support of the task image (univariate in Y for repacks)."""
+        return task_carrier(self.task, self.base_support(), self.input_arity)
 
     def label(self) -> str:
         parts = [self.variant]
@@ -199,6 +184,20 @@ class FamilyDescriptor:
                 parts.append(f"{name}={value}")
         parts.append(f"task={self.task}")
         return " ".join(parts)
+
+
+def task_carrier(task: str, support: Sequence[Monomial], n_inputs: int) -> tuple[Monomial, ...]:
+    """The support of the task's image of a polynomial on ``support`` in
+    ``n_inputs`` variables, for the player and the reference alike.  Every
+    round asks for it, so its tuples are built from lists (see
+    ``protocol._format_values``)."""
+    if task == TASK_IDENTITY:
+        return tuple([tuple(m) for m in support])
+    if task == TASK_DERIVATIVE:
+        return tuple([(j,) for j in range(max(len(support) - 1, 1))])
+    if task == TASK_INTEGRAL:
+        return tuple([(j,) for j in range(1, len(support) + 1)])
+    return tuple([(j,) for j in range(2 ** n_inputs + 1)])  # the repacks, in Y
 
 
 def easy_power_sum(l: int, n: int, task: str = TASK_IDENTITY) -> FamilyDescriptor:
@@ -340,14 +339,11 @@ def _expand_multilinear_base(n: int, t: Fraction, u: Sequence[Fraction]) -> Poly
 
 
 def vertex_monomials(k: int, u: Sequence[Fraction]) -> list[Fraction]:
-    """The 2^k values prod_i u_i^[j]_i for j = 0..2^k - 1."""
-    values = []
-    for j in range(2 ** k):
-        prod = Fraction(1)
-        for i in range(1, k + 1):
-            if binary_digit(j, i):
-                prod *= u[i - 1]
-        values.append(prod)
+    """The 2^k values prod_i u_i^[j]_i for j = 0..2^k - 1, where [j]_i is bit
+    i - 1 of j: each u_i doubles the list of values so far."""
+    values = [Fraction(1)]
+    for x in u[:k]:
+        values += [v * x for v in values]
     return values
 
 
@@ -359,33 +355,31 @@ def theta_diagonal_values(k: int, s: Fraction, u: Sequence[Fraction]) -> list[Fr
 def vertex_elimination(f: Polynomial, n: int) -> Polynomial:
     """prod over the vertices v of {0,1}^n of (Y - f(v)), over f's ring.
 
-    Vertex j has coordinate i equal to bit i of j.  Over the rationals f is
-    cleared over the lcm c of its denominators once; at a vertex a monomial
-    is 1 if its variables lie in the vertex and 0 otherwise, so c f(v) is
-    the sum of the cleared coefficients on the subsets of v.  Yates's
-    subset-sum (zeta) transform fills all 2^n of those sums in n 2^(n-1)
-    integer additions.
+    Vertex j has coordinate i equal to bit i of j.  At a vertex a monomial
+    is 1 if its variables lie in the vertex and 0 otherwise, so f(v) is the
+    sum of f's coefficients on the subsets of v.  Yates's subset-sum (zeta)
+    transform fills all 2^n of those sums in n 2^(n-1) additions: of the
+    integers c f(v) over the rationals, f cleared over the lcm c of its
+    denominators once, and with ``ring.add`` over any other ring.
     """
     ring = f.ring
-    if not isinstance(ring, RationalRing):
-        roots = [
-            f.evaluate([ring.from_rational(Fraction(binary_digit(j, i))) for i in range(1, n + 1)])
-            for j in range(2 ** n)
-        ]
-        return product_of_linear_roots(roots, ring)
     if f.nvars != n:
         raise ArityMismatchError(f"point has arity {n}, polynomial has {f.nvars}")
-    c, cleared = cleared_row(f.terms.values())
-    sums = [0] * 2 ** n
-    for mono, q in zip(f.terms, cleared):
+    rational = isinstance(ring, RationalRing)
+    if rational:
+        c, coeffs = cleared_row(f.terms.values())
+        add, sums = operator.add, [0] * 2 ** n
+    else:
+        coeffs, add, sums = f.terms.values(), ring.add, [ring.zero] * 2 ** n
+    for mono, q in zip(f.terms, coeffs):
         subset = sum(1 << i for i, e in enumerate(mono) if e)
-        sums[subset] += q
+        sums[subset] = add(sums[subset], q)
     for i in range(n):
         bit = 1 << i
         for j in range(2 ** n):
             if j & bit:
-                sums[j] += sums[j ^ bit]
-    return product_of_linear_roots([Fraction(s, c) for s in sums], ring)
+                sums[j] = add(sums[j], sums[j ^ bit])
+    return product_of_linear_roots([Fraction(s, c) for s in sums] if rational else sums, ring)
 
 
 @functools.lru_cache(maxsize=32)

@@ -2,10 +2,11 @@
 
 Every mode plays one round.  The quizmaster answers the player's fixed
 evaluation questions by running the family circuit at a parameter point;
-the player interpolates exactly on a declared support and re-encodes
-(optionally differentiating, integrating, or repacking vertex values into
-an elimination/characteristic polynomial); the quizmaster compares the
-player's encoding with a reference coefficient by coefficient.  One player
+the player interpolates exactly on a declared support and re-encodes by
+the task's post map (the identity, differentiating, integrating, or
+repacking vertex values into an elimination/characteristic polynomial),
+on the carrier ``families.task_carrier`` gives the reference too; the
+quizmaster compares the two encodings coefficient by coefficient.  One player
 pass (answers, interpolation, post map) and one judge (``decide_equal``,
 transcript) serve every mode, so every mode raises
 NonIdentifyingPointsError when the questions do not pin down the support.
@@ -40,9 +41,10 @@ the hidden point or the germ fixes, once per round, the circuit's
 parameter-only values and a denominator for every input-dependent node, and
 each question then runs on integers, as numerators over the rationals and
 as integer coefficient windows over Laurent scalars, and makes its
-Fractions at the output only.  The elimination and
-charpoly repacks find the vertex values by subset sums of the cleared
-coefficients and multiply out their roots on integers.  The verdict
+Fractions at the output only.  The elimination and charpoly repacks find
+the vertex values by Yates's subset sums over either ring, of the cleared
+coefficients over the rationals, and multiply out rational roots on
+integers.  The verdict
 evaluates nothing: it compares the two encodings' nonzero coefficients.
 
 Message order is quizmaster -> player -> quizmaster; questions are fixed up
@@ -81,6 +83,7 @@ from .families import (
     FamilyDescriptor,
     build_circuit_cached,
     expand_family,
+    task_carrier,
     vertex_elimination,
 )
 from .identify import IdentificationSequence
@@ -88,18 +91,13 @@ from .kronecker import build_theta_matrix, char_poly
 from .poly import Monomial, Polynomial, from_coeff_vector
 from .witness import CompiledSystem, compile_system, evaluation_matrix, solve_exact
 
-POST_IDENTITY = "identity"
-POST_DIFFERENTIATE = "differentiate"
-POST_INTEGRATE = "integrate"
-POST_ELIMINATION = "elimination-repack"
-POST_CHARPOLY = "charpoly-repack"
-
-TASK_TO_POST = {
-    TASK_IDENTITY: POST_IDENTITY,
-    TASK_DERIVATIVE: POST_DIFFERENTIATE,
-    TASK_INTEGRAL: POST_INTEGRATE,
-    TASK_ELIMINATION: POST_ELIMINATION,
-    TASK_CHARPOLY: POST_CHARPOLY,
+# Each task's post map, by the name a transcript's ``post_map:`` line gives it.
+POST_MAP_NAMES = {
+    TASK_IDENTITY: "identity",
+    TASK_DERIVATIVE: "differentiate",
+    TASK_INTEGRAL: "integrate",
+    TASK_ELIMINATION: "elimination-repack",
+    TASK_CHARPOLY: "charpoly-repack",
 }
 
 MODE_SYMBOLIC = "symbolic"
@@ -114,7 +112,8 @@ VERDICT_REJECT = "reject"
 
 @dataclass(frozen=True)
 class Strategy:
-    """The player's strategy: fixed questions, declared support, re-encoding.
+    """The player's strategy: fixed questions and a declared support.  The
+    task, not the strategy, fixes the post map (identity for a raw circuit).
 
     ``system`` is the questions' evaluation matrix on the support, eliminated
     on first use and kept for every later round; it takes no part in
@@ -123,7 +122,6 @@ class Strategy:
 
     question_points: IdentificationSequence
     target_support: tuple[Monomial, ...]
-    post_map: str = POST_IDENTITY
 
     def __post_init__(self):
         if len(self.target_support) > self.question_points.length:
@@ -256,7 +254,6 @@ def builtin_strategy(desc: FamilyDescriptor, seed: int = 0) -> Strategy:
     return Strategy(
         question_points=IdentificationSequence.from_points(points),
         target_support=support,
-        post_map=TASK_TO_POST[desc.task],
     )
 
 
@@ -277,48 +274,32 @@ def player_interpolate(values: Sequence, system: CompiledSystem):
     return solve_exact(system, values)
 
 
-def _post_polynomial(post: str, f: Polynomial, n_inputs: int) -> Polynomial:
+def _post_polynomial(task: str, f: Polynomial, n_inputs: int) -> Polynomial:
     """The task's post map applied to a polynomial: the player's interpolant
     or the approximative game's target."""
-    if post == POST_IDENTITY:
+    if task == TASK_IDENTITY:
         return f
-    if post == POST_DIFFERENTIATE:
+    if task == TASK_DERIVATIVE:
         return f.derivative(0)
-    if post == POST_INTEGRATE:
+    if task == TASK_INTEGRAL:
         return f.integral(0)
-    if post in (POST_ELIMINATION, POST_CHARPOLY):
-        return vertex_elimination(f, n_inputs)
-    raise QuizlabError(f"unknown post map {post!r}")
-
-
-def _post_support(
-    post: str, support: Sequence[Monomial], n_inputs: int
-) -> tuple[Monomial, ...]:
-    """The carrier of the post map's output, fixed by the declared support."""
-    if post == POST_IDENTITY:
-        return tuple([tuple(m) for m in support])
-    if post == POST_DIFFERENTIATE:
-        return tuple([(j,) for j in range(max(len(support) - 1, 1))])
-    if post == POST_INTEGRATE:
-        return tuple([(j,) for j in range(1, len(support) + 1)])
-    if post in (POST_ELIMINATION, POST_CHARPOLY):
-        return tuple([(j,) for j in range(2 ** n_inputs + 1)])
-    raise QuizlabError(f"unknown post map {post!r}")
+    return vertex_elimination(f, n_inputs)
 
 
 def apply_post_map(
-    post: str,
+    task: str,
     support: Sequence[Monomial],
     coeffs: Sequence,
     n_inputs: int,
     ring=RATIONALS,
 ) -> tuple[tuple[Monomial, ...], tuple]:
-    """The player's re-encoding after interpolation."""
-    new_support = _post_support(post, support, n_inputs)
-    if post == POST_IDENTITY:
+    """The player's re-encoding after interpolation: the task's post map, on
+    the carrier ``task_carrier`` gives the declared support."""
+    new_support = task_carrier(task, support, n_inputs)
+    if task == TASK_IDENTITY:
         return new_support, tuple(coeffs)
     f = from_coeff_vector(support, coeffs, n_inputs, ring)
-    return new_support, _post_polynomial(post, f, n_inputs).coeff_vector(new_support)
+    return new_support, _post_polynomial(task, f, n_inputs).coeff_vector(new_support)
 
 
 def reference_encoding(
@@ -383,11 +364,9 @@ def parameter_point(
     return point
 
 
-def _play(
-    circ: Circuit, strategy: Strategy, params: Sequence, n_inputs: int, ring=RATIONALS
-):
+def _play(circ: Circuit, strategy: Strategy, task: str, params: Sequence, ring=RATIONALS):
     """The player's pass at one parameter point: the quizmaster's answers,
-    the interpolation on the strategy's carried system, and the post map.
+    the interpolation on the strategy's carried system, and the task's post map.
 
     The integer question points go in as they are, so the circuit runs
     them on integers over the rationals and over Laurent scalars alike.
@@ -398,14 +377,13 @@ def _play(
         coeffs = player_interpolate(answers, strategy.system)
     except UnderdeterminedSystemError as exc:
         raise NonIdentifyingPointsError(str(exc)) from exc
-    support, vector = apply_post_map(
-        strategy.post_map, strategy.target_support, coeffs, n_inputs, ring
-    )
+    support, vector = apply_post_map(task, strategy.target_support, coeffs, circ.n_inputs, ring)
     return answers, support, vector
 
 
 def _judge(
     strategy: Strategy,
+    task: str,
     family: str,
     mode: str,
     message: tuple[str, ...],
@@ -429,7 +407,7 @@ def _judge(
         mode=mode,
         strategy_points=strategy.question_points.points,
         strategy_support=strategy.target_support,
-        post_map=strategy.post_map,
+        post_map=POST_MAP_NAMES[task],
         quizmaster_message=message,
         player_support=support_star,
         player_message=_format_values(v_star, RATIONALS),
@@ -447,16 +425,12 @@ def run_exact(
 ) -> GameTranscript:
     """One exact game round; the task is the descriptor's task."""
     strategy = strategy if strategy is not None else builtin_strategy(desc)
-    if strategy.post_map != TASK_TO_POST[desc.task]:
-        raise QuizlabError(
-            f"strategy post map {strategy.post_map!r} does not realize task {desc.task!r}"
-        )
     hidden_point = parameter_point(desc, hidden)
     circ = build_circuit_cached(desc.base())
-    answers, support_star, v_star = _play(circ, strategy, hidden_point, desc.input_arity)
+    answers, support_star, v_star = _play(circ, strategy, desc.task, hidden_point)
     reference = reference_encoding(desc, hidden_point)
     return _judge(
-        strategy, desc.label(), "exact", _format_values(answers, RATIONALS),
+        strategy, desc.task, desc.label(), "exact", _format_values(answers, RATIONALS),
         (support_star, v_star), reference, hidden=hidden_point,
     )
 
@@ -469,32 +443,31 @@ def run_approx(
 ) -> GameTranscript:
     """One approximative game round against a target polynomial H.
 
-    Symbolic mode evaluates the whole player pipeline over truncated
-    Laurent scalars and takes the termwise value at the origin as the
-    single accumulation candidate; a pole in any player coefficient raises
-    NotHolomorphicAtOriginError (the boundedness condition fails).  Numeric
-    mode evaluates a finite schedule exactly and reports the dominant
-    cluster of the tail half, or raises NoStableClusterError.  A target
-    or germ of the wrong arity raises ArityMismatchError before the first
-    round compiles the questions.
+    The descriptor's task is the post map, on the player's interpolant and
+    on H alike; a raw circuit takes the identity.  Symbolic mode evaluates
+    the whole player pipeline over truncated Laurent scalars and takes the
+    termwise value at the origin as the single accumulation candidate; a
+    pole in any player coefficient raises NotHolomorphicAtOriginError (the
+    boundedness condition fails).  Numeric mode evaluates a finite schedule
+    exactly and reports the dominant cluster of the tail half, or raises
+    NoStableClusterError.  A target or germ of the wrong arity raises
+    ArityMismatchError before the first round compiles the questions.
     """
     if isinstance(desc_or_circuit, FamilyDescriptor):
         desc = desc_or_circuit
         circ = build_circuit_cached(desc.base())
         if strategy is None:
             strategy = builtin_strategy(desc)
-        if strategy.post_map != TASK_TO_POST[desc.task]:
-            raise QuizlabError("strategy post map does not realize the requested task")
-        label = desc.label()
+        task, label = desc.task, desc.label()
     else:
         circ = desc_or_circuit
         if strategy is None:
             raise QuizlabError("an explicit strategy is required for a raw circuit")
-        label = f"circuit(n={circ.n_inputs},r={circ.n_params})"
+        task, label = TASK_IDENTITY, f"circuit(n={circ.n_inputs},r={circ.n_params})"
     n_inputs = circ.n_inputs
     if target.nvars != n_inputs:
         raise ArityMismatchError(f"target has arity {target.nvars}, circuit needs {n_inputs}")
-    g = _post_polynomial(strategy.post_map, target, n_inputs)
+    g = _post_polynomial(task, target, n_inputs)
     support_ref = g.support()
     reference = support_ref, g.coeff_vector(support_ref)
     if len(config.germ.components) != circ.n_params:
@@ -505,17 +478,17 @@ def run_approx(
     if config.mode == MODE_SYMBOLIC:
         ring = LaurentRing()
         answers, support_star, laurent_star = _play(
-            circ, strategy, list(config.germ.components), n_inputs, ring
+            circ, strategy, task, list(config.germ.components), ring
         )
         v_star = tuple([laurent_limit(c) for c in laurent_star])
         return _judge(
-            strategy, label, "approx-symbolic", _format_values(answers, ring),
+            strategy, task, label, "approx-symbolic", _format_values(answers, ring),
             (support_star, v_star), reference,
         )
 
     vectors = []
     for u_k in sequence_from_germ(config.germ, config.sample_schedule):
-        _, support_star, v_k = _play(circ, strategy, u_k, n_inputs)
+        _, support_star, v_k = _play(circ, strategy, task, u_k)
         vectors.append(v_k)
     tail = vectors[len(vectors) // 2 :]
     tol = config.cluster_tolerance
@@ -538,7 +511,7 @@ def run_approx(
         )
     message = tuple([";".join(_format_values(vec, RATIONALS)) for vec in vectors])
     return _judge(
-        strategy, label, "approx-numeric", message,
+        strategy, task, label, "approx-numeric", message,
         (support_star, tail[best_index]), reference, tolerance=tol if tol else None,
     )
 
@@ -572,5 +545,5 @@ def fiber_image(
         fiber_point = (Fraction(0),) + tuple(
             Fraction(rng.randint(-8, 8)) for _ in range(desc.param_arity - 1)
         )
-        seen.add(tuple(_play(circ, strategy, fiber_point, desc.input_arity)[2]))
+        seen.add(tuple(_play(circ, strategy, desc.task, fiber_point)[2]))
     return tuple(sorted(seen))

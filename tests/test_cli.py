@@ -3,12 +3,21 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from quizlab import cli, protocol
+from quizlab.approx import DEMO_DEPTH_CAP, GERM_GAP_CAP, SAMPLES_CAP
+from quizlab.circuit import DEFAULT_EXPANSION_CAP
 from quizlab.cli import main
+from quizlab.exact import PRINT_DIGITS_CAP
+from quizlab.families import DESK_CAPS
+from quizlab.kronecker import LEMMA_TRIALS_CAP
+from quizlab.neural import BATCH_SIZE_CAP, EPOCHS_CAP, TRAINING_WORK_CAP
+from quizlab.protocol import FIBER_SAMPLES_CAP
+from quizlab.witness import REPORT_TRIALS_CAP
 
 from conftest import MALFORMED_CIRCUIT_FILES
 
@@ -439,6 +448,49 @@ def test_germ_over_gap_cap_exits_3(argv, message, capsys):
 def test_germ_at_gap_cap_runs(capsys):
     code, _, _ = run_cli(["approx", "encode", "--border", "--germ", "1/2*e^-1 + e^63;1;1"], capsys)
     assert code == 0
+
+
+# Each reaches a number too long to print: a coefficient of 4550 digits at
+# u = 10^70, a set size of 4401 digits, and t^3 - 1 at t = 10^2000 (6000 digits).
+TOO_LONG_TO_PRINT = [
+    ["family", "expand", "--family=univariate-d", "--d=64", "--u=1" + "0" * 70],
+    ["idseq", "size", "--delta=1" + "0" * 1100, "--L=1", "--K=1"],
+    ["game", "exact", "--family=univariate-d", "--d=2", "--hidden=1" + "0" * 2000],
+    ["game", "approx", "--family=univariate-d", "--d=2", "--germ=1" + "0" * 2000 + "+e"],
+]
+
+
+@pytest.mark.parametrize("argv", TOO_LONG_TO_PRINT, ids=lambda argv: " ".join(argv[:2]))
+def test_number_too_long_to_print_exits_3(argv):
+    start = time.perf_counter()
+    proc = run_cli_child(argv)
+    assert time.perf_counter() - start < 1.0
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.startswith("cap exceeded: print cap: digits=")
+    assert proc.stderr.endswith("; no override\n")
+    assert "Traceback" not in proc.stderr
+
+
+def test_help_epilog_states_every_cap():
+    # The --help epilog is the module docstring; each cap phrase in it is
+    # built from the constant that enforces the cap.
+    assert cli.build_parser().epilog == cli.__doc__
+    epilog = " ".join(cli.__doc__.split())
+    phrases = [f"{variant} {name} <= {cap}" for variant, (name, cap) in DESK_CAPS.items()]
+    phrases += [
+        f"neural train --epochs <= {EPOCHS_CAP}",
+        f"witness report --trials <= {REPORT_TRIALS_CAP}",
+        f"game fiber --samples <= {FIBER_SAMPLES_CAP}",
+        f"kron verify --trials <= {LEMMA_TRIALS_CAP}",
+        f"game approx --samples <= {SAMPLES_CAP}",
+        f"approx demo --depth <= {DEMO_DEPTH_CAP}",
+        f"(--batch-size <= {BATCH_SIZE_CAP},",
+        f"--epochs times --batch-size <= {TRAINING_WORK_CAP})",
+        f"--expansion-cap (default {DEFAULT_EXPANSION_CAP})",
+        f"whose exponents lie at most {GERM_GAP_CAP} apart",
+        f"has more than {PRINT_DIGITS_CAP} digits; such a command exits 3",
+    ]
+    assert [phrase for phrase in phrases if phrase not in epilog] == []
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 helpers of the modular rank certificate."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,16 +10,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from quizlab.errors import (
+    CapExceededError,
     NoSuchRootError,
     NotHolomorphicAtOriginError,
     PrecisionUnderflowError,
 )
 from quizlab.exact import (
+    PRINT_DIGITS_CAP,
     LaurentRing,
     LaurentSeries,
     laurent_limit,
     modular_root_of_unity,
     multiplicative_order,
+    printable,
     rational_from_str,
     rational_to_str,
     smallest_prime_modulus,
@@ -55,6 +59,28 @@ def test_rational_string_codec():
     assert rational_to_str(q) == "-7/3"
     assert rational_from_str("-7/3") == q
     assert rational_from_str("5") == Fraction(5)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_numbers_print_up_to_the_print_cap(sign):
+    # The widest printable numerator or denominator prints as str always
+    # did; one more digit is a cap, whatever Python's own limit is set to.
+    widest = sign * (10 ** PRINT_DIGITS_CAP - 1)
+    for q in (Fraction(widest, 7), Fraction(7, abs(widest))):
+        assert rational_to_str(q) == f"{q.numerator}/{q.denominator}"
+        assert str(LaurentSeries.from_rational(q)) == str(q)
+    assert printable(widest) is widest
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for digits in (PRINT_DIGITS_CAP + 1, 2 * PRINT_DIGITS_CAP + 9):
+            for q in (Fraction(sign * 10 ** (digits - 1), 7), Fraction(7, 10 ** digits - 1)):
+                message = f"print cap: digits={digits} exceeds {PRINT_DIGITS_CAP}; no override"
+                for show in (rational_to_str, lambda q: str(LaurentSeries.monomial(q, 2))):
+                    with pytest.raises(CapExceededError, match=f"^{message}$"):
+                        show(q)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def eps(exp=1, coeff=1):

@@ -18,8 +18,10 @@ from quizlab.families import (
     CURVE_FIXED_DIRECTION,
     CURVE_POWER_TOWER,
     CURVE_ROOT_SHIFT,
+    TASK_CHARPOLY,
     TASK_DERIVATIVE,
     TASK_ELIMINATION,
+    TASK_INTEGRAL,
     FamilyDescriptor,
     beta_curve,
     build_circuit,
@@ -32,13 +34,15 @@ from quizlab.families import (
     kronecker_diag,
     neural_power,
     power_form_row,
+    task_carrier,
     univariate_d,
     vertex_elimination,
 )
-from quizlab.exact import LaurentRing, LaurentSeries
+from quizlab.exact import RATIONALS, LaurentRing, LaurentSeries
 from quizlab.poly import Polynomial, multilinear_monomials
 from conftest import (
     GenericRationals,
+    naive_laurent_window,
     naive_vertex_elimination,
     random_fraction,
     sparse_root_product,
@@ -270,10 +274,20 @@ small_rationals = st.sampled_from([0, 1, -1]).map(Fraction) | st.fractions(
 
 
 @st.composite
-def polynomials_in(draw, n: int):
-    """A rational f in n variables with exponents up to 2, not only multilinear."""
+def laurent_coefficients(draw):
+    """Exact and truncated Laurent coefficients; a bound at or below every
+    term gives an all-cancelled window (bound, (), bound)."""
+    terms = draw(st.dictionaries(st.integers(-2, 3), small_rationals, max_size=3))
+    bound = draw(st.none() | st.integers(-2, 5))
+    return LaurentSeries(*naive_laurent_window(terms, bound))
+
+
+@st.composite
+def polynomials_in(draw, n: int, coefficients=small_rationals, ring=RATIONALS):
+    """An f in n variables over ``ring`` with exponents up to 2, not only
+    multilinear."""
     monos = st.tuples(*[st.integers(0, 2)] * n)
-    return Polynomial.make(n, draw(st.dictionaries(monos, small_rationals, max_size=6)))
+    return Polynomial.make(n, draw(st.dictionaries(monos, coefficients, max_size=6)), ring)
 
 
 @settings(max_examples=150, deadline=None)
@@ -287,6 +301,100 @@ def test_vertex_elimination_matches_vertex_by_vertex_product(case):
     assert all(type(c) is Fraction for c in got.terms.values())
     with pytest.raises(ArityMismatchError):
         vertex_elimination(f, n + 1)
+
+
+def known_terms(series, below):
+    """The nonzero terms of a Laurent series at exponents below ``below``
+    (None: every term)."""
+    return {e: c for e, c in series.to_pairs() if below is None or e < below}
+
+
+def agree_where_both_known(f, g):
+    """Two univariate Laurent polynomials whose Y coefficients agree at every
+    power of e below the lesser of their two bounds."""
+    for k in {*f.terms, *g.terms}:
+        a, b = (h.terms.get(k, LaurentSeries.zero()) for h in (f, g))
+        below = min([x.bound for x in (a, b) if x.bound is not None], default=None)
+        if known_terms(a, below) != known_terms(b, below):
+            return False
+    return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 8).flatmap(
+        lambda p: st.integers(0, 3).flatmap(
+            lambda n: st.tuples(
+                st.just(n), polynomials_in(n, laurent_coefficients(), LaurentRing(p))
+            )
+        )
+    )
+)
+@example((2, Polynomial.make(2, {(2, 0): LaurentSeries(0, (Fraction(1),), 1)}, LaurentRing(1))))
+def test_laurent_vertex_elimination_against_vertex_by_vertex_product(case):
+    # The subset sums run on ring.add; the oracle evaluates f at each vertex.
+    # Each sum keeps only the ring's leading terms, so the two orders of
+    # summation may know a coefficient to different orders of e: at
+    # precision 1, f = 1 + e^2 X1 X2^2 - e^2 X1 X2 is exactly 1 at (1, 1) by
+    # subset sums and 1 + O(e) term by term.  They agree wherever both know
+    # it, and at a precision no window reaches they are equal.
+    n, f = case
+    got = vertex_elimination(f, n)
+    assert agree_where_both_known(got, naive_vertex_elimination(f, n))
+    wide = Polynomial.make(n, f.terms, LaurentRing(64))
+    got, ref = vertex_elimination(wide, n), naive_vertex_elimination(wide, n)
+    assert got == ref and list(got.terms) == list(ref.terms)
+
+
+ONE, ONE_PLUS_E = LaurentSeries.from_rational(1), LaurentSeries.from_pairs([(0, 1), (1, 1)])
+
+
+@pytest.mark.parametrize(
+    "n, terms, power, value",
+    [
+        # (1 + e) - X1: vertex values 1 + O(e) and O(e), not 1 + e and e.
+        (1, {(0,): ONE_PLUS_E, (1,): -ONE}, 0, LaurentSeries(1, (), 1)),
+        # e X2 + X1 X2 - X1: at (1, 1) the transform adds 1 + e, which keeps
+        # its leading term, before -1 cancels it, so the value is O(e), not e,
+        # and the coefficient of Y is O(e^2), not e^2.
+        (
+            2,
+            {(0, 1): LaurentSeries.epsilon(), (1, 1): ONE, (1, 0): -ONE},
+            1,
+            LaurentSeries(2, (), 2),
+        ),
+    ],
+)
+def test_laurent_vertex_values_are_ring_sums(n, terms, power, value):
+    # At precision 1 each sum keeps one leading term, as the ring adds it.
+    f = Polynomial.make(n, terms, LaurentRing(1))
+    got, ref = vertex_elimination(f, n), naive_vertex_elimination(f, n)
+    assert got == ref and list(got.terms) == list(ref.terms)
+    assert got.coefficient((power,)) == value
+
+
+@pytest.mark.parametrize(
+    "desc",
+    [
+        easy_power_sum(2, 2),
+        univariate_d(4),
+        univariate_d(4, TASK_DERIVATIVE),
+        univariate_d(4, TASK_INTEGRAL),
+        neural_power(3),
+        hypercube_shift(3),
+        hypercube_shift(3, TASK_ELIMINATION),
+        kronecker_diag(2),
+        kronecker_diag(2, TASK_CHARPOLY),
+    ],
+    ids=FamilyDescriptor.label,
+)
+def test_task_support_is_the_carrier_of_the_task_image(desc):
+    # The reference's support is the shared carrier of the base support, and
+    # at a generic point (no coordinate 0 or 1) every carrier monomial occurs.
+    carrier = task_carrier(desc.task, desc.base_support(), desc.input_arity)
+    assert desc.task_support() == carrier
+    point = [Fraction(3 + i, 2 + i) for i in range(desc.param_arity)]
+    assert set(expand_family(desc, point).support()) == set(carrier)
 
 
 def test_elimination_matches_task_expansion(rng):

@@ -367,6 +367,39 @@ def test_non_identifying_points_error():
         fiber_image(desc, bad, (0,), samples=3, seed=0)
 
 
+def test_custom_strategy_takes_the_post_map_from_the_task():
+    # A strategy carries no post map: every round entry re-encodes by the
+    # descriptor's task, on the carrier of the strategy's declared support.
+    desc = univariate_d(3, TASK_DERIVATIVE)
+    strategy = Strategy(
+        question_points=IdentificationSequence.from_points([(3,), (-2,), (5,), (1,)]),
+        target_support=((0,), (1,), (2,), (3,)),
+    )
+    carrier = ((0,), (1,), (2,))
+    hidden = (F(3, 2),)
+    exact = run_exact(desc, hidden, strategy=strategy)
+    assert (exact.post_map, exact.player_support, exact.verdict) == (
+        "differentiate", carrier, "accept",
+    )
+    assert exact.player_message == exact.reference
+    assert "post_map: differentiate\n" in exact.export()
+    target = expand_family(desc.base(), hidden)
+    for mode in (MODE_SYMBOLIC, MODE_NUMERIC):
+        config = ApproxGameConfig(
+            germ=GermInstance.constant(hidden),
+            mode=mode,
+            sample_schedule=tuple(F(1, 2 ** k) for k in range(1, 9)),
+        )
+        approx = run_approx(desc, strategy, config, target)
+        assert (approx.post_map, approx.player_support, approx.verdict) == (
+            "differentiate", carrier, "accept",
+        ), mode
+        assert approx.reference == exact.reference, mode
+    (vector,) = fiber_image(desc, strategy, (0,), samples=3, seed=0)
+    assert len(vector) == len(carrier)
+    assert vector == fiber_image(desc, None, (0,), samples=1, seed=0)[0]
+
+
 def test_inconsistent_support_signals_nonmembership():
     # declare a support that cannot explain the values of a cubic family
     desc = univariate_d(3)
