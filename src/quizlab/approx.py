@@ -359,22 +359,23 @@ def coefficient_distance(f: Polynomial, g: Polynomial) -> Fraction:
 
 def closure_membership_demo(
     desc_or_circuit: FamilyDescriptor | Circuit,
-    target: Polynomial,
     germ: GermInstance,
     depth: int = 10,
 ) -> ClosureDemoReport:
-    """Exhibit one polynomial in the closure through all three viewpoints.
+    """Exhibit the polynomial the germ encodes through all three viewpoints.
 
-    The germ itself witnesses the encoding; substituting eps_k = 2^-k and
-    expanding the family at the resulting parameter points witnesses the
-    convergent sequence (exact coefficient distances to the target must be
-    nonincreasing); where the monomial certificate applies, non-membership
-    of the target in the exact image is recorded as well.
+    The germ itself witnesses the encoding of the target, its value at e = 0
+    (after the depth check, a germ with a pole is refused); substituting
+    eps_k = 2^-k and expanding the family at the resulting parameter points
+    witnesses the convergent sequence (exact coefficient distances to the
+    target must be nonincreasing); where the monomial certificate applies,
+    non-membership of the target in the exact image is recorded as well.
     """
     eps_values = halving_schedule(depth, "demo depth", DEMO_DEPTH_CAP)
     enc = encode(germ, desc_or_circuit)
-    if not enc.holomorphic or enc.h != target:
-        raise QuizlabError("the germ does not encode the requested target")
+    if not enc.holomorphic:
+        raise QuizlabError("germ does not encode a polynomial")
+    target = enc.h
     circ = _circuit_for(desc_or_circuit)
     distances = []
     for point in sequence_from_germ(germ, eps_values):
@@ -384,7 +385,7 @@ def closure_membership_demo(
     certificate = image_nonmembership_certificate(circ, target)
     return ClosureDemoReport(
         germ_text=str(germ),
-        encoded=enc.h,
+        encoded=target,
         eps_values=eps_values,
         distances=tuple(distances),
         distances_decreasing=decreasing,

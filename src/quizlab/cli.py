@@ -400,10 +400,7 @@ def cmd_approx_encode(args) -> list[str]:
 
 def cmd_approx_demo(args) -> list[str]:
     subject, germ = approx_subject(args)
-    enc = encode(germ, subject)
-    if not enc.holomorphic:
-        raise QuizlabError("germ does not encode a polynomial")
-    report = closure_membership_demo(subject, enc.h, germ, depth=args.depth)
+    report = closure_membership_demo(subject, germ, depth=args.depth)
     return report.to_text().splitlines()
 
 

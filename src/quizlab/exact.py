@@ -260,27 +260,16 @@ class LaurentSeries:
         return self.low, self.coeffs, self.bound
 
     def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
-        return LaurentSeries(*window_add(self.window, _coerce(other).window))
-
-    def __radd__(self, other) -> "LaurentSeries":
-        return self.__add__(other)
+        return LaurentSeries(*window_add(self.window, other.window))
 
     def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
-        return LaurentSeries(*window_add(self.window, _coerce(other).window, sb=-1))
+        return LaurentSeries(*window_add(self.window, other.window, sb=-1))
 
     def __neg__(self) -> "LaurentSeries":
         return LaurentSeries(self.low, tuple([-c for c in self.coeffs]), self.bound)
 
-    def __mul__(self, other) -> "LaurentSeries":
-        if isinstance(other, (int, Fraction)):
-            # A rational scalar keeps the window and the bound.
-            if not other:
-                return LaurentSeries.zero()
-            return LaurentSeries(self.low, tuple([c * other for c in self.coeffs]), self.bound)
-        return LaurentSeries(*window_mul(self.window, _coerce(other).window))
-
-    def __rmul__(self, other) -> "LaurentSeries":
-        return self.__mul__(other)
+    def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":
+        return LaurentSeries(*window_mul(self.window, other.window))
 
     def truncate(self, precision: int) -> "LaurentSeries":
         """Keep at most ``precision`` leading terms, marking the rest unknown."""
@@ -301,14 +290,6 @@ class LaurentSeries:
         for i, c in enumerate(self.coeffs):
             total += c * value ** (self.low + i)
         return total
-
-
-def _coerce(x) -> LaurentSeries:
-    if isinstance(x, LaurentSeries):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return LaurentSeries.from_rational(x)
-    raise TypeError(f"cannot coerce {type(x).__name__} to LaurentSeries")
 
 
 def _window(low: int, acc, bound: int | None) -> LaurentSeries:

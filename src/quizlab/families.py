@@ -340,8 +340,9 @@ def _expand_multilinear_base(n: int, t: Fraction, u: Sequence[Fraction]) -> Poly
 
 def vertex_monomials(k: int, u: Sequence[Fraction]) -> list[Fraction]:
     """The 2^k values prod_i u_i^[j]_i for j = 0..2^k - 1, where [j]_i is bit
-    i - 1 of j: each u_i doubles the list of values so far."""
-    values = [Fraction(1)]
+    i - 1 of j: each u_i doubles the list of values so far (ints at an
+    integer point)."""
+    values = [1]
     for x in u[:k]:
         values += [v * x for v in values]
     return values
@@ -486,13 +487,13 @@ def elimination_poly(n: int, t, u: Sequence) -> Polynomial:
 
 CURVE_POWER_TOWER = "power-tower"
 CURVE_FIXED_DIRECTION = "fixed-direction"
-CURVE_ROOT_SHIFT = "root-shift"
 
 
 def beta_curve(
     desc: FamilyDescriptor, kind: str, param
 ) -> Callable[[Fraction], ParamPoint]:
-    """The rank-witness parameter curves, as evaluable paths t -> ParamPoint."""
+    """The rank-witness curves t -> ParamPoint that ``lower_bound_report``
+    draws: power-tower on easy-power-sum, fixed-direction on neural-power."""
     if kind == CURVE_POWER_TOWER:
         if desc.variant != EASY_POWER_SUM:
             raise QuizlabError(f"power-tower curves require easy-power-sum, not {desc.variant}")
@@ -501,19 +502,14 @@ def beta_curve(
         tail = tuple(rho ** (2 ** (i * l)) for i in range(n))
         return lambda t: (Fraction(t),) + tail
     if kind == CURVE_FIXED_DIRECTION:
-        if desc.variant not in (NEURAL_POWER, HYPERCUBE_SHIFT, KRONECKER_DIAG):
-            raise QuizlabError(f"fixed-direction curves are not defined for {desc.variant}")
+        if desc.variant != NEURAL_POWER:
+            raise QuizlabError(f"fixed-direction curves require neural-power, not {desc.variant}")
         direction = tuple(Fraction(x) for x in param)
-        if len(direction) != desc.param_arity - 1:
+        if len(direction) != desc.n:
             raise ArityMismatchError(
-                f"direction has arity {len(direction)}, expected {desc.param_arity - 1}"
+                f"direction has arity {len(direction)}, expected {desc.n}"
             )
         return lambda t: (Fraction(t),) + direction
-    if kind == CURVE_ROOT_SHIFT:
-        if desc.variant != UNIVARIATE_D:
-            raise QuizlabError(f"root-shift curves require univariate-d, not {desc.variant}")
-        zeta = Fraction(param)
-        return lambda s: (Fraction(s) + zeta,)
     raise QuizlabError(f"unknown curve kind {kind!r}")
 
 

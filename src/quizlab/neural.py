@@ -139,17 +139,17 @@ def finite_diff_check(
 class TrainConfig:
     """Full-batch gradient-descent run description.
 
-    When ``target_weights`` is given, targets are generated by the network
-    at those weights; otherwise explicit ``targets`` must be supplied.
+    The targets are the network's values at ``target_weights`` on the batch.
+    The report ends in the exact neural-power(n) distance to them, so n is
+    held to that family's desk cap before training.
     """
 
     n: int
     learning_rate: float
     epochs: int
     batch: tuple[tuple[float, ...], ...]
+    target_weights: tuple[float, ...]
     seed: int = 0
-    targets: tuple[float, ...] | None = None
-    target_weights: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if self.n < 1:
@@ -164,12 +164,7 @@ class TrainConfig:
         )
         if not self.batch:
             raise QuizlabError("batch must be nonempty")
-        if self.targets is None and self.target_weights is None:
-            raise QuizlabError("either targets or target_weights must be given")
-        if self.target_weights is not None:
-            # The exact distance at the end expands neural-power(n): hold n
-            # to its desk cap before training, not after.
-            neural_power(self.n)
+        neural_power(self.n)
 
 
 @dataclass(frozen=True)
@@ -234,11 +229,8 @@ def train(config: TrainConfig) -> TrainReport:
     terminal status, not an exception."""
     rng = random.Random(config.seed)
     weights = tuple(rng.uniform(-1.0, 1.0) for _ in range(config.n + 1))
-    if config.target_weights is not None:
-        target_net = PolyActivationNet(config.n, tuple(config.target_weights))
-        targets = tuple(forward(target_net, x) for x in config.batch)
-    else:
-        targets = tuple(config.targets)
+    target_net = PolyActivationNet(config.n, tuple(config.target_weights))
+    targets = tuple(forward(target_net, x) for x in config.batch)
     net = PolyActivationNet(config.n, weights)
     current, grad = _loss_and_gradient(net, config.batch, targets)
     curve = [current]
@@ -252,7 +244,7 @@ def train(config: TrainConfig) -> TrainReport:
             status = "diverged"
             break
     distance = None
-    if config.target_weights is not None and status == "completed":
+    if status == "completed":
         distance = polynomial_distance(config.n, net.weights, config.target_weights)
     return TrainReport(
         loss_curve=tuple(curve),

@@ -179,12 +179,6 @@ class Polynomial:
                 out[m] = ring.add(out[m], prod) if m in out else prod
         return Polynomial.make(self.nvars, out, ring)
 
-    def scale(self, scalar) -> "Polynomial":
-        ring = self.ring
-        return Polynomial.make(
-            self.nvars, {m: ring.mul(scalar, c) for m, c in self.terms.items()}, ring
-        )
-
     def __pow__(self, k: int) -> "Polynomial":
         if k < 0:
             raise ValueError("negative power")

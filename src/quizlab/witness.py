@@ -6,9 +6,9 @@ root-of-unity Vandermonde matrix, or the hypercube coefficient matrix.
 This module assembles those matrices and computes their rank exactly.
 
 All elimination runs on integer rows, with one kernel per field.  The
-derivative rows are built on integers (``families.power_form_row`` for
-the power forms), so on integer curves no Fraction is made.  Over the
-rationals each row is cleared of its denominators, and one fraction-free
+derivative rows are the power forms' integer rows (``power_form_row``),
+so on integer curves no Fraction is made.  Over the rationals each row
+is cleared of its denominators, and one fraction-free
 loop (Bareiss 1968) serves both callers: run forward only, it gives the
 rank; run as Gauss-Jordan on [A' | diag(s)], it compiles a linear system
 once (``compile_system``) for any number of right-hand sides.  A compiled
@@ -76,9 +76,9 @@ from .families import (
     NEURAL_POWER,
     FamilyDescriptor,
     beta_curve,
-    expand_family,
     power_form_row,
     univariate_d,
+    vertex_monomials,
 )
 from .poly import Monomial, root_product_coefficients
 
@@ -339,21 +339,12 @@ def compile_system(matrix_rows: Sequence[Sequence[Fraction]]) -> CompiledSystem:
     return CompiledSystem(n, tuple(pivot_cols), tuple(rows), tuple(denominators))
 
 
-def solve_exact(
-    matrix_rows: Sequence[Sequence[Fraction]] | CompiledSystem, rhs: Sequence
-) -> list:
-    """Solve A x = b exactly, where A is rational and b holds ints,
-    Fractions or Laurent series (``CompiledSystem.solve``).
-
-    Returns the unique solution.  Raises InconsistentSystemError when no
-    solution exists and UnderdeterminedSystemError when the solution is not
-    unique.  A may be given already compiled (a game strategy carries its
-    questions' system, so repeated solves only apply the compiled map);
-    otherwise it is eliminated for this one solve.
-    """
-    if isinstance(matrix_rows, CompiledSystem):
-        return matrix_rows.solve(rhs)
-    return compile_system(matrix_rows).solve(rhs)
+def solve_exact(system: CompiledSystem, rhs: Sequence) -> list:
+    """The unique x with A x = b, for A compiled once (``compile_system``)
+    and b of ints, Fractions or Laurent series: a game strategy carries its
+    questions' system, so a round only applies the compiled map.  Errors as
+    ``CompiledSystem.solve``."""
+    return system.solve(rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -395,30 +386,23 @@ def _check_arity(points: Sequence[Sequence[int]], support: Sequence[Monomial]) -
         )
 
 
-def _coefficient_row(desc: FamilyDescriptor, point: Sequence) -> tuple[int, list[int]]:
-    """The base family's coefficients at the point, cleared to (s, integer row)."""
-    if desc.variant in (EASY_POWER_SUM, NEURAL_POWER):
-        return power_form_row(desc, point)
-    return cleared_row(expand_family(desc, point).coeff_vector(desc.base_support()))
-
-
 def derivative_matrix(
     desc: FamilyDescriptor,
     curves: Sequence[Callable[[Fraction], Sequence[Fraction]]],
 ) -> ExactMatrix:
     """Coefficient vectors of the t-slope of the family along each curve.
 
-    The in-scope families are linear in t along their curves, so the t^1
-    coefficient is f(1) - f(0); linearity itself is verified with a second
-    difference at t = 2 and violations are reported with the offending
-    degree.  Both are taken on integer coefficient rows over one common
-    denominator s; the power forms build no Polynomial.  On integer curves
-    s = 1 and the entries are ints.
+    The power forms are linear in t along their ``beta_curve`` curves, so
+    the t^1 coefficient is f(1) - f(0); linearity itself is verified with a
+    second difference at t = 2 and violations are reported with the
+    offending degree.  Both are taken on ``power_form_row``'s integer rows
+    over one common denominator s; it refuses every other family.  On
+    integer curves s = 1 and the entries are ints.
     """
     base = desc.base()
     rows = []
     for curve in curves:
-        cleared = [_coefficient_row(base, curve(Fraction(t))) for t in range(3)]
+        cleared = [power_form_row(base, curve(Fraction(t))) for t in range(3)]
         s = math.lcm(*[scale for scale, _ in cleared])
         w0, w1, w2 = [[x * (s // scale) for x in w] for scale, w in cleared]
         if any(a - 2 * b + c for a, b, c in zip(w0, w1, w2)):
@@ -441,6 +425,8 @@ def roots_of_unity_matrix(d_degree: int, variant: str) -> tuple[ExactMatrix, int
     * derivative: c_k = k,       e_k = k - 1, k = 1..D  (width D)
     * integral:   c_k = 1/(k+1), e_k = k + 1, k = 0..D  (width D+1)
 
+    Each row is the slope at s = 0 along the root-shift curve t = zeta + s,
+    in closed form: t^(D+1) - 1 vanishes there with slope (D+1) zeta^D.
     Returns the matrix of residues in [0, p), carrying p, together with p.
     D is held to the univariate-d desk cap: the cost grows as D^3.
     """
@@ -490,12 +476,18 @@ def hypercube_size(n: int) -> int:
     return 2 ** n
 
 
-def _hypercube_lk_rows(n: int) -> tuple[list[Monomial], list[list[int]]]:
-    """The vertex monomials m_j and, per L_k, the integer coefficient of each m_j."""
+def hypercube_lk_matrix(n: int, points: Sequence[Sequence[int]]) -> ExactMatrix:
+    """The matrix (L_k(u_l))_{k,l} at the given 2^n integer (or rational) points.
+
+    An entry is sum_j c_j m_j(u) over L_k's integer coefficients c_j and the
+    point's ``vertex_monomials`` m_j(u): an int at integer points, a
+    Fraction at rational ones.
+    """
     size = hypercube_size(n)
+    if len(points) != size:
+        raise QuizlabError(f"need exactly {size} points, got {len(points)}")
     # f0 = prod_{j<size} (Y - j) as integer coefficients, degree ascending.
     f0 = root_product_coefficients(range(size))
-    monos = [tuple((j >> i) & 1 for i in range(n)) for j in range(size)]
     rows = [[0] * size for _ in range(size)]
     for j in range(size):
         # synthetic division f0 / (Y - j): the quotient's Y^(deg-1) coefficient
@@ -504,36 +496,13 @@ def _hypercube_lk_rows(n: int) -> tuple[list[Monomial], list[list[int]]]:
         for deg in range(size, 0, -1):
             carry = f0[deg] + j * carry
             rows[size - deg][j] = -carry
-    return monos, rows
-
-
-def hypercube_lk_matrix(n: int, points: Sequence[Sequence[int]]) -> ExactMatrix:
-    """The matrix (L_k(u_l))_{k,l} at the given 2^n integer (or rational) points.
-
-    The L_k have integer coefficients.  Each point is cleared to integers
-    v / s, so an entry is the integer dot product of L_k's coefficients with
-    the monomial values prod v_i^[j]_i * s^(n - |j|), made a Fraction over
-    s^n once.
-    """
-    monos, rows = _hypercube_lk_rows(n)
-    if len(points) != len(monos):
-        raise QuizlabError(f"need exactly {len(monos)} points, got {len(points)}")
     columns = []
     for u in points:
         if len(u) != n:
             raise ArityMismatchError(f"point has arity {len(u)}, polynomial has {n}")
-        s, v = cleared_row([Fraction(x) for x in u])
-        values = [
-            math.prod(x for x, e in zip(v, mono) if e) * s ** (n - sum(mono))
-            for mono in monos
-        ]
-        columns.append((s ** n, values))
+        columns.append(vertex_monomials(n, u))
     return ExactMatrix.from_rows(
-        [
-            Fraction(sum(c * x for c, x in zip(row, values) if c), scale)
-            for scale, values in columns
-        ]
-        for row in rows
+        [sum(c * x for c, x in zip(row, values) if c) for values in columns] for row in rows
     )
 
 

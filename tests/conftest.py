@@ -327,14 +327,16 @@ def scalar_compiled_solve(system, rhs):
     The Laurent arithmetic is the library's, which the naive_laurent_*
     oracles above check."""
     b = list(rhs)
+    lift = (lambda c: c)
     if any(isinstance(v, LaurentSeries) for v in b):
-        b = [v if isinstance(v, LaurentSeries) else LaurentSeries.from_rational(v) for v in b]
+        lift = LaurentSeries.from_rational
+        b = [v if isinstance(v, LaurentSeries) else lift(v) for v in b]
 
     def combine(row):
         total = None
         for c, v in zip(row, b):
             if c:
-                total = c * v if total is None else total + c * v
+                total = lift(c) * v if total is None else total + lift(c) * v
         return total
 
     for row in system.rows[system.rank :]:
@@ -342,7 +344,7 @@ def scalar_compiled_solve(system, rhs):
             raise InconsistentSystemError("null row does not vanish")
     if system.rank < system.unknowns:
         raise UnderdeterminedSystemError("rank below the unknowns")
-    return [Fraction(1, d) * combine(row) for row, d in zip(system.rows, system.denominators)]
+    return [lift(Fraction(1, d)) * combine(row) for row, d in zip(system.rows, system.denominators)]
 
 
 def bisected_power_root(a: int, L: int) -> int:

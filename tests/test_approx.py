@@ -111,7 +111,7 @@ def test_encode_consistent_with_substitution():
     circ = border_family_circuit(2)
     enc = encode(germ, circ)
     eps = Fraction(1, 16)
-    truncated = enc.h + enc.h_prime_leading.scale(eps)
+    truncated = enc.h + enc.h_prime_leading * Polynomial.constant(2, eps)
     exact_point = sequence_from_germ(germ, [eps])[0]
     full = circ.expand(exact_point)
     assert coefficient_distance(full, truncated) == 0
@@ -128,8 +128,8 @@ def test_nonmembership_certificate_border():
 
 def test_closure_demo_border():
     germ = border_demo_germ()
-    target = Polynomial.make(2, {(1, 1): Fraction(1)})
-    report = closure_membership_demo(border_family_circuit(2), target, germ)
+    report = closure_membership_demo(border_family_circuit(2), germ)
+    assert report.encoded == Polynomial.make(2, {(1, 1): Fraction(1)})
     assert report.distances_decreasing
     assert report.nonmembership_certified is True
     # distances halve geometrically: eps / 2 is the X2^2 coefficient
@@ -143,10 +143,9 @@ def test_closure_demo_border():
 @pytest.mark.parametrize("depth", [0, -1])
 def test_closure_demo_rejects_depth_below_1(depth):
     # With no sample there is no distance, so nothing is decreasing or certified.
-    target = Polynomial.make(2, {(1, 1): Fraction(1)})
     with pytest.raises(QuizlabError, match=f"got {depth}"):
-        closure_membership_demo(border_family_circuit(2), target, border_demo_germ(), depth)
-    report = closure_membership_demo(border_family_circuit(2), target, border_demo_germ(), 1)
+        closure_membership_demo(border_family_circuit(2), border_demo_germ(), depth)
+    report = closure_membership_demo(border_family_circuit(2), border_demo_germ(), 1)
     assert report.distances == (Fraction(1, 4),)
 
 
@@ -154,8 +153,8 @@ def test_closure_demo_constant_germ():
     desc = easy_power_sum(1, 1)
     point = (Fraction(2), Fraction(3))
     germ = GermInstance.constant(point)
-    target = expand_family(desc, point)
-    report = closure_membership_demo(desc, target, germ)
+    report = closure_membership_demo(desc, germ)
+    assert report.encoded == expand_family(desc, point)
     assert all(d == 0 for d in report.distances)
 
 
@@ -164,15 +163,15 @@ def test_closure_demo_scaling_germ():
     desc = easy_power_sum(1, 2)
     germ = GermInstance.make([LaurentSeries.epsilon(), 3, 4])
     target = Polynomial.zero(2)
-    report = closure_membership_demo(desc, target, germ)
+    report = closure_membership_demo(desc, germ)
+    assert report.encoded == target
     norm = coefficient_distance(expand_family(desc, (1, 3, 4)), target)
     for k, distance in enumerate(report.distances, start=1):
         assert distance == norm * Fraction(1, 2 ** k)
 
 
-def test_closure_demo_rejects_wrong_target():
-    germ = border_demo_germ()
-    with pytest.raises(QuizlabError):
-        closure_membership_demo(
-            border_family_circuit(2), Polynomial.zero(2), germ
-        )
+def test_closure_demo_rejects_a_germ_that_encodes_no_polynomial():
+    # (1/e, 1, 1) leaves a pole in every coefficient of the border family.
+    germ = GermInstance.make([LaurentSeries.monomial(1, -1), 1, 1])
+    with pytest.raises(QuizlabError, match="^germ does not encode a polynomial$"):
+        closure_membership_demo(border_family_circuit(2), germ)

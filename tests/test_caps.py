@@ -82,7 +82,7 @@ NO_OVERRIDE = "; no override"
         ),
         # The demo refuses its depth before it encodes the germ.
         (
-            lambda: closure_membership_demo(easy_power_sum(1, 1), None, None, depth=101),
+            lambda: closure_membership_demo(easy_power_sum(1, 1), None, depth=101),
             ("halving schedule cap: demo depth=101", "exceeds 100", NO_OVERRIDE),
         ),
         (

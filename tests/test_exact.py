@@ -32,7 +32,6 @@ from conftest import (
     naive_laurent_add,
     naive_laurent_mul,
     naive_laurent_neg,
-    naive_laurent_scalar,
     naive_laurent_truncate,
     naive_laurent_window,
 )
@@ -162,9 +161,6 @@ def laurent_series(draw):
     return LaurentSeries(*naive_laurent_window(terms, bound))
 
 
-scalars = st.integers(-3, 3) | small_rationals
-
-
 def assert_laurent(series, expected):
     """Same window, bound and coefficient values, every coefficient a Fraction."""
     assert (series.low, series.coeffs, series.bound) == naive_laurent_window(*expected)
@@ -178,17 +174,6 @@ def test_laurent_arithmetic_against_naive_oracle(a, b):
     assert_laurent(a - b, naive_laurent_add(na, naive_laurent_neg(nb)))
     assert_laurent(-a, naive_laurent_neg(na))
     assert_laurent(a * b, naive_laurent_mul(na, nb))
-
-
-@given(laurent_series(), scalars)
-def test_laurent_scalar_arithmetic_against_naive_oracle(a, q):
-    na, nq = naive_laurent(a), naive_laurent_scalar(q)
-    product = naive_laurent_mul(na, nq)
-    assert_laurent(a * q, product)
-    assert_laurent(q * a, product)
-    assert_laurent(a + q, naive_laurent_add(na, nq))
-    assert_laurent(q + a, naive_laurent_add(na, nq))
-    assert_laurent(a - q, naive_laurent_add(na, naive_laurent_neg(nq)))
 
 
 @given(st.integers(-4, 4), st.integers(-4, 4), laurent_series())

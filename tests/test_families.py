@@ -17,7 +17,6 @@ from quizlab.errors import (
 from quizlab.families import (
     CURVE_FIXED_DIRECTION,
     CURVE_POWER_TOWER,
-    CURVE_ROOT_SHIFT,
     TASK_CHARPOLY,
     TASK_DERIVATIVE,
     TASK_ELIMINATION,
@@ -409,10 +408,10 @@ def test_beta_curves():
     assert curve(Fraction(5)) == (5, 2, 4)
     curve = beta_curve(neural_power(2), CURVE_FIXED_DIRECTION, (1, 0))
     assert curve(Fraction(3)) == (3, 1, 0)
-    curve = beta_curve(univariate_d(4), CURVE_ROOT_SHIFT, 1)
-    assert curve(Fraction(1, 2)) == (Fraction(3, 2),)
     with pytest.raises(QuizlabError):
         beta_curve(univariate_d(4), CURVE_POWER_TOWER, 2)
+    with pytest.raises(QuizlabError, match="require neural-power, not hypercube-shift"):
+        beta_curve(hypercube_shift(2), CURVE_FIXED_DIRECTION, (1, 2))
 
 
 def test_emit_formula_structure():

@@ -124,17 +124,11 @@ def test_train_divergence_status():
     assert report.final_poly_distance is None
 
 
-def test_train_requires_targets():
-    with pytest.raises(QuizlabError):
-        TrainConfig(n=2, learning_rate=0.1, epochs=1, batch=((0.0, 0.0),))
-
-
 def test_train_checks_neural_power_desk_cap_before_training(capsys):
-    # With target weights the report ends in an exact neural-power(n) distance.
+    # The report ends in an exact neural-power(n) distance.
     batch = ((0.0,) * 7,)
     with pytest.raises(CapExceededError, match="desk cap n <= 6 exceeded: n = 7; no override"):
         TrainConfig(n=7, learning_rate=0.1, epochs=1, batch=batch, target_weights=(1.0,) * 8)
-    TrainConfig(n=7, learning_rate=0.1, epochs=1, batch=batch, targets=(0.0,))
     assert main(["neural", "train", "--n=7"]) == 3
     assert capsys.readouterr() == (
         "", "cap exceeded: desk cap n <= 6 exceeded: n = 7; no override\n"

@@ -21,7 +21,6 @@ from quizlab.exact import LaurentSeries, cleared_row, modular_root_of_unity
 from quizlab.families import (
     CURVE_FIXED_DIRECTION,
     CURVE_POWER_TOWER,
-    CURVE_ROOT_SHIFT,
     beta_curve,
     easy_power_sum,
     expand_family,
@@ -50,7 +49,6 @@ from quizlab.witness import (
     roots_of_unity_matrix,
     roots_of_unity_rank,
     sample_hypercube_points,
-    solve_exact,
 )
 from conftest import (
     hypercube_lk_coefficients,
@@ -291,16 +289,16 @@ def test_packed_rank_drives_one_field_to_its_bound(p):
 def test_solve_exact():
     rows = [[1, 0], [1, 1], [1, 2]]
     values = [Fraction(1), Fraction(2), Fraction(3)]
-    assert solve_exact(rows, values) == [Fraction(1), Fraction(1)]
+    assert witness.solve_exact(compile_system(rows), values) == [Fraction(1), Fraction(1)]
     with pytest.raises(InconsistentSystemError):
-        solve_exact([[1], [1]], [Fraction(0), Fraction(1)])
+        compile_system([[1], [1]]).solve([Fraction(0), Fraction(1)])
     with pytest.raises(UnderdeterminedSystemError):
-        solve_exact([[1, 1]], [Fraction(0)])
+        compile_system([[1, 1]]).solve([Fraction(0)])
 
 
 def test_solve_exact_interpolates_on_evaluation_matrices():
     def interpolate(values, points, support):
-        return solve_exact(evaluation_matrix(points, support).entries, values)
+        return compile_system(evaluation_matrix(points, support).entries).solve(values)
 
     symmetric, quadratic = [(0,), (1,), (-1,)], ((0,), (1,), (2,))
     coeffs = interpolate([Fraction(7), Fraction(49), Fraction(21)], symmetric, quadratic)
@@ -349,6 +347,12 @@ def linear_systems(draw):
 
 
 def _dot(row, values):
+    """sum c * v: over the rationals, or over Laurent series when any value
+    is one (a rational then lifted to an exact constant)."""
+    if any(isinstance(v, LaurentSeries) for v in values):
+        return sum(
+            (_lift(c) * _lift(v) for c, v in zip(row, values)), LaurentSeries.zero()
+        )
     return sum((c * v for c, v in zip(row, values)), Fraction(0))
 
 
@@ -405,18 +409,17 @@ def test_solve_exact_against_naive_rank(system):
 
     if not consistent:
         with pytest.raises(InconsistentSystemError):
-            solve_exact(a, b)
+            compiled.solve(b)
     elif rank < n:
         with pytest.raises(UnderdeterminedSystemError):
-            solve_exact(a, b)
+            compiled.solve(b)
     else:
-        x = solve_exact(a, b)
+        x = compiled.solve(b)
         image = [_dot(row, x) for row in a]
         if all(s.bound is None for s in series):
             assert [_lift(v) for v in image] == series
         else:
             assert all(_agree(_lift(v), s) for v, s in zip(image, series))
-        assert compiled.solve(b) == x
 
 
 def _outcome(solve, compiled, rhs):
@@ -533,11 +536,10 @@ def test_derivative_matrix_rational_curves_match_polynomial_slope():
         assert any(x.denominator > 1 for row in expected for x in row)
 
 
-def test_derivative_matrix_rejects_nonlinear():
-    desc = univariate_d(3)
-    with pytest.raises(NonLinearCurveError) as info:
-        derivative_matrix(desc, [beta_curve(desc, CURVE_ROOT_SHIFT, 1)])
-    assert info.value.degree >= 2
+@pytest.mark.parametrize("desc", [univariate_d(3), hypercube_shift(2), kronecker_diag(2)])
+def test_derivative_matrix_refuses_families_without_a_power_form(desc):
+    with pytest.raises(QuizlabError, match=f"^{desc.variant} has no power form$"):
+        derivative_matrix(desc, [lambda t: (t,) * desc.param_arity])
 
 
 @pytest.mark.parametrize("desc", [easy_power_sum(2, 2), neural_power(3)])
