@@ -364,12 +364,13 @@ def closure_membership_demo(
 ) -> ClosureDemoReport:
     """Exhibit the polynomial the germ encodes through all three viewpoints.
 
-    The germ itself witnesses the encoding of the target, its value at e = 0
-    (after the depth check, a germ with a pole is refused); substituting
-    eps_k = 2^-k and expanding the family at the resulting parameter points
-    witnesses the convergent sequence (exact coefficient distances to the
-    target must be nonincreasing); where the monomial certificate applies,
-    non-membership of the target in the exact image is recorded as well.
+    The target is the germ's value at e = 0; after the depth check, a germ
+    with a pole is refused.  The germ itself witnesses the encoding;
+    substituting eps_k = 2^-k and expanding the family at the resulting
+    parameter points witnesses the convergent sequence (exact coefficient
+    distances to the target must be nonincreasing); where the monomial
+    certificate applies, non-membership of the target in the exact image is
+    recorded as well.
     """
     eps_values = halving_schedule(depth, "demo depth", DEMO_DEPTH_CAP)
     enc = encode(germ, desc_or_circuit)

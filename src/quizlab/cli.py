@@ -18,14 +18,18 @@ Value syntax on the command line:
 
 Every family is held to its desk cap (easy-power-sum n*l <= 8,
 neural-power n <= 6, hypercube-shift n <= 5, kronecker-diag k <= 5,
-univariate-d d <= 64) before any work starts, and no setting raises it.
-So are the loop counts (neural train --epochs <= 100000, witness report
---trials <= 1000, game fiber --samples <= 10000, kron verify --trials <=
-1000, game approx --samples <= 100, approx demo --depth <= 100) and the
-neural batch (--batch-size <= 100000, and neural train --epochs times
---batch-size <= 2000000).  circuit expand's --expansion-cap (default
-200000) is its term cap.  No report prints a number whose numerator or
-denominator has more than 4300 digits; such a command exits 3.
+univariate-d d <= 64) before any work starts, and no setting raises it;
+neural gradcheck holds --n to the neural-power cap too.  So are the loop
+counts (neural train --epochs <= 100000, witness report --trials <= 1000,
+game fiber --samples <= 10000, kron verify --trials <= 1000, game approx
+--samples <= 100, approx demo --depth <= 100), the neural batch
+(--batch-size <= 100000, and neural train --epochs times --batch-size <=
+2000000) and two output sizes (family emit-formula --n <= 10, idseq
+sample --n times --m <= 1000000).  circuit expand's --expansion-cap
+(default 200000) is its term cap.  No report prints a number whose
+numerator or denominator has more than 4300 digits; such a command exits
+3.  A loss that overflows a float ends neural train as diverged, with
+loss inf, and makes neural gradcheck exit 2.
 """
 
 from __future__ import annotations

@@ -537,10 +537,13 @@ def emit_formula(n: int) -> FormulaReport:
     Grammar: prefix quantifiers, infix equations over +, -, *, =, with
     parentheses and explicit integer literals.  The symbol count is the
     number of grammar tokens; every identifier, literal, operator,
-    parenthesis and quantifier keyword counts as one symbol.
+    parenthesis and quantifier keyword counts as one symbol.  n is held to
+    ELIMINATION_CAP, the hypercube's direct-call dimension cap: the text
+    grows about as n^4 (690 kB at the cap).
     """
     if n < 1:
         raise QuizlabError("n must be positive")
+    check_cap("formula", "n", n, ELIMINATION_CAP)
     K = 16 * n * n + 2
     rng = random.Random(1_000 + n)  # fixed seed: the emitted formula is canonical
     points = [

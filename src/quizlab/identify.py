@@ -24,6 +24,9 @@ from .witness import spans
 # Newton root takes O(log bits(a)) steps on numbers of that size; the
 # slowest call under the cap takes about 2 ms.
 POWER_BITS_CAP = 2 ** 14
+# Coordinates one sample draws (n*m).  At the cap, n = 1 with m = 10^6
+# takes about 2 s, most of it printing one point per line.
+SAMPLE_COORDINATES_CAP = 10 ** 6
 
 
 def required_set_size(delta: int, L: int, K: int) -> int:
@@ -117,11 +120,13 @@ class IdentificationSequence:
 def sample_sequence(
     n: int, m: int, set_size: int, seed: int
 ) -> IdentificationSequence:
-    """m points drawn uniformly from {0..set_size-1}^n, reproducible per seed."""
+    """m points drawn uniformly from {0..set_size-1}^n, reproducible per seed;
+    n*m over ``SAMPLE_COORDINATES_CAP`` is refused before any draw."""
     if n < 1:
         raise QuizlabError(f"point arity n must be at least 1, got {n}")
     if m < 1 or set_size < 1:
         raise QuizlabError("need m >= 1 and set_size >= 1")
+    check_cap("identification sequence", "n*m", n * m, SAMPLE_COORDINATES_CAP)
     rng = random.Random(seed)
     points = tuple(
         tuple(rng.randrange(set_size) for _ in range(n)) for _ in range(m)

@@ -115,10 +115,12 @@ def finite_diff_check(
     """Max relative error between analytic and central-difference gradients.
 
     The denominator max(1, |analytic|) makes the measure fall back to an
-    absolute error near zero-gradient points.
+    absolute error near zero-gradient points.  n is held to the neural-power
+    desk cap, and a step whose loss overflows a float is refused.
     """
     if h <= 0:
         raise QuizlabError("step must be positive")
+    neural_power(net.n)
     analytic = gradient(net, batch, targets)
     worst = 0.0
     for j in range(net.n + 1):
@@ -126,10 +128,13 @@ def finite_diff_check(
         bumped_down = list(net.weights)
         bumped_up[j] += h
         bumped_down[j] -= h
-        numeric = (
-            loss(PolyActivationNet(net.n, tuple(bumped_up)), batch, targets)
-            - loss(PolyActivationNet(net.n, tuple(bumped_down)), batch, targets)
-        ) / (2 * h)
+        try:
+            numeric = (
+                loss(PolyActivationNet(net.n, tuple(bumped_up)), batch, targets)
+                - loss(PolyActivationNet(net.n, tuple(bumped_down)), batch, targets)
+            ) / (2 * h)
+        except OverflowError:
+            raise QuizlabError(f"the loss overflows a float at step {h!r}") from None
         err = abs(analytic[j] - numeric) / max(1.0, abs(analytic[j]))
         worst = max(worst, err)
     return worst
@@ -226,7 +231,8 @@ def polynomial_distance(n: int, weights_a: Sequence[float], weights_b: Sequence[
 
 def train(config: TrainConfig) -> TrainReport:
     """Plain gradient descent; per-epoch loss recorded; divergence is a
-    terminal status, not an exception."""
+    terminal status, not an exception.  A step whose loss overflows a float
+    diverges with loss inf."""
     rng = random.Random(config.seed)
     weights = tuple(rng.uniform(-1.0, 1.0) for _ in range(config.n + 1))
     target_net = PolyActivationNet(config.n, tuple(config.target_weights))
@@ -238,7 +244,10 @@ def train(config: TrainConfig) -> TrainReport:
     for _ in range(config.epochs):
         weights = tuple(w - config.learning_rate * g for w, g in zip(net.weights, grad))
         net = PolyActivationNet(config.n, weights)
-        current, grad = _loss_and_gradient(net, config.batch, targets)
+        try:
+            current, grad = _loss_and_gradient(net, config.batch, targets)
+        except OverflowError:  # float ** int raises where * gives inf
+            current = math.inf
         curve.append(current)
         if not math.isfinite(current) or current > DIVERGENCE_LIMIT:
             status = "diverged"

@@ -25,12 +25,13 @@ from quizlab.families import (
     build_circuit,
     easy_power_sum,
     elimination_poly,
+    emit_formula,
     hypercube_shift,
     kronecker_diag,
     neural_power,
     univariate_d,
 )
-from quizlab.identify import required_set_size
+from quizlab.identify import required_set_size, sample_sequence
 from quizlab.kronecker import build_theta_matrix, verify_lemma_identities, verify_lemma_trials
 from quizlab.neural import EPOCHS_CAP, TRAINING_WORK_CAP, TrainConfig, random_batch
 from quizlab.protocol import fiber_image
@@ -54,6 +55,11 @@ NO_OVERRIDE = "; no override"
         (lambda: roots_of_unity_matrix(65, VARIANT_BASE), ("d = 65", "d <= 64", NO_OVERRIDE)),
         (lambda: easy_power_sum(3, 3), ("n*l = 9", "n*l <= 8", NO_OVERRIDE)),
         (lambda: neural_power(7), ("n = 7", "n <= 6", NO_OVERRIDE)),
+        (lambda: emit_formula(11), ("formula cap: n=11", "exceeds 10", NO_OVERRIDE)),
+        (
+            lambda: sample_sequence(1, 1_000_001, 2, 0),
+            ("identification sequence cap: n*m=1000001", "exceeds 1000000", NO_OVERRIDE),
+        ),
         (
             lambda: required_set_size(2, 3277, 1),
             ("L*bits(delta^3*(1+K*delta))=16385", "exceeds 16384", NO_OVERRIDE),

@@ -13,7 +13,8 @@ from quizlab.approx import DEMO_DEPTH_CAP, GERM_GAP_CAP, SAMPLES_CAP
 from quizlab.circuit import DEFAULT_EXPANSION_CAP
 from quizlab.cli import main
 from quizlab.exact import PRINT_DIGITS_CAP
-from quizlab.families import DESK_CAPS
+from quizlab.families import DESK_CAPS, ELIMINATION_CAP
+from quizlab.identify import SAMPLE_COORDINATES_CAP
 from quizlab.kronecker import LEMMA_TRIALS_CAP
 from quizlab.neural import BATCH_SIZE_CAP, EPOCHS_CAP, TRAINING_WORK_CAP
 from quizlab.protocol import FIBER_SAMPLES_CAP
@@ -471,6 +472,36 @@ def test_number_too_long_to_print_exits_3(argv):
     assert "Traceback" not in proc.stderr
 
 
+# Python's float ** int raises OverflowError where * returns inf; a run
+# that overflows diverges, and a gradient check names its step.  The last
+# two were unbounded: emit-formula grows as n^4 and idseq sample as n*m.
+@pytest.mark.parametrize(
+    "argv, code, stream, text",
+    [
+        (["neural", "train", "--n", "2", "--epochs", "5", "--learning-rate", "1e100"], 0,
+         "stdout", "status: diverged\nfinal_weights: "),
+        (["neural", "train", "--n", "6", "--epochs", "5", "--learning-rate", "1e30"], 0,
+         "stdout", "epochs_recorded: 2\nfinal_loss: inf\n"),
+        (["neural", "gradcheck", "--n", "300"], 3,
+         "stderr", "cap exceeded: desk cap n <= 6 exceeded: n = 300; no override\n"),
+        (["neural", "gradcheck", "--n", "2", "--step", "1e200"], 2,
+         "stderr", "error: the loss overflows a float at step 1e+200\n"),
+        (["family", "emit-formula", "--n", "200"], 3,
+         "stderr", "cap exceeded: formula cap: n=200 exceeds 10; no override\n"),
+        (["idseq", "sample", "--n", "1", "--m", "3000000", "--set-size", "5"], 3,
+         "stderr", "identification sequence cap: n*m=3000000 exceeds 1000000; no override\n"),
+    ],
+    ids=lambda value: " ".join(value) if isinstance(value, list) else None,
+)
+def test_float_overflow_and_unbounded_sizes_exit_without_a_traceback(argv, code, stream, text):
+    start = time.perf_counter()
+    proc = run_cli_child(argv)
+    assert time.perf_counter() - start < 1.0
+    assert proc.returncode == code
+    assert text in getattr(proc, stream)
+    assert "Traceback" not in proc.stderr
+
+
 def test_help_epilog_states_every_cap():
     # The --help epilog is the module docstring; each cap phrase in it is
     # built from the constant that enforces the cap.
@@ -489,6 +520,9 @@ def test_help_epilog_states_every_cap():
         f"--expansion-cap (default {DEFAULT_EXPANSION_CAP})",
         f"whose exponents lie at most {GERM_GAP_CAP} apart",
         f"has more than {PRINT_DIGITS_CAP} digits; such a command exits 3",
+        f"family emit-formula --n <= {ELIMINATION_CAP}",
+        f"neural gradcheck holds --n to the neural-power cap",
+        f"idseq sample --n times --m <= {SAMPLE_COORDINATES_CAP}",
     ]
     assert [phrase for phrase in phrases if phrase not in epilog] == []
 
