@@ -327,10 +327,14 @@ def scalar_compiled_solve(system, rhs):
     The Laurent arithmetic is the library's, which the naive_laurent_*
     oracles above check."""
     b = list(rhs)
-    lift = (lambda c: c)
-    if any(isinstance(v, LaurentSeries) for v in b):
-        lift = LaurentSeries.from_rational
-        b = [v if isinstance(v, LaurentSeries) else lift(v) for v in b]
+    laurent = any(isinstance(v, LaurentSeries) for v in b)
+
+    def lift(c):
+        if laurent and not isinstance(c, LaurentSeries):
+            return LaurentSeries.from_rational(c)
+        return c
+
+    b = [lift(v) for v in b]
 
     def combine(row):
         total = None

@@ -536,7 +536,9 @@ def test_derivative_matrix_rational_curves_match_polynomial_slope():
         assert any(x.denominator > 1 for row in expected for x in row)
 
 
-@pytest.mark.parametrize("desc", [univariate_d(3), hypercube_shift(2), kronecker_diag(2)])
+@pytest.mark.parametrize(
+    "desc", [univariate_d(3), hypercube_shift(2), kronecker_diag(2)], ids=lambda d: d.variant
+)
 def test_derivative_matrix_refuses_families_without_a_power_form(desc):
     with pytest.raises(QuizlabError, match=f"^{desc.variant} has no power form$"):
         derivative_matrix(desc, [lambda t: (t,) * desc.param_arity])
@@ -711,6 +713,9 @@ def test_hypercube_lk_matrix_matches_polynomial_evaluation():
                 tuple(lk.evaluate([Fraction(x) for x in u]) for u in points) for lk in lks
             )
             assert matrix.entries == expected
+        # Integer points make no Fraction.
+        entries = hypercube_lk_matrix(n, integer_points).entries
+        assert all(type(x) is int for row in entries for x in row)
 
 
 def test_expected_ranks():
