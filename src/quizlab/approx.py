@@ -37,7 +37,9 @@ from .exact import (
     DEFAULT_LAURENT_PRECISION,
     LaurentRing,
     LaurentSeries,
+    cleared_series,
     printable,
+    substitute_cleared,
 )
 from .families import FamilyDescriptor, build_circuit
 from .poly import Monomial, Polynomial, PolynomialRing
@@ -60,10 +62,10 @@ def check_germ_gap(index: int, low: int, high: int) -> None:
 
 # Lengths of a halving schedule eps_k = 2^-k.  The k-th sample's parameters
 # carry k-bit denominators, so a schedule costs more than linearly in its
-# length (numeric mode also compares every pair of tail vectors).  At the cap,
-# game approx --numeric --samples=100 takes about 4.5 s at univariate-d(64)
-# past the strategy's compile, and approx demo --depth=100 about 3 s at
-# neural-power(6).
+# length (numeric mode with a positive tolerance also compares every pair of
+# tail vectors).  At the cap, game approx --numeric --samples=100 takes
+# about 4.5 s at univariate-d(64) past the strategy's compile, and approx
+# demo --depth=100 about 3 s at neural-power(6).
 SAMPLES_CAP = 100
 DEMO_DEPTH_CAP = 100
 
@@ -226,13 +228,24 @@ def encode(
 def sequence_from_germ(
     germ: GermInstance, eps_values: Sequence
 ) -> list[tuple[Fraction, ...]]:
-    """Substitute concrete epsilon values into every component, exactly."""
+    """Substitute concrete epsilon values into every component, exactly.
+
+    The first sample clears every component once (``cleared_series``), and
+    each sample e = p / q takes each component as one integer sum and one
+    Fraction (``substitute_cleared``, the route ``LaurentSeries.substitute``
+    takes).  e = 0 is refused as the pole, and a truncated component raises
+    PrecisionUnderflowError.
+    """
+    cleared = None
     points = []
     for eps in eps_values:
         eps = Fraction(eps)
         if eps == 0:
             raise QuizlabError("epsilon = 0 is the excluded origin (pole)")
-        points.append(tuple(comp.substitute(eps) for comp in germ.components))
+        if cleared is None:
+            cleared = [cleared_series(comp) for comp in germ.components]
+        p, q = eps.numerator, eps.denominator
+        points.append(tuple([substitute_cleared(comp, p, q) for comp in cleared]))
     return points
 
 

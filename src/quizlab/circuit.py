@@ -10,8 +10,13 @@ separately; family size bounds are checked against gates only.
 
 Evaluation is ring-generic.  Expansion (symbolic or at fixed parameters) is
 evaluation over a polynomial ring with a term-count cap.  At integer input
-points over the rationals or truncated Laurent scalars, the input-dependent
-nodes run on integers (``Circuit.evaluate_points``).
+points over the rationals, every node runs on integers: the parameter-only
+nodes as unreduced (numerator, denominator) pairs, parameter polynomials
+cleared once per circuit, and the input-dependent nodes as numerators over
+one denominator each; one Fraction is made at the output.  Over truncated
+Laurent scalars the input-dependent nodes run as integer coefficient
+windows (``Circuit.evaluate_points``).  A circuit read from text is held to
+a formal degree of ``DEGREE_CAP``.
 """
 
 from __future__ import annotations
@@ -46,6 +51,9 @@ DEFAULT_EXPANSION_CAP = 200_000
 # The parameter count (L+n+1)^2 of ``generic_computation``, so L + n <= 127;
 # the largest circuit allowed builds and prints in about 0.5 s.
 GENERIC_PARAMS_CAP = 2 ** 14
+# The formal degree of any node of a circuit read from text; the family
+# circuits reach at most 511 at their desk caps.
+DEGREE_CAP = 1024
 
 INPUT = "input"
 PARAM = "param"
@@ -126,11 +134,12 @@ class Circuit:
         The first point runs every node in order; later points reuse the
         parameter-only nodes (``input_dependence``) and run only the
         input-dependent ones, so each parameter-only node is evaluated once.
-        At integer points the input-dependent nodes run on integers instead:
-        over the rationals as numerators (``_integer_points``), over Laurent
-        scalars as integer coefficient windows (``_integer_windows``).
-        Polynomial rings, non-integer points and points already lifted to
-        the ring keep the node loop.
+        At integer points the nodes run on integers instead: over the
+        rationals every node, from the parameter leaves to the output
+        (``_integer_points``); over Laurent scalars the input-dependent ones,
+        as integer coefficient windows (``_integer_windows``).  Polynomial
+        rings, non-integer points and points already lifted to the ring keep
+        the node loop.
         """
         if len(params) != self.n_params:
             raise ArityMismatchError(
@@ -209,18 +218,13 @@ class Circuit:
     def _integer_points(self, params, points) -> list[Fraction]:
         """``evaluate_points`` over the rationals at integer points.
 
-        The parameters are evaluated once by the node loop; each
-        parameter-only node is its own reduced numerator over its
-        denominator, and ``_integer_steps`` gives every input-dependent
-        node its denominator D_i.  Each point then computes every
-        input-dependent numerator N_i in integers and makes one
-        Fraction(N, D) at the output.
+        ``_parameter_pairs`` gives each parameter-only node as an integer
+        numerator over a denominator, and ``_integer_steps`` gives every
+        input-dependent node its denominator D_i.  Each point then computes
+        every input-dependent numerator N_i in integers.  Nothing is reduced
+        on the way: the one Fraction(N, D) made at the output reduces.
         """
-        nodes = self.nodes
-        values: list = [None] * len(nodes)
-        self._run(self._parameter_only_nodes, values, params, None, RATIONALS)
-        nums = [0 if v is None else v.numerator for v in values]
-        dens = [1 if v is None else v.denominator for v in values]
+        nums, dens = self._parameter_pairs(params)
         steps = self._integer_steps(dens)
         out, den = self.output, dens[self.output]
         results = []
@@ -235,6 +239,54 @@ class Circuit:
                     nums[i] = inputs[a]
             results.append(Fraction(nums[out], den))
         return results
+
+    def _parameter_pairs(self, params) -> tuple[list[int], list[int]]:
+        """Every parameter-only node at rational parameters as an integer
+        numerator and denominator, unreduced; 0 over 1 elsewhere.
+
+        A param or const leaf is its value's numerator over its
+        denominator, and a parameter polynomial is ``_payload_pair`` of its
+        cleared payload.  A product multiplies numerators and denominators;
+        a sum or difference takes the lcm of the denominators and scales
+        each numerator to it, as ``_integer_steps`` does.
+        """
+        nodes = self.nodes
+        nums, dens = [0] * len(nodes), [1] * len(nodes)
+        payloads = self._cleared_payloads
+        for i in self._parameter_only_nodes:
+            node = nodes[i]
+            kind, a, b = node.kind, node.a, node.b
+            if kind == PARAM:
+                p = params[a]
+                nums[i], dens[i] = p.numerator, p.denominator
+            elif kind == CONST:
+                nums[i], dens[i] = node.value.numerator, node.value.denominator
+            elif kind == POLY_PARAM:
+                nums[i], dens[i] = _payload_pair(payloads[i], params)
+            elif kind == MUL:
+                nums[i], dens[i] = nums[a] * nums[b], dens[a] * dens[b]
+            else:
+                da, db = dens[a], dens[b]
+                d = da if da == db else math.lcm(da, db)
+                nb = nums[b] * (d // db)
+                nums[i] = nums[a] * (d // da) + (nb if kind == ADD else -nb)
+                dens[i] = d
+        return nums, dens
+
+    @functools.cached_property
+    def _cleared_payloads(self) -> dict[int, tuple]:
+        """Each parameter polynomial cleared once per circuit, by node index:
+        (c, h, terms), with the coefficients over their lcm c, h_i the
+        highest exponent of parameter i, and terms the pairs (k_m, m) of
+        each monomial m and its integer coefficient k_m = c * coefficient."""
+        cleared = {}
+        for i, node in enumerate(self.nodes):
+            if node.kind == POLY_PARAM:
+                terms = node.payload.terms
+                c, ks = cleared_row(terms.values())
+                h = tuple([max([m[j] for m in terms], default=0) for j in range(self.n_params)])
+                cleared[i] = (c, h, tuple(zip(ks, terms)))
+        return cleared
 
     def _integer_windows(self, params, points, ring: LaurentRing) -> list[LaurentSeries]:
         """``evaluate_points`` over truncated Laurent scalars at integer points.
@@ -367,7 +419,54 @@ class Circuit:
         if not isinstance(doc["nodes"], list):
             raise QuizlabError("circuit text: nodes is not a list")
         nodes = [_node_from_record(i, rec, r) for i, rec in enumerate(doc["nodes"])]
-        return Circuit(tuple(nodes), _json_count(doc["output"], "output"), n, r)
+        circ = Circuit(tuple(nodes), _json_count(doc["output"], "output"), n, r)
+        _check_formal_degree(circ)
+        return circ
+
+
+def _check_formal_degree(circ: Circuit) -> None:
+    """Refuse the first node whose formal degree exceeds ``DEGREE_CAP``.
+
+    Input and param leaves have degree 1 and a const 0; a parameter
+    polynomial has its total degree.  A sum or difference takes the larger
+    of its operands' degrees and a product their sum, so no degree past
+    twice the cap is formed before the refusal.
+    """
+    degrees: list[int] = []
+    for i, node in enumerate(circ.nodes):
+        if node.kind in (INPUT, PARAM):
+            degree = 1
+        elif node.kind == CONST:
+            degree = 0
+        elif node.kind == POLY_PARAM:
+            degree = max([sum(m) for m in node.payload.terms], default=0)
+        elif node.kind == MUL:
+            degree = degrees[node.a] + degrees[node.b]
+        else:
+            degree = max(degrees[node.a], degrees[node.b])
+        check_cap("formal degree", f"node {i}", degree, DEGREE_CAP)
+        degrees.append(degree)
+
+
+def _payload_pair(cleared: tuple, params) -> tuple[int, int]:
+    """A cleared parameter polynomial (c, h, terms) at the parameters
+    a_i / b_i, as N over D: N = sum of k_m prod a_i^m_i b_i^(h_i - m_i) and
+    D = c prod b_i^h_i."""
+    c, h, terms = cleared
+    nums = [p.numerator for p in params]
+    dens = [p.denominator for p in params]
+    total = 0
+    for k, mono in terms:
+        for a, b, e, top in zip(nums, dens, mono, h):
+            if e:
+                k *= a ** e
+            if top != e:
+                k *= b ** (top - e)
+        total += k
+    for b, top in zip(dens, h):
+        if top:
+            c *= b ** top
+    return total, c
 
 
 _ARG_COUNTS = {INPUT: 1, PARAM: 1, CONST: 1, ADD: 2, SUB: 2, MUL: 2}

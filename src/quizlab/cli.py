@@ -19,13 +19,15 @@ Value syntax on the command line:
 Every family is held to its desk cap (easy-power-sum n*l <= 8,
 neural-power n <= 6, hypercube-shift n <= 5, kronecker-diag k <= 5,
 univariate-d d <= 64) before any work starts, and no setting raises it;
-neural gradcheck holds --n to the neural-power cap too.  So are the loop
-counts (neural train --epochs <= 100000, witness report --trials <= 1000,
-game fiber --samples <= 10000, kron verify --trials <= 1000, game approx
---samples <= 100, approx demo --depth <= 100), the neural batch
-(--batch-size <= 100000, and neural train --epochs times --batch-size <=
-2000000) and two output sizes (family emit-formula --n <= 10, idseq
-sample --n times --m <= 1000000).  circuit expand's --expansion-cap
+neural train and neural gradcheck hold --n to the neural-power cap too,
+before any draw.  So are the loop counts (neural train --epochs <=
+100000, witness report --trials <= 1000, game fiber --samples <= 10000,
+kron verify --trials <= 1000, game approx --samples <= 100, approx demo
+--depth <= 100), the neural batch (--batch-size <= 100000, and neural
+train --epochs times --batch-size <= 2000000), two output sizes (family
+emit-formula --n <= 10, idseq sample --n times --m <= 1000000) and the
+formal degree of every node of a --circuit-file circuit (<= 1024, each
+input and parameter counting 1).  circuit expand's --expansion-cap
 (default 200000) is its term cap.  No report prints a number whose
 numerator or denominator has more than 4300 digits; such a command exits
 3.  A loss that overflows a float ends neural train as diverged, with
@@ -72,7 +74,14 @@ from .identify import (
     verify_linear_span,
 )
 from .kronecker import build_theta_matrix, char_poly, verify_lemma_trials
-from .neural import PolyActivationNet, TrainConfig, finite_diff_check, random_batch, train
+from .neural import (
+    PolyActivationNet,
+    TrainConfig,
+    check_inputs,
+    finite_diff_check,
+    random_batch,
+    train,
+)
 from .poly import Polynomial, sort_support
 from .protocol import (
     MODE_NUMERIC,
@@ -367,6 +376,7 @@ def cmd_kron_charpoly(args) -> list[str]:
 
 
 def cmd_neural_train(args) -> list[str]:
+    check_inputs(args.n)
     batch = random_batch(args.n, args.batch_size, args.seed)
     rng = random.Random(args.seed + 1)
     target_weights = tuple(rng.uniform(-1.0, 1.0) for _ in range(args.n + 1))
@@ -385,6 +395,7 @@ def cmd_neural_train(args) -> list[str]:
 
 
 def cmd_neural_gradcheck(args) -> list[str]:
+    check_inputs(args.n)
     rng = random.Random(args.seed)
     weights = tuple(rng.uniform(-1.0, 1.0) for _ in range(args.n + 1))
     net = PolyActivationNet(args.n, weights)

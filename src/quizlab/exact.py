@@ -278,18 +278,51 @@ class LaurentSeries:
         return self if cut is window else LaurentSeries(*cut)
 
     def substitute(self, value: Fraction) -> Fraction:
-        """Evaluate an exact Laurent polynomial at a nonzero rational point."""
-        if not self.is_exact():
-            raise PrecisionUnderflowError("cannot substitute into a truncated series")
+        """Evaluate an exact Laurent polynomial at a nonzero rational point,
+        through ``substitute_cleared``."""
+        cleared = cleared_series(self)
         value = Fraction(value)
         if value == 0:
             if self.low < 0 and self.coeffs:
                 raise ZeroDivisionError("substitution at the pole e = 0")
             return self.coefficient(0) if self.coeffs else Fraction(0)
-        total = Fraction(0)
-        for i, c in enumerate(self.coeffs):
-            total += c * value ** (self.low + i)
-        return total
+        return substitute_cleared(cleared, value.numerator, value.denominator)
+
+
+def cleared_series(series: LaurentSeries) -> tuple[int, int, list[int]]:
+    """An exact series as (low, c, ks): its coefficients over their lcm c,
+    ks[i] = c * coeffs[i] for e^(low + i).  A truncated series has no value
+    at any point, so it raises PrecisionUnderflowError."""
+    if not series.is_exact():
+        raise PrecisionUnderflowError("cannot substitute into a truncated series")
+    c, ks = cleared_row(series.coeffs)
+    return series.low, c, ks
+
+
+def substitute_cleared(cleared: tuple[int, int, list[int]], p: int, q: int) -> Fraction:
+    """The cleared series (low, c, ks) at e = p / q, p nonzero and q > 0.
+
+    With n = len(ks) - 1 the value is S p^low / (c q^(low + n)), where
+    S = sum of ks[i] p^i q^(n - i) is one integer sum by Horner's rule;
+    a negative power moves to the other side.  One Fraction is made, and
+    it reduces.
+    """
+    low, c, ks = cleared
+    total, q_power = 0, 1
+    for k in reversed(ks):
+        total = total * p + k * q_power
+        q_power *= q
+    num, den = total, c
+    if low >= 0:
+        num *= p ** low
+    else:
+        den *= p ** -low
+    high = low + len(ks) - 1
+    if high >= 0:
+        den *= q ** high
+    else:
+        num *= q ** -high
+    return Fraction(num, den)
 
 
 def _window(low: int, acc, bound: int | None) -> LaurentSeries:

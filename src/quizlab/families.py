@@ -44,6 +44,7 @@ from .exact import RationalRing, cleared_row
 from .poly import (
     Monomial,
     Polynomial,
+    cleared_root_product,
     monomials_below_degree,
     monomials_of_degree,
     multilinear_monomials,
@@ -361,7 +362,8 @@ def vertex_elimination(f: Polynomial, n: int) -> Polynomial:
     sum of f's coefficients on the subsets of v.  Yates's subset-sum (zeta)
     transform fills all 2^n of those sums in n 2^(n-1) additions: of the
     integers c f(v) over the rationals, f cleared over the lcm c of its
-    denominators once, and with ``ring.add`` over any other ring.
+    denominators once, and with ``ring.add`` over any other ring.  Over the
+    rationals the integer sums and c go straight to ``cleared_root_product``.
     """
     ring = f.ring
     if f.nvars != n:
@@ -380,7 +382,9 @@ def vertex_elimination(f: Polynomial, n: int) -> Polynomial:
         for j in range(2 ** n):
             if j & bit:
                 sums[j] = add(sums[j], sums[j ^ bit])
-    return product_of_linear_roots([Fraction(s, c) for s in sums] if rational else sums, ring)
+    if rational:
+        return cleared_root_product(c, sums)
+    return product_of_linear_roots(sums, ring)
 
 
 @functools.lru_cache(maxsize=32)

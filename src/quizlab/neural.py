@@ -34,6 +34,15 @@ TRAINING_WORK_CAP = 2_000_000
 WEIGHT_ROUNDING_DENOMINATOR = 10 ** 6
 
 
+def check_inputs(n: int) -> None:
+    """Refuse an input count below 1, then one over the neural-power desk
+    cap; every entry point checks n here before it draws anything that
+    grows with n."""
+    if n < 1:
+        raise QuizlabError("need at least one input, n >= 1")
+    neural_power(n)
+
+
 @dataclass(frozen=True)
 class PolyActivationNet:
     """n inputs; weights (t, u_1..u_n) as double-precision reals."""
@@ -120,7 +129,7 @@ def finite_diff_check(
     """
     if h <= 0:
         raise QuizlabError("step must be positive")
-    neural_power(net.n)
+    check_inputs(net.n)
     analytic = gradient(net, batch, targets)
     worst = 0.0
     for j in range(net.n + 1):
@@ -146,7 +155,7 @@ class TrainConfig:
 
     The targets are the network's values at ``target_weights`` on the batch.
     The report ends in the exact neural-power(n) distance to them, so n is
-    held to that family's desk cap before training.
+    held to that family's desk cap (``check_inputs``) before anything else.
     """
 
     n: int
@@ -157,8 +166,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise QuizlabError("need at least one input, n >= 1")
+        check_inputs(self.n)
         if self.learning_rate < 0:
             raise QuizlabError("learning rate must be nonnegative")
         if self.epochs < 1:
@@ -169,7 +177,6 @@ class TrainConfig:
         )
         if not self.batch:
             raise QuizlabError("batch must be nonempty")
-        neural_power(self.n)
 
 
 @dataclass(frozen=True)

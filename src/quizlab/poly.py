@@ -281,21 +281,32 @@ def product_of_linear_roots(roots: Iterable, ring=RATIONALS) -> Polynomial:
     """prod (Y - root) as a univariate polynomial in Y over ``ring``.
 
     ``coeffs[k]`` is the coefficient of Y^k; multiplying by Y - root maps it
-    to ``coeffs[k - 1] - root * coeffs[k]``.  Over the rationals the m roots
-    are cleared over the lcm c of their denominators, the recurrence runs on
-    the integer roots c * root, which gives prod (Z - c * root) with Z = c Y,
-    and the coefficient of Y^k is that of Z^k divided by c^(m - k).
+    to ``coeffs[k - 1] - root * coeffs[k]``.  Over the rationals the roots
+    are cleared over the lcm of their denominators (``cleared_row``) and
+    multiplied out on integers by ``cleared_root_product``.
     """
     roots = list(roots)
     if isinstance(ring, RationalRing):
-        c, cleared = cleared_row(roots)
-        coeffs = root_product_coefficients(cleared)
-        m = len(roots)
-        coeffs = [Fraction(q, c ** (m - k)) for k, q in enumerate(coeffs)]
-    else:
-        coeffs = root_product_coefficients(roots, ring.one, ring)
+        return cleared_root_product(*cleared_row(roots))
+    coeffs = root_product_coefficients(roots, ring.one, ring)
     # Highest degree first, the term order the product of sparse factors had.
     return Polynomial.make(1, {(k,): coeffs[k] for k in reversed(range(len(coeffs)))}, ring)
+
+
+def cleared_root_product(c: int, roots: Sequence[int]) -> Polynomial:
+    """prod (Y - root / c) over the rationals, for m integer roots over one
+    denominator c.
+
+    The recurrence runs on the integer roots, which gives prod (Z - root)
+    with Z = c Y, and the coefficient of Y^k is that of Z^k divided by
+    c^(m - k); each makes one Fraction, highest degree first.
+    """
+    coeffs = root_product_coefficients(roots)
+    terms, scale = {}, 1
+    for k in reversed(range(len(coeffs))):
+        terms[(k,)] = Fraction(coeffs[k], scale)
+        scale *= c
+    return Polynomial.make(1, terms)
 
 
 def root_product_coefficients(roots: Iterable, one=1, ring=RATIONALS) -> list:

@@ -492,28 +492,42 @@ def run_approx(
         vectors.append(v_k)
     tail = vectors[len(vectors) // 2 :]
     tol = config.cluster_tolerance
-
-    def close(a, b) -> bool:
-        # Every vector has the task support's length, so zero tolerance
-        # is plain equality.
-        if not tol:
-            return a == b
-        return all(abs(x - y) <= tol for x, y in zip(a, b))
-
-    best_index, best_coverage = None, 0
-    for i, candidate in enumerate(tail):
-        coverage = sum(1 for other in tail if close(candidate, other))
-        if coverage >= best_coverage:
-            best_index, best_coverage = i, coverage
-    if best_index is None or 2 * best_coverage < len(tail):
+    best, best_coverage = _dominant_cluster(tail, tol)
+    if best is None or 2 * best_coverage < len(tail):
         raise NoStableClusterError(
             f"no cluster covers half of the schedule tail (best {best_coverage}/{len(tail)})"
         )
     message = tuple([";".join(_format_values(vec, RATIONALS)) for vec in vectors])
     return _judge(
         strategy, task, label, "approx-numeric", message,
-        (support_star, tail[best_index]), reference, tolerance=tol if tol else None,
+        (support_star, best), reference, tolerance=tol if tol else None,
     )
+
+
+def _dominant_cluster(tail: list[tuple], tol: Fraction) -> tuple[tuple | None, int]:
+    """The tail vector with the most tail vectors within ``tol`` of it in
+    every coordinate, and that count; of equal counts the last candidate
+    wins.
+
+    Every vector has the task support's length, so at zero tolerance the
+    count is the vector's multiplicity, counted once in a dict whose keys
+    move to the end at each occurrence; the winner is then the first
+    largest count from the end.  A positive tolerance compares every pair.
+    """
+    if not tol:
+        coverage: dict = {}
+        for vec in tail:
+            coverage[vec] = coverage.pop(vec, 0) + 1
+        best = max(reversed(coverage), key=coverage.__getitem__, default=None)
+        return best, coverage.get(best, 0)
+    best, best_coverage = None, 0
+    for candidate in tail:
+        count = sum(
+            1 for other in tail if all(abs(x - y) <= tol for x, y in zip(candidate, other))
+        )
+        if count >= best_coverage:
+            best, best_coverage = candidate, count
+    return best, best_coverage
 
 
 def fiber_image(

@@ -26,7 +26,7 @@ from pathlib import Path
 
 from quizlab.cli import main as cli_main
 
-from conftest import MALFORMED_CIRCUIT_FILES
+from conftest import MALFORMED_CIRCUIT_FILES, OVER_DEGREE_CIRCUIT_FILES
 
 CORPUS = Path(__file__).resolve().parent / "corpus"
 ARGV_FILE = CORPUS / "argv.txt"
@@ -54,14 +54,15 @@ def record_line(record: dict) -> str:
 
 @contextlib.contextmanager
 def replay_environment():
-    """A fresh working directory holding ``files/`` with the malformed
-    circuit documents, and the fixed environment; both restored after."""
+    """A fresh working directory holding ``files/`` with the malformed and
+    the over-degree circuit documents, and the fixed environment; both
+    restored after."""
     saved_env = {name: os.environ.get(name) for name in FIXED_ENV}
     saved_cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         files = Path(tmp) / "files"
         files.mkdir()
-        for name, text in MALFORMED_CIRCUIT_FILES.items():
+        for name, text in {**MALFORMED_CIRCUIT_FILES, **OVER_DEGREE_CIRCUIT_FILES}.items():
             (files / name).write_text(text)
         os.environ.update(FIXED_ENV)
         os.chdir(tmp)

@@ -9,6 +9,7 @@ library's cleverer paths are checked against something with no shared code.
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -378,6 +379,23 @@ MALFORMED_CIRCUIT_FILES = {
     "unknown-kind.json": '{"n": 1, "r": 1, "nodes": [{"kind": "div", "args": [0, 0]}], "output": 0}\n',
     "int-constant.json": '{"n": 1, "r": 1, "nodes": [{"kind": "const", "args": [3]}], "output": 0}\n',
     "bad-term.json": '{"n": 1, "r": 1, "nodes": [{"kind": "poly_param", "args": [[1]]}], "output": 0}\n',
+}
+
+
+def _squaring_chain(k: int) -> str:
+    """A circuit document that squares its one input k times: X^(2^k)."""
+    nodes = [{"kind": "input", "args": [0]}]
+    nodes += [{"kind": "mul", "args": [i, i]} for i in range(k)]
+    return json.dumps({"n": 1, "r": 0, "nodes": nodes, "output": k}) + "\n"
+
+
+# Circuit documents over the formal degree cap, by file name, for the CLI's
+# exit-3 cases: X^(2^30), and one parameter leaf p^1000000 times X.
+OVER_DEGREE_CIRCUIT_FILES = {
+    "squaring-chain.json": _squaring_chain(30),
+    "high-degree-param.json": '{"n": 1, "r": 1, "nodes": [{"kind": "poly_param", '
+    '"args": [[[1000000], "1/1"]]}, {"kind": "input", "args": [0]}, '
+    '{"kind": "mul", "args": [0, 1]}], "output": 2}\n',
 }
 
 

@@ -3,7 +3,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from quizlab import exact
 from quizlab.approx import (
     GermInstance,
     border_demo_germ,
@@ -102,6 +105,70 @@ def test_sequence_from_germ():
     assert sequence_from_germ(constant, [Fraction(1, 3)]) == [(5, 7)]
     with pytest.raises(QuizlabError):
         sequence_from_germ(germ, [Fraction(0)])
+
+
+# Germ components with negative, zero and positive orders, their
+# coefficients often with large denominators, and nonzero samples of either
+# sign.
+germ_terms = st.dictionaries(
+    st.integers(-6, 6),
+    st.fractions(min_value=-50, max_value=50, max_denominator=10 ** 6),
+    max_size=5,
+)
+nonzero_eps = st.fractions(min_value=-3, max_value=3, max_denominator=10 ** 4).filter(bool)
+
+
+def _fraction_sum(terms: dict, eps: Fraction) -> Fraction:
+    return sum((Fraction(c) * eps ** k for k, c in terms.items()), Fraction(0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(germ_terms, min_size=1, max_size=3), st.lists(nonzero_eps, max_size=5))
+@example([{-3: Fraction(1, 6), 2: Fraction(-5, 4)}, {}], [Fraction(-2, 3), Fraction(1, 1024)])
+@example([{-2: Fraction(3)}, {0: Fraction(1, 3), 1: Fraction(2, 3)}], [Fraction(-1)])
+def test_germ_substitution_matches_the_fraction_sum(components, eps_values):
+    germ = GermInstance.make([LaurentSeries.from_pairs(terms.items()) for terms in components])
+    expected = [tuple(_fraction_sum(terms, eps) for terms in components) for eps in eps_values]
+    got = sequence_from_germ(germ, eps_values)
+    assert got == expected
+    assert all(type(x) is Fraction for point in got for x in point)
+    for eps, point in zip(eps_values, got):
+        assert tuple(comp.substitute(eps) for comp in germ.components) == point
+
+
+def test_germ_substitution_errors():
+    pole = LaurentSeries.from_pairs([(-1, 2), (0, 1)])
+    truncated = LaurentSeries(0, (Fraction(1), Fraction(1, 2)), 2)
+    germ = GermInstance.make([pole, truncated])
+    # e = 0 is refused before any component is read, and a truncated
+    # component has no value at any sample.
+    with pytest.raises(QuizlabError, match="^epsilon = 0 is the excluded origin"):
+        sequence_from_germ(germ, [Fraction(0), Fraction(1, 2)])
+    with pytest.raises(PrecisionUnderflowError, match="^cannot substitute into a truncated"):
+        sequence_from_germ(germ, [Fraction(-1, 2), Fraction(0)])
+    assert sequence_from_germ(germ, []) == []
+    with pytest.raises(PrecisionUnderflowError, match="^cannot substitute into a truncated"):
+        truncated.substitute(Fraction(0))
+    with pytest.raises(ZeroDivisionError, match="^substitution at the pole e = 0$"):
+        pole.substitute(Fraction(0))
+    assert LaurentSeries.from_pairs([(0, 4), (3, 1)]).substitute(0) == 4
+
+
+def test_germ_substitution_makes_one_fraction_per_component_and_sample(monkeypatch):
+    made = []
+
+    def counting(*args):
+        made.append(args)
+        return Fraction(*args)
+
+    germ = GermInstance.make(
+        [LaurentSeries.from_pairs([(-2, Fraction(1, 3)), (1, 5)]), 7, LaurentSeries.epsilon()]
+    )
+    schedule = [Fraction(1, 2 ** k) for k in range(1, 9)]
+    expected = sequence_from_germ(germ, schedule)
+    monkeypatch.setattr(exact, "Fraction", counting)
+    assert sequence_from_germ(germ, schedule) == expected
+    assert len(made) == len(schedule) * germ.arity
 
 
 def test_encode_consistent_with_substitution():

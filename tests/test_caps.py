@@ -11,7 +11,7 @@ from quizlab.approx import (
     closure_membership_demo,
     halving_schedule,
 )
-from quizlab.circuit import generic_computation
+from quizlab.circuit import Circuit, generic_computation
 from quizlab.errors import (
     CapExceededError,
     ExpansionCapExceededError,
@@ -41,6 +41,7 @@ from quizlab.witness import (
     lower_bound_report,
     roots_of_unity_matrix,
 )
+from conftest import OVER_DEGREE_CIRCUIT_FILES
 
 NO_OVERRIDE = "; no override"
 
@@ -65,6 +66,15 @@ NO_OVERRIDE = "; no override"
             ("L*bits(delta^3*(1+K*delta))=16385", "exceeds 16384", NO_OVERRIDE),
         ),
         (lambda: generic_computation(127, 1), ("(L+n+1)^2=16641", "exceeds 16384", NO_OVERRIDE)),
+        # A circuit read from text: the first node over the formal degree cap.
+        (
+            lambda: Circuit.from_text(OVER_DEGREE_CIRCUIT_FILES["squaring-chain.json"]),
+            ("formal degree cap: node 11=2048", "exceeds 1024", NO_OVERRIDE),
+        ),
+        (
+            lambda: Circuit.from_text(OVER_DEGREE_CIRCUIT_FILES["high-degree-param.json"]),
+            ("formal degree cap: node 0=1000000", "exceeds 1024", NO_OVERRIDE),
+        ),
         # Loop counts, each just over its cap: the count is checked before any loop.
         (
             lambda: TrainConfig(2, 0.01, 100_001, ((0.5, 0.5),), target_weights=(0, 0, 0)),

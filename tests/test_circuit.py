@@ -8,11 +8,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quizlab.circuit import (
+    DEGREE_CAP,
     Circuit,
     CircuitBuilder,
     generic_computation,
 )
-from quizlab.errors import ArityMismatchError, ExpansionCapExceededError
+from quizlab.errors import ArityMismatchError, CapExceededError, ExpansionCapExceededError
 from quizlab.exact import RATIONALS, LaurentRing, LaurentSeries
 from quizlab.families import (
     TASK_CHARPOLY,
@@ -204,6 +205,45 @@ def test_serialization_roundtrip():
     assert Circuit.from_text(g.to_text()).to_text() == g.to_text()
 
 
+def _squaring_chain(k: int) -> Circuit:
+    b = CircuitBuilder(n_inputs=1, n_params=0)
+    node = b.input(0)
+    for _ in range(k):
+        node = b.mul(node, node)
+    return b.finish(node)
+
+
+@pytest.mark.parametrize(
+    "desc",
+    [
+        easy_power_sum(8, 1),
+        easy_power_sum(2, 4),
+        univariate_d(64),
+        neural_power(6),
+        hypercube_shift(5),
+        kronecker_diag(5),
+    ],
+    ids=lambda desc: desc.label(),
+)
+def test_family_circuits_at_their_desk_caps_load_from_text(desc):
+    text = build_circuit(desc).to_text()
+    assert Circuit.from_text(text).to_text() == text
+
+
+def test_circuit_text_is_held_to_the_formal_degree_cap():
+    # X^1024 loads, X^2048 does not; a parameter polynomial counts its total
+    # degree, and an unused node counts as well as the output.
+    assert DEGREE_CAP == 2 ** 10
+    Circuit.from_text(_squaring_chain(10).to_text())
+    with pytest.raises(CapExceededError, match="^formal degree cap: node 11=2048 exceeds 1024;"):
+        Circuit.from_text(_squaring_chain(11).to_text())
+    b = CircuitBuilder(n_inputs=1, n_params=2)
+    b.poly_param(Polynomial.make(2, {(600, 425): Fraction(1)}))
+    circ = b.finish(b.input(0))
+    with pytest.raises(CapExceededError, match="^formal degree cap: node 0=1025 exceeds 1024;"):
+        Circuit.from_text(circ.to_text())
+
+
 FAMILY_CIRCUITS = [
     easy_power_sum(2, 2),
     univariate_d(5),
@@ -279,24 +319,37 @@ def laurent_germ_components(draw):
     return LaurentSeries(*naive_laurent_window(terms, bound))
 
 
+# Parameters as the integer pass reads them: ints (zero often) and
+# Fractions, with denominators up to 10^6.
+rational_params = (
+    st.just(0)
+    | st.integers(-9, 9)
+    | small_fractions
+    | st.fractions(min_value=-1000, max_value=1000, max_denominator=10 ** 6)
+)
+
+
 @st.composite
 def circuits_with_points(draw):
     """A random circuit of add, sub and mul gates over inputs, parameters,
-    rational constants and a parameter polynomial, with rational parameters,
-    a Laurent germ, a Laurent precision and integer points (zero coordinates
-    often) for it."""
+    rational constants and parameter polynomials (exponents up to 4), its
+    output often the last gate and sometimes any node, parameter-only ones
+    included, with rational parameters, a Laurent germ, a Laurent precision
+    and integer points (zero coordinates often) for it."""
     n, r = draw(st.integers(1, 3)), draw(st.integers(0, 3))
     b = CircuitBuilder(n_inputs=n, n_params=r)
     nodes = [b.input(i) for i in range(n)] + [b.param(j) for j in range(r)]
     nodes.append(b.const(draw(small_fractions)))
     if r:
-        monos = st.tuples(*[st.integers(0, 2)] * r)
-        nodes.append(b.poly_param(Polynomial.make(r, draw(st.dictionaries(monos, small_fractions)))))
+        monos = st.tuples(*[st.integers(0, 4)] * r)
+        for _ in range(draw(st.integers(1, 2))):
+            payload = draw(st.dictionaries(monos, rational_params, max_size=4))
+            nodes.append(b.poly_param(Polynomial.make(r, payload)))
     for _ in range(draw(st.integers(1, 12))):
         gate = getattr(b, draw(st.sampled_from(["add", "sub", "mul"])))
         nodes.append(gate(draw(st.sampled_from(nodes)), draw(st.sampled_from(nodes))))
-    circ = b.finish(nodes[-1])
-    params = draw(st.lists(small_fractions, min_size=r, max_size=r))
+    circ = b.finish(draw(st.just(nodes[-1]) | st.sampled_from(nodes)))
+    params = draw(st.lists(rational_params, min_size=r, max_size=r))
     germ = draw(st.lists(laurent_germ_components(), min_size=r, max_size=r))
     precision = draw(st.integers(1, 8))
     coordinates = st.just(0) | small_ints
@@ -304,13 +357,38 @@ def circuits_with_points(draw):
     return circ, params, germ, precision, points
 
 
-@settings(max_examples=150, deadline=None)
+def _parameter_sums() -> Circuit:
+    """p0 / 3 + 5 / 2 - p1 * (p0 - p0^4 / 7), in one input it never reads:
+    a parameter-only output whose sums meet unequal denominators."""
+    b = CircuitBuilder(n_inputs=1, n_params=2)
+    left = b.add(b.mul(b.param(0), b.const(Fraction(1, 3))), b.const(Fraction(5, 2)))
+    quartic = b.poly_param(Polynomial.make(2, {(1, 0): Fraction(1), (4, 0): Fraction(-1, 7)}))
+    return b.finish(b.sub(left, b.mul(b.param(1), quartic)))
+
+
+@settings(max_examples=200, deadline=None)
 @given(circuits_with_points())
+@example((_parameter_sums(), [Fraction(2, 999_983), 7], None, 1, [[0], [-3]]))
+@example((_parameter_sums(), [0, Fraction(-5, 6)], None, 1, [[4]]))
 def test_integer_points_match_the_node_loop(case):
     circ, params, _, _, points = case
     got = circ.evaluate_points(params, points)
     assert all(type(v) is Fraction for v in got)
     assert got == circ.evaluate_points(params, [[Fraction(x) for x in p] for p in points])
+
+
+@pytest.mark.parametrize("desc", FAMILY_CIRCUITS, ids=lambda desc: desc.variant)
+def test_rational_rounds_at_integer_points_skip_the_node_loop(desc, monkeypatch):
+    circ = build_circuit(desc.base())
+    params = [Fraction(-3, 7), Fraction(5, 2), 4][: circ.n_params]
+    points = [p[: circ.n_inputs] for p in ([1, -2], [0, 3], [-4, 0])]
+    expected = circ.evaluate_points(params, [[Fraction(x) for x in p] for p in points])
+
+    def node_loop(*args):
+        raise AssertionError("the node loop ran")
+
+    monkeypatch.setattr(Circuit, "_run", node_loop)
+    assert circ.evaluate_points(params, points) == expected
 
 
 def _laurent_outcome(circ, germ, points, ring):

@@ -10,7 +10,7 @@ import pytest
 
 from quizlab import cli, protocol
 from quizlab.approx import DEMO_DEPTH_CAP, GERM_GAP_CAP, SAMPLES_CAP
-from quizlab.circuit import DEFAULT_EXPANSION_CAP
+from quizlab.circuit import DEFAULT_EXPANSION_CAP, DEGREE_CAP
 from quizlab.cli import main
 from quizlab.exact import PRINT_DIGITS_CAP
 from quizlab.families import DESK_CAPS, ELIMINATION_CAP
@@ -20,7 +20,7 @@ from quizlab.neural import BATCH_SIZE_CAP, EPOCHS_CAP, TRAINING_WORK_CAP
 from quizlab.protocol import FIBER_SAMPLES_CAP
 from quizlab.witness import REPORT_TRIALS_CAP
 
-from conftest import MALFORMED_CIRCUIT_FILES
+from conftest import MALFORMED_CIRCUIT_FILES, OVER_DEGREE_CIRCUIT_FILES
 
 
 def run_cli(argv, capsys):
@@ -502,6 +502,36 @@ def test_float_overflow_and_unbounded_sizes_exit_without_a_traceback(argv, code,
     assert "Traceback" not in proc.stderr
 
 
+# Each was slow before its cap held: neural train --n 3000000 drew its batch
+# for about 10 s, and the squaring chain doubles its degree with every gate.
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["neural", "train", "--n", "3000000"], "desk cap n <= 6 exceeded: n = 3000000"),
+        (["neural", "gradcheck", "--n", "300000"], "desk cap n <= 6 exceeded: n = 300000"),
+        (
+            ["circuit", "eval", "--circuit-file", "{dir}/squaring-chain.json", "--params=",
+             "--inputs", "2"],
+            "formal degree cap: node 11=2048 exceeds 1024",
+        ),
+        (
+            ["circuit", "expand", "--circuit-file", "{dir}/high-degree-param.json",
+             "--params", "2"],
+            "formal degree cap: node 0=1000000 exceeds 1024",
+        ),
+    ],
+    ids=lambda value: " ".join(value[:2]) if isinstance(value, list) else None,
+)
+def test_over_cap_input_exits_3_before_any_work(argv, message, tmp_path):
+    for name, text in OVER_DEGREE_CIRCUIT_FILES.items():
+        (tmp_path / name).write_text(text)
+    start = time.perf_counter()
+    proc = run_cli_child([arg.replace("{dir}", str(tmp_path)) for arg in argv])
+    assert time.perf_counter() - start < 1.0
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == f"cap exceeded: {message}; no override\n"
+
+
 def test_help_epilog_states_every_cap():
     # The --help epilog is the module docstring; each cap phrase in it is
     # built from the constant that enforces the cap.
@@ -521,7 +551,8 @@ def test_help_epilog_states_every_cap():
         f"whose exponents lie at most {GERM_GAP_CAP} apart",
         f"has more than {PRINT_DIGITS_CAP} digits; such a command exits 3",
         f"family emit-formula --n <= {ELIMINATION_CAP}",
-        f"neural gradcheck holds --n to the neural-power cap",
+        "neural train and neural gradcheck hold --n to the neural-power cap too, before any draw",
+        f"formal degree of every node of a --circuit-file circuit (<= {DEGREE_CAP},",
         f"idseq sample --n times --m <= {SAMPLE_COORDINATES_CAP}",
     ]
     assert [phrase for phrase in phrases if phrase not in epilog] == []

@@ -38,7 +38,7 @@ from quizlab.families import (
     vertex_elimination,
 )
 from quizlab.exact import RATIONALS, LaurentRing, LaurentSeries
-from quizlab.poly import Polynomial, multilinear_monomials
+from quizlab.poly import Polynomial, multilinear_monomials, product_of_linear_roots
 from conftest import (
     GenericRationals,
     naive_laurent_window,
@@ -300,6 +300,42 @@ def test_vertex_elimination_matches_vertex_by_vertex_product(case):
     assert all(type(c) is Fraction for c in got.terms.values())
     with pytest.raises(ArityMismatchError):
         vertex_elimination(f, n + 1)
+
+
+def _vertex_product(f, n):
+    """prod (Y - f(v)) over the vertices, each f(v) from ``Polynomial.evaluate``
+    and the product from ``Polynomial`` multiplication."""
+    product = Polynomial.constant(1, 1)
+    for j in range(2 ** n):
+        root = f.evaluate([Fraction((j >> i) & 1) for i in range(n)])
+        product = product * Polynomial.make(1, {(1,): Fraction(1), (0,): -root})
+    return product
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(0, 4).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            polynomials_in(
+                n, small_rationals | st.fractions(-1000, 1000, max_denominator=10 ** 6)
+            ),
+        )
+    )
+)
+# Vertex values over two denominators; a zero and a repeated vertex value.
+@example((1, Polynomial.make(1, {(0,): Fraction(1, 3), (1,): Fraction(1, 6)})))
+@example((2, Polynomial.make(2, {(1, 0): Fraction(1, 2), (0, 1): Fraction(1, 2)})))
+def test_vertex_elimination_over_the_rationals_matches_evaluated_roots(case):
+    # The subset sums and their common denominator go to the integer product
+    # of roots without a Fraction between them.
+    n, f = case
+    expected = _vertex_product(f, n)
+    got = vertex_elimination(f, n)
+    assert got == expected and list(got.terms) == sorted(expected.terms, reverse=True)
+    assert all(type(c) is Fraction for c in got.terms.values())
+    roots = [f.evaluate([Fraction((j >> i) & 1) for i in range(n)]) for j in range(2 ** n)]
+    assert product_of_linear_roots(roots) == expected
 
 
 def known_terms(series, below):

@@ -129,6 +129,11 @@ def test_train_checks_neural_power_desk_cap_before_training(capsys):
     batch = ((0.0,) * 7,)
     with pytest.raises(CapExceededError, match="desk cap n <= 6 exceeded: n = 7; no override"):
         TrainConfig(n=7, learning_rate=0.1, epochs=1, batch=batch, target_weights=(1.0,) * 8)
+    # n is the first field checked: below 1, then over the desk cap.
+    with pytest.raises(CapExceededError, match="n = 7; no override"):
+        TrainConfig(n=7, learning_rate=-1.0, epochs=0, batch=(), target_weights=())
+    with pytest.raises(QuizlabError, match="^need at least one input, n >= 1$"):
+        TrainConfig(n=0, learning_rate=-1.0, epochs=0, batch=(), target_weights=())
     assert main(["neural", "train", "--n=7"]) == 3
     assert capsys.readouterr() == (
         "", "cap exceeded: desk cap n <= 6 exceeded: n = 7; no override\n"

@@ -7,7 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quizlab import protocol
@@ -538,8 +538,54 @@ def test_approx_numeric_no_cluster():
         germ=germ, mode=MODE_NUMERIC, sample_schedule=schedule
     )
     target = expand_family(desc, (1, 1))
-    with pytest.raises(NoStableClusterError):
+    with pytest.raises(
+        NoStableClusterError, match=r"^no cluster covers half of the schedule tail \(best 1/4\)$"
+    ):
         run_approx(desc, None, config, target)
+
+
+def _pairwise_cluster(tail):
+    """The zero-tolerance cluster rule by comparing every pair: the last
+    candidate of the largest coverage wins."""
+    best, best_coverage = None, 0
+    for candidate in tail:
+        coverage = sum(1 for other in tail if other == candidate)
+        if coverage >= best_coverage:
+            best, best_coverage = candidate, coverage
+    return best, best_coverage
+
+
+# Vectors that are equal without being the same objects, and two that differ
+# in one coordinate only.
+CLUSTER_VECTORS = [
+    (Fraction(1, 2), Fraction(0)),
+    (Fraction(2, 4), Fraction(0, 3)),
+    (Fraction(1, 2), Fraction(1)),
+    (Fraction(-3), Fraction(7, 5)),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, len(CLUSTER_VECTORS) - 1), max_size=12))
+@example([0, 2, 1, 2])  # a tie between two clusters: the later one wins
+@example([2, 0, 3, 1])  # a tie, the winner's last member past the other's
+@example([0, 2, 3])  # no cluster covers half of the tail
+def test_counted_cluster_matches_the_pairwise_rule(indices):
+    tail = [CLUSTER_VECTORS[i] for i in indices]
+    best, coverage = protocol._dominant_cluster(tail, Fraction(0))
+    assert (best, coverage) == _pairwise_cluster(tail)
+
+
+def test_numeric_tie_takes_the_last_cluster():
+    # t + t u X at the germ (e, 1): the tail of this schedule is 1 + X,
+    # 2 + 2X, 1 + X, 2 + 2X, two clusters that each cover half of it.
+    desc = easy_power_sum(1, 1)
+    germ = GermInstance.make([LaurentSeries.epsilon(), 1])
+    schedule = tuple(Fraction(x) for x in (3, 3, 3, 3, 1, 2, 1, 2))
+    config = ApproxGameConfig(germ=germ, mode=MODE_NUMERIC, sample_schedule=schedule)
+    later, earlier = expand_family(desc, (2, 1)), expand_family(desc, (1, 1))
+    assert run_approx(desc, None, config, later).verdict == "accept"
+    assert run_approx(desc, None, config, earlier).verdict == "reject"
 
 
 def _x1(desc, shift: int) -> Polynomial:
