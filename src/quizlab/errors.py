@@ -81,16 +81,5 @@ class NoFiberSamplerError(QuizlabError):
     """No known sampler for the fiber of the requested base point."""
 
 
-class NonLinearCurveError(QuizlabError):
-    """A family expansion was not linear in t along the supplied curve.
-
-    ``degree`` reports the offending degree in t (at least 2).
-    """
-
-    def __init__(self, message: str, degree: int):
-        super().__init__(message)
-        self.degree = degree
-
-
 class InternalCheckError(QuizlabError):
     """An internal cross-check failed; indicates a bug, not bad input."""

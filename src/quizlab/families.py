@@ -3,8 +3,9 @@
 Each family has two independent computation paths: a circuit built from
 explicit gate constructions (``build_circuit``) and a direct closed-form
 expansion (``expand_family``) that never touches the circuit, so a bug in
-one path cannot validate itself.  The module also provides the auxiliary
-parameter curves used by the rank witnesses, the hypercube elimination
+one path cannot validate itself.  The module also provides the power
+forms' integer rows (``power_form_row``), which at t = 1 and a sampled
+direction u are the rank witnesses' slope rows, the hypercube elimination
 polynomial (computed by two routes and cross-checked), and the emitter for
 the existential formula tied to the hypercube family.
 
@@ -29,7 +30,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .circuit import Circuit, CircuitBuilder
 from .errors import (
@@ -86,9 +87,6 @@ DESK_CAPS = {
 }
 
 ELIMINATION_CAP = 10
-
-
-ParamPoint = tuple[Fraction, ...]
 
 
 @dataclass(frozen=True)
@@ -483,38 +481,6 @@ def elimination_poly(n: int, t, u: Sequence) -> Polynomial:
     if direct != cross:
         raise InternalCheckError("elimination product paths disagree")
     return direct
-
-
-# ---------------------------------------------------------------------------
-# Parameter curves
-# ---------------------------------------------------------------------------
-
-CURVE_POWER_TOWER = "power-tower"
-CURVE_FIXED_DIRECTION = "fixed-direction"
-
-
-def beta_curve(
-    desc: FamilyDescriptor, kind: str, param
-) -> Callable[[Fraction], ParamPoint]:
-    """The rank-witness curves t -> ParamPoint that ``lower_bound_report``
-    draws: power-tower on easy-power-sum, fixed-direction on neural-power."""
-    if kind == CURVE_POWER_TOWER:
-        if desc.variant != EASY_POWER_SUM:
-            raise QuizlabError(f"power-tower curves require easy-power-sum, not {desc.variant}")
-        rho = Fraction(param)
-        l, n = desc.l, desc.n
-        tail = tuple(rho ** (2 ** (i * l)) for i in range(n))
-        return lambda t: (Fraction(t),) + tail
-    if kind == CURVE_FIXED_DIRECTION:
-        if desc.variant != NEURAL_POWER:
-            raise QuizlabError(f"fixed-direction curves require neural-power, not {desc.variant}")
-        direction = tuple(Fraction(x) for x in param)
-        if len(direction) != desc.n:
-            raise ArityMismatchError(
-                f"direction has arity {len(direction)}, expected {desc.n}"
-            )
-        return lambda t: (Fraction(t),) + direction
-    raise QuizlabError(f"unknown curve kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,15 @@
 """Exact-rank witness matrices for the representation-size lower bounds.
 
 Every lower-bound argument in scope reduces to the nonsingularity of one
-finite matrix: a derivative-vector matrix along parameter curves, a scaled
-root-of-unity Vandermonde matrix, or the hypercube coefficient matrix.
-This module assembles those matrices and computes their rank exactly.
+finite matrix: the t-slope matrix of a power form at sampled parameter
+directions, a scaled root-of-unity Vandermonde matrix, or the hypercube
+coefficient matrix.  This module assembles those matrices and computes
+their rank exactly.
 
-All elimination runs on integer rows, with one kernel per field.  The
-derivative rows are the power forms' integer rows (``power_form_row``),
-so on integer curves no Fraction is made.  Over the rationals each row
+All elimination runs on integer rows, with one kernel per field.  Both
+power forms are t * g(u; X), so the slope along t -> (t, u) is the form at
+t = 1: each slope row is ``power_form_row`` at (1, u), and at integer
+directions no Fraction is made.  Over the rationals each row
 is cleared of its denominators, and one fraction-free
 loop (Bareiss 1968) serves both callers: run forward only, it gives the
 rank; run as Gauss-Jordan on [A' | diag(s)], it compiles a linear system
@@ -53,7 +55,6 @@ from typing import Callable, Iterable, Sequence
 from .errors import (
     ArityMismatchError,
     InconsistentSystemError,
-    NonLinearCurveError,
     QuizlabError,
     UnderdeterminedSystemError,
     check_cap,
@@ -67,15 +68,12 @@ from .exact import (
     smallest_prime_modulus,
 )
 from .families import (
-    CURVE_FIXED_DIRECTION,
-    CURVE_POWER_TOWER,
     DESK_CAPS,
     EASY_POWER_SUM,
     HYPERCUBE_SHIFT,
     KRONECKER_DIAG,
     NEURAL_POWER,
     FamilyDescriptor,
-    beta_curve,
     power_form_row,
     univariate_d,
     vertex_monomials,
@@ -387,29 +385,20 @@ def _check_arity(points: Sequence[Sequence[int]], support: Sequence[Monomial]) -
 
 
 def derivative_matrix(
-    desc: FamilyDescriptor,
-    curves: Sequence[Callable[[Fraction], Sequence[Fraction]]],
+    desc: FamilyDescriptor, directions: Sequence[Sequence]
 ) -> ExactMatrix:
-    """Coefficient vectors of the t-slope of the family along each curve.
+    """Coefficient vectors of the t-slope of the family at each direction u.
 
-    The power forms are linear in t along their ``beta_curve`` curves, so
-    the t^1 coefficient is f(1) - f(0); linearity itself is verified with a
-    second difference at t = 2 and violations are reported with the
-    offending degree.  Both are taken on ``power_form_row``'s integer rows
-    over one common denominator s; it refuses every other family.  On
-    integer curves s = 1 and the entries are ints.
+    Both power forms are t * g(u; X), so along t -> (t, u) the slope is the
+    form at t = 1: one ``power_form_row`` at (1, u) over its denominator s,
+    which refuses every other family.  At integer directions s = 1 and the
+    entries are ints.
     """
     base = desc.base()
     rows = []
-    for curve in curves:
-        cleared = [power_form_row(base, curve(Fraction(t))) for t in range(3)]
-        s = math.lcm(*[scale for scale, _ in cleared])
-        w0, w1, w2 = [[x * (s // scale) for x in w] for scale, w in cleared]
-        if any(a - 2 * b + c for a, b, c in zip(w0, w1, w2)):
-            raise NonLinearCurveError(
-                "family expansion is not linear in t along the curve", degree=2
-            )
-        rows.append([b - a if s == 1 else Fraction(b - a, s) for a, b in zip(w0, w1)])
+    for u in directions:
+        s, row = power_form_row(base, (1, *u))
+        rows.append(row if s == 1 else [Fraction(x, s) for x in row])
     return ExactMatrix.from_rows(rows)
 
 
@@ -597,8 +586,11 @@ def lower_bound_report(
 ) -> WitnessReport:
     """Randomized rank experiment for one family's lower-bound matrix.
 
-    Curve and point collections live in a nonempty Zariski-open set, so a
-    random draw from the integer box [1, 4K] achieves rank K generically.
+    A power form's rows are ``derivative_matrix``'s, the form at t = 1 at
+    each sampled direction u: the towers (rho^(2^(i l)))_(i < n) for
+    easy-power-sum, ray-distinct directions for neural-power.  Directions
+    and hypercube points live in a nonempty Zariski-open set, so a random
+    draw from the integer box [1, 4K] achieves rank K generically.
     The univariate family is deterministic (modular root-of-unity matrix).
     """
     if trials < 1:
@@ -615,15 +607,10 @@ def lower_bound_report(
         box = 4 * k_expected
         if desc.variant == EASY_POWER_SUM:
             rhos = _sample_distinct(rng, k_expected, box)
-            curves = [beta_curve(desc.base(), CURVE_POWER_TOWER, rho) for rho in rhos]
-            matrix = derivative_matrix(desc.base(), curves)
+            towers = [[rho ** (2 ** (i * desc.l)) for i in range(desc.n)] for rho in rhos]
+            matrix = derivative_matrix(desc, towers)
         elif desc.variant == NEURAL_POWER:
-            directions = _sample_directions(rng, k_expected, box, desc.n)
-            curves = [
-                beta_curve(desc.base(), CURVE_FIXED_DIRECTION, direction)
-                for direction in directions
-            ]
-            matrix = derivative_matrix(desc.base(), curves)
+            matrix = derivative_matrix(desc, _sample_directions(rng, k_expected, box, desc.n))
         elif desc.variant in (HYPERCUBE_SHIFT, KRONECKER_DIAG):
             n = desc.input_arity
             matrix = hypercube_lk_matrix(n, sample_hypercube_points(rng, n))

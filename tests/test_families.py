@@ -1,4 +1,4 @@
-"""Family constructors, their dual-path oracles, curves and the formula emitter."""
+"""Family constructors, their dual-path oracles and the formula emitter."""
 
 import math
 import random
@@ -15,14 +15,11 @@ from quizlab.errors import (
     UnsupportedTaskError,
 )
 from quizlab.families import (
-    CURVE_FIXED_DIRECTION,
-    CURVE_POWER_TOWER,
     TASK_CHARPOLY,
     TASK_DERIVATIVE,
     TASK_ELIMINATION,
     TASK_INTEGRAL,
     FamilyDescriptor,
-    beta_curve,
     build_circuit,
     circuit_gate_bound,
     easy_power_sum,
@@ -437,17 +434,6 @@ def test_elimination_matches_task_expansion(rng):
     for _ in range(10):
         point = [random_fraction(rng) for _ in range(4)]
         assert expand_family(desc, point) == elimination_poly(3, point[0], point[1:])
-
-
-def test_beta_curves():
-    curve = beta_curve(easy_power_sum(1, 2), CURVE_POWER_TOWER, 2)
-    assert curve(Fraction(5)) == (5, 2, 4)
-    curve = beta_curve(neural_power(2), CURVE_FIXED_DIRECTION, (1, 0))
-    assert curve(Fraction(3)) == (3, 1, 0)
-    with pytest.raises(QuizlabError):
-        beta_curve(univariate_d(4), CURVE_POWER_TOWER, 2)
-    with pytest.raises(QuizlabError, match="require neural-power, not hypercube-shift"):
-        beta_curve(hypercube_shift(2), CURVE_FIXED_DIRECTION, (1, 2))
 
 
 def test_emit_formula_structure():

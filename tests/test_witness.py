@@ -13,15 +13,12 @@ from hypothesis import strategies as st
 from quizlab.errors import (
     CapExceededError,
     InconsistentSystemError,
-    NonLinearCurveError,
     QuizlabError,
     UnderdeterminedSystemError,
 )
 from quizlab.exact import LaurentSeries, cleared_row, modular_root_of_unity
 from quizlab.families import (
-    CURVE_FIXED_DIRECTION,
-    CURVE_POWER_TOWER,
-    beta_curve,
+    build_circuit,
     easy_power_sum,
     expand_family,
     hypercube_shift,
@@ -493,47 +490,64 @@ def test_laurent_solve_bounds_each_row_by_its_own_entries():
 
 def test_derivative_matrix_power_sum():
     desc = easy_power_sum(1, 1)
-    curves = [beta_curve(desc, CURVE_POWER_TOWER, rho) for rho in (1, 2)]
-    matrix = derivative_matrix(desc, curves)
+    matrix = derivative_matrix(desc, [(1,), (2,)])
     assert matrix.entries == ((1, 1), (1, 2))
     assert exact_rank(matrix) == 2 == expected_rank(desc)
 
 
 def test_derivative_matrix_neural():
     desc = neural_power(2)
-    curves = [
-        beta_curve(desc, CURVE_FIXED_DIRECTION, d) for d in ((1, 0), (0, 1), (1, 1))
-    ]
-    matrix = derivative_matrix(desc, curves)
+    matrix = derivative_matrix(desc, [(1, 0), (0, 1), (1, 1)])
     assert matrix.entries == ((1, 0, 0), (0, 0, 1), (1, 2, 1))
     assert exact_rank(matrix) == 3
 
 
-def test_derivative_matrix_single_curve():
+def test_derivative_matrix_single_direction():
     desc = easy_power_sum(2, 2)
-    matrix = derivative_matrix(desc, [beta_curve(desc, CURVE_POWER_TOWER, 3)])
+    matrix = derivative_matrix(desc, [(3, 3 ** 4)])
     assert exact_rank(matrix) == 1
 
 
-def test_derivative_matrix_rational_curves_match_polynomial_slope():
-    # Rational curve parameters give rational coefficients, so the integer
-    # slope must be divided by the common denominator again.
+def test_derivative_matrix_rational_directions_match_the_expansion_at_t_1():
+    # Rational directions give rational coefficients, so the integer row
+    # must be divided by its denominator again.
     cases = [
-        (easy_power_sum(1, 2), CURVE_POWER_TOWER, (Fraction(3, 2), Fraction(-2, 5))),
-        (
-            neural_power(2),
-            CURVE_FIXED_DIRECTION,
-            ((Fraction(1, 3), 2), (Fraction(-5, 4), Fraction(1, 6))),
-        ),
+        (easy_power_sum(1, 2), [(Fraction(3, 2), Fraction(9, 4)), (Fraction(-2, 5), Fraction(4, 25))]),
+        (neural_power(2), [(Fraction(1, 3), 2), (Fraction(-5, 4), Fraction(1, 6))]),
     ]
-    for desc, kind, params in cases:
-        curves = [beta_curve(desc, kind, param) for param in params]
-        f0, f1 = (
-            [expand_family(desc, curve(Fraction(t))) for curve in curves] for t in (0, 1)
+    for desc, directions in cases:
+        expected = tuple(
+            expand_family(desc, (1, *u)).coeff_vector(desc.base_support()) for u in directions
         )
-        expected = tuple((b - a).coeff_vector(desc.base_support()) for a, b in zip(f0, f1))
-        assert derivative_matrix(desc, curves).entries == expected
+        assert derivative_matrix(desc, directions).entries == expected
         assert any(x.denominator > 1 for row in expected for x in row)
+
+
+@st.composite
+def power_form_directions(draw):
+    """A small power form and a rational direction u of its arity."""
+    desc = draw(
+        st.one_of(
+            st.builds(easy_power_sum, st.integers(1, 2), st.integers(1, 2)),
+            st.builds(neural_power, st.integers(1, 3)),
+        )
+    )
+    entry = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    return desc, draw(st.lists(entry, min_size=desc.n, max_size=desc.n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(power_form_directions())
+@example((easy_power_sum(2, 2), [Fraction(3, 2), Fraction(-1, 4)]))
+@example((neural_power(3), [Fraction(1, 3), Fraction(2), Fraction(-5, 6)]))
+def test_derivative_rows_match_the_circuit_slope(case):
+    # The circuit route shares no code with power_form_row: the slope along
+    # t -> (t, u) is the expansion at t = 1 less the expansion at t = 0.
+    desc, u = case
+    circ = build_circuit(desc)
+    slope = circ.expand((1, *u)) - circ.expand((0, *u))
+    (row,) = derivative_matrix(desc, [u]).entries
+    assert row == slope.coeff_vector(desc.base_support())
 
 
 @pytest.mark.parametrize(
@@ -541,22 +555,14 @@ def test_derivative_matrix_rational_curves_match_polynomial_slope():
 )
 def test_derivative_matrix_refuses_families_without_a_power_form(desc):
     with pytest.raises(QuizlabError, match=f"^{desc.variant} has no power form$"):
-        derivative_matrix(desc, [lambda t: (t,) * desc.param_arity])
-
-
-@pytest.mark.parametrize("desc", [easy_power_sum(2, 2), neural_power(3)])
-def test_derivative_matrix_rejects_quadratic_curve_on_integer_rows(desc):
-    direction = tuple(Fraction(x) for x in range(2, desc.param_arity + 1))
-    with pytest.raises(NonLinearCurveError) as info:
-        derivative_matrix(desc, [lambda t: (t * t,) + direction])
-    assert info.value.degree == 2
+        derivative_matrix(desc, [(1,) * (desc.param_arity - 1)])
 
 
 def test_power_sum_row_values_match_multinomial_formula():
-    # spot check the (l, n) = (1, 2) rows against the closed coefficient form
+    # spot check the (l, n) = (1, 2) row at the tower (rho, rho^(2^l))
     desc = easy_power_sum(1, 2)
-    rho = Fraction(3)
-    matrix = derivative_matrix(desc, [beta_curve(desc, CURVE_POWER_TOWER, rho)])
+    rho = 3
+    matrix = derivative_matrix(desc, [(rho, rho ** 2)])
     support = desc.base_support()  # degree < 2 monomials of (X1, X2)
     row = dict(zip(support, matrix.entries[0]))
     # alpha = (0,0): 1; (1,0): rho^(2^0); (0,1): rho^(2^l) with l = 1
