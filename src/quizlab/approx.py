@@ -232,9 +232,8 @@ def sequence_from_germ(
 
     The first sample clears every component once (``cleared_series``), and
     each sample e = p / q takes each component as one integer sum and one
-    Fraction (``substitute_cleared``, the route ``LaurentSeries.substitute``
-    takes).  e = 0 is refused as the pole, and a truncated component raises
-    PrecisionUnderflowError.
+    Fraction (``substitute_cleared``).  e = 0 is refused as the pole, and a
+    truncated component raises PrecisionUnderflowError.
     """
     cleared = None
     points = []

@@ -277,17 +277,6 @@ class LaurentSeries:
         cut = window_truncate(window, precision)
         return self if cut is window else LaurentSeries(*cut)
 
-    def substitute(self, value: Fraction) -> Fraction:
-        """Evaluate an exact Laurent polynomial at a nonzero rational point,
-        through ``substitute_cleared``."""
-        cleared = cleared_series(self)
-        value = Fraction(value)
-        if value == 0:
-            if self.low < 0 and self.coeffs:
-                raise ZeroDivisionError("substitution at the pole e = 0")
-            return self.coefficient(0) if self.coeffs else Fraction(0)
-        return substitute_cleared(cleared, value.numerator, value.denominator)
-
 
 def cleared_series(series: LaurentSeries) -> tuple[int, int, list[int]]:
     """An exact series as (low, c, ks): its coefficients over their lcm c,

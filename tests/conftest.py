@@ -141,6 +141,15 @@ def naive_laurent_scalar(q):
     return ({0: q} if q else {}), None
 
 
+def naive_laurent_value(series, eps):
+    """An exact Laurent series at e = eps, as the plain sum of c_k eps^k."""
+    assert series.is_exact()
+    eps = Fraction(eps)
+    return sum(
+        (Fraction(c) * eps ** k for k, c in enumerate(series.coeffs, series.low)), Fraction(0)
+    )
+
+
 def naive_laurent_window(terms, bound):
     """(low, coeffs, bound) as a LaurentSeries stores it: the first and last
     coefficients nonzero, nothing at or past the bound; zero is (0, (), None)

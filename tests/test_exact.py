@@ -19,6 +19,7 @@ from quizlab.exact import (
     PRINT_DIGITS_CAP,
     LaurentRing,
     LaurentSeries,
+    cleared_series,
     laurent_limit,
     modular_root_of_unity,
     multiplicative_order,
@@ -26,6 +27,7 @@ from quizlab.exact import (
     rational_from_str,
     rational_to_str,
     smallest_prime_modulus,
+    substitute_cleared,
 )
 from conftest import (
     naive_laurent,
@@ -33,6 +35,7 @@ from conftest import (
     naive_laurent_mul,
     naive_laurent_neg,
     naive_laurent_truncate,
+    naive_laurent_value,
     naive_laurent_window,
 )
 
@@ -131,11 +134,12 @@ def test_laurent_truncation_tracks_bound():
         t.coefficient(9)
 
 
-def test_laurent_substitute():
+def test_cleared_series_substitution():
     s = LaurentSeries.from_pairs([(-1, Fraction(1, 2)), (1, 3)])
-    assert s.substitute(Fraction(1, 2)) == 1 + Fraction(3, 2)
-    with pytest.raises(ZeroDivisionError):
-        s.substitute(Fraction(0))
+    assert substitute_cleared(cleared_series(s), 1, 2) == 1 + Fraction(3, 2)
+    assert naive_laurent_value(s, Fraction(1, 2)) == 1 + Fraction(3, 2)
+    for p, q in ((-3, 4), (5, 1), (1, 7)):
+        assert substitute_cleared(cleared_series(s), p, q) == naive_laurent_value(s, Fraction(p, q))
 
 
 def test_laurent_pair_serialization_roundtrip():
