@@ -23,11 +23,14 @@ neural train and neural gradcheck hold --n to the neural-power cap too,
 before any draw.  So are the loop counts (neural train --epochs <=
 100000, witness report --trials <= 1000, game fiber --samples <= 10000,
 kron verify --trials <= 1000, game approx --samples <= 100, approx demo
---depth <= 100), the neural batch (--batch-size <= 100000, and neural
-train --epochs times --batch-size <= 2000000), two output sizes (family
-emit-formula --n <= 10, idseq sample --n times --m <= 1000000) and the
-formal degree of every node of a --circuit-file circuit (<= 1024, each
-input and parameter counting 1).  circuit expand's --expansion-cap
+--depth <= 100), a report's work (witness report --trials times K^2 <=
+1048576, K its expected rank), the neural batch (--batch-size <= 100000,
+and neural train --epochs times --batch-size <= 2000000), two output
+sizes (family emit-formula --n <= 10, idseq sample --n times --m <=
+1000000), a span check (idseq verify --points times --support monomials
+<= 4096, and sum e_i*bits(x_i) <= 16384 over the largest monomial, x_i
+the largest i-th coordinate) and the formal degree of every node of a
+--circuit-file circuit (<= 1024, each input and parameter counting 1).  circuit expand's --expansion-cap
 (default 200000) is its term cap.  No report prints a number whose
 numerator or denominator has more than 4300 digits; such a command exits
 3.  A loss that overflows a float ends neural train as diverged, with

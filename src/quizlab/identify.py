@@ -12,6 +12,7 @@ uniformly.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 from typing import Sequence
@@ -27,6 +28,15 @@ POWER_BITS_CAP = 2 ** 14
 # Coordinates one sample draws (n*m).  At the cap, n = 1 with m = 10^6
 # takes about 2 s, most of it printing one point per line.
 SAMPLE_COORDINATES_CAP = 10 ** 6
+# Points times support monomials in a span check.  A rejected span runs
+# Bareiss on every row: at the cap, 64 points (one repeated) against the
+# support 1, X, ..., X^63 take about 0.7 s, and about 1.7 s with values
+# of MONOMIAL_BITS_CAP bits.  80 points took 2.5 s, and 200 over 120 s.
+SPAN_ENTRIES_CAP = 4096
+# The bits of the largest monomial value, bounded by sum e_i * bits(x_i)
+# with x_i the largest i-th coordinate.  Two points against X^(10^7) took
+# 2.6 s to make their values alone.
+MONOMIAL_BITS_CAP = 2 ** 14
 
 
 def required_set_size(delta: int, L: int, K: int) -> int:
@@ -142,8 +152,21 @@ def verify_linear_span(
 
     When the m x |support| evaluation matrix has rank |support|, any two
     polynomials in the span of the support that agree on the points are
-    equal, so the points identify every carrier inside that span.
+    equal, so the points identify every carrier inside that span.  m times
+    |support| and the largest monomial value's bits are held to their caps
+    before any row is built.
     """
     pts = points.points if isinstance(points, IdentificationSequence) else points
+    check_cap("linear span", "points*support", len(pts) * len(support), SPAN_ENTRIES_CAP)
+    widths = [_height_bits(column) for column in zip(*pts)]
+    bits = max((sum(map(operator.mul, mono, widths)) for mono in support), default=0)
+    check_cap("linear span", "monomial bits", bits, MONOMIAL_BITS_CAP)
     return spans(pts, support)
+
+
+def _height_bits(values: Sequence) -> int:
+    """Bits of the largest |numerator| or denominator among the values."""
+    if set(map(type, values)) == {int}:
+        return max(map(abs, values)).bit_length()
+    return max(max(abs(x.numerator), x.denominator) for x in values).bit_length()
 

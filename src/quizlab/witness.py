@@ -85,10 +85,14 @@ VARIANT_DERIVATIVE = "derivative"
 VARIANT_INTEGRAL = "integral"
 
 RANK_PRIME = 2 ** 31 - 1  # certifies rational ranks; see the module docstring
-# Trials per lower-bound report.  1000 trials take about 12 s at
-# hypercube-shift(5), and about 17 minutes at easy-power-sum(l=8, n=1),
-# whose single trial takes about 1 s.
+# Trials per lower-bound report, and trials * K^2 for its work.  A trial
+# takes 2.4 to 5.2 us per K^2 at the larger desk-cap families, most of it
+# the rank mod p: 0.34 s at easy-power-sum(l=8, n=1), K = 256, and 0.98 s
+# at neural-power(6), K = 462.  At the work cap the slowest report took
+# about 6 s as a CLI child: 16 trials at easy-power-sum(8, 1), or 1000 at
+# hypercube-shift(5).
 REPORT_TRIALS_CAP = 1000
+REPORT_WORK_CAP = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -592,11 +596,13 @@ def lower_bound_report(
     and hypercube points live in a nonempty Zariski-open set, so a random
     draw from the integer box [1, 4K] achieves rank K generically.
     The univariate family is deterministic (modular root-of-unity matrix).
+    Trials and then trials * K^2 are held to their caps before any draw.
     """
     if trials < 1:
         raise QuizlabError(f"need at least one trial, got {trials}")
     check_cap("witness report", "trials", trials, REPORT_TRIALS_CAP)
     k_expected = expected_rank(desc)
+    check_cap("witness report", "trials*K^2", trials * k_expected ** 2, REPORT_WORK_CAP)
     started = time.monotonic()
     ranks: list[int] = []
     seeds: list[int] = []

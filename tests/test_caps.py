@@ -31,12 +31,22 @@ from quizlab.families import (
     neural_power,
     univariate_d,
 )
-from quizlab.identify import required_set_size, sample_sequence
+from quizlab.identify import (
+    MONOMIAL_BITS_CAP,
+    SPAN_ENTRIES_CAP,
+    required_set_size,
+    sample_sequence,
+    verify_linear_span,
+)
 from quizlab.kronecker import build_theta_matrix, verify_lemma_identities, verify_lemma_trials
 from quizlab.neural import EPOCHS_CAP, TRAINING_WORK_CAP, TrainConfig, random_batch
 from quizlab.protocol import fiber_image
+from quizlab import witness
 from quizlab.witness import (
+    REPORT_TRIALS_CAP,
+    REPORT_WORK_CAP,
     VARIANT_BASE,
+    expected_rank,
     hypercube_size,
     lower_bound_report,
     roots_of_unity_matrix,
@@ -83,6 +93,20 @@ NO_OVERRIDE = "; no override"
         (
             lambda: lower_bound_report(hypercube_shift(2), trials=1001, seed=0),
             ("witness report cap: trials=1001", "exceeds 1000", NO_OVERRIDE),
+        ),
+        # Work: trials * K^2, with K = 256 at easy-power-sum(8, 1).
+        (
+            lambda: lower_bound_report(easy_power_sum(8, 1), trials=17, seed=0),
+            ("witness report cap: trials*K^2=1114112", "exceeds 1048576", NO_OVERRIDE),
+        ),
+        # A span check: points times support, then the largest monomial's bits.
+        (
+            lambda: verify_linear_span([(x,) for x in range(65)], [(e,) for e in range(64)]),
+            ("linear span cap: points*support=4160", "exceeds 4096", NO_OVERRIDE),
+        ),
+        (
+            lambda: verify_linear_span([(2,), (3,)], [(0,), (8193,)]),
+            ("linear span cap: monomial bits=16386", "exceeds 16384", NO_OVERRIDE),
         ),
         (
             lambda: fiber_image(easy_power_sum(2, 2), None, (0, 0, 0), samples=10_001, seed=0),
@@ -182,3 +206,35 @@ def test_expansion_cap_message_names_override_and_node():
     assert message.endswith(f" (at node {info.value.node})")
     produced = int(message.split("expansion produced ")[1].split()[0])
     assert produced > 5
+
+
+@pytest.mark.parametrize(
+    "desc", [easy_power_sum(8, 1), neural_power(6), hypercube_shift(5), univariate_d(64)],
+    ids=lambda d: d.variant,
+)
+def test_report_work_cap_accepts_the_most_trials_under_it(desc, monkeypatch):
+    # The rows and the rank are stubbed out: only the cap check and the draw
+    # loop run, so each family can be taken at its desk cap.
+    k = expected_rank(desc)
+    for name in ("derivative_matrix", "hypercube_lk_matrix"):
+        monkeypatch.setattr(witness, name, lambda *args: None)
+    for name in ("exact_rank", "roots_of_unity_rank"):
+        monkeypatch.setattr(witness, name, lambda *args: k)
+    most = min(REPORT_TRIALS_CAP, REPORT_WORK_CAP // k ** 2)
+    assert lower_bound_report(desc, trials=most, seed=0).success_count == most
+    if most < REPORT_TRIALS_CAP:
+        with pytest.raises(CapExceededError, match=r"^witness report cap: trials\*K\^2="):
+            lower_bound_report(desc, trials=most + 1, seed=0)
+
+
+def test_span_caps_accept_a_check_at_each_cap():
+    # 64 distinct points against 1, X, ..., X^63: 4096 entries, full rank.
+    points, support = [(x,) for x in range(64)], [(e,) for e in range(64)]
+    assert len(points) * len(support) == SPAN_ENTRIES_CAP
+    assert verify_linear_span(points, support)
+    # bits(3) = 2, so X^8192 at 3 has a bound of exactly the cap.
+    assert 2 * 8192 == MONOMIAL_BITS_CAP
+    assert verify_linear_span([(2,), (3,)], [(0,), (8192,)])
+    # A rational coordinate counts the bits of its denominator.
+    with pytest.raises(CapExceededError, match="^linear span cap: monomial bits=16386 "):
+        verify_linear_span([(Fraction(1, 3),), (1,)], [(0,), (8193,)])

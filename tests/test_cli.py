@@ -14,11 +14,11 @@ from quizlab.circuit import DEFAULT_EXPANSION_CAP, DEGREE_CAP
 from quizlab.cli import main
 from quizlab.exact import PRINT_DIGITS_CAP
 from quizlab.families import DESK_CAPS, ELIMINATION_CAP
-from quizlab.identify import SAMPLE_COORDINATES_CAP
+from quizlab.identify import MONOMIAL_BITS_CAP, SAMPLE_COORDINATES_CAP, SPAN_ENTRIES_CAP
 from quizlab.kronecker import LEMMA_TRIALS_CAP
 from quizlab.neural import BATCH_SIZE_CAP, EPOCHS_CAP, TRAINING_WORK_CAP
 from quizlab.protocol import FIBER_SAMPLES_CAP
-from quizlab.witness import REPORT_TRIALS_CAP
+from quizlab.witness import REPORT_TRIALS_CAP, REPORT_WORK_CAP
 
 from conftest import MALFORMED_CIRCUIT_FILES, OVER_DEGREE_CIRCUIT_FILES
 
@@ -503,7 +503,9 @@ def test_float_overflow_and_unbounded_sizes_exit_without_a_traceback(argv, code,
 
 
 # Each was slow before its cap held: neural train --n 3000000 drew its batch
-# for about 10 s, and the squaring chain doubles its degree with every gate.
+# for about 10 s, the squaring chain doubles its degree with every gate, 17
+# trials at easy-power-sum(8, 1) took about 6 s, a rejected span of 80 points
+# 2.5 s, and two points against X^(10^7) 2.6 s.
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -518,6 +520,23 @@ def test_float_overflow_and_unbounded_sizes_exit_without_a_traceback(argv, code,
             ["circuit", "expand", "--circuit-file", "{dir}/high-degree-param.json",
              "--params", "2"],
             "formal degree cap: node 0=1000000 exceeds 1024",
+        ),
+        (
+            ["witness", "report", "--family=easy-power-sum", "--l=8", "--n=1", "--trials=17"],
+            "witness report cap: trials*K^2=1114112 exceeds 1048576",
+        ),
+        (
+            ["witness", "report", "--family=neural-power", "--n=6", "--trials=5"],
+            "witness report cap: trials*K^2=1067220 exceeds 1048576",
+        ),
+        (
+            ["idseq", "verify", "--points=" + ";".join(map(str, [*range(79), 0])),
+             "--support=" + ";".join(map(str, range(80)))],
+            "linear span cap: points*support=6400 exceeds 4096",
+        ),
+        (
+            ["idseq", "verify", "--points=2;3", "--support=0;10000000"],
+            "linear span cap: monomial bits=20000000 exceeds 16384",
         ),
     ],
     ids=lambda value: " ".join(value[:2]) if isinstance(value, list) else None,
@@ -554,6 +573,9 @@ def test_help_epilog_states_every_cap():
         "neural train and neural gradcheck hold --n to the neural-power cap too, before any draw",
         f"formal degree of every node of a --circuit-file circuit (<= {DEGREE_CAP},",
         f"idseq sample --n times --m <= {SAMPLE_COORDINATES_CAP}",
+        f"witness report --trials times K^2 <= {REPORT_WORK_CAP}, K its expected rank",
+        f"idseq verify --points times --support monomials <= {SPAN_ENTRIES_CAP}",
+        f"sum e_i*bits(x_i) <= {MONOMIAL_BITS_CAP} over the largest monomial",
     ]
     assert [phrase for phrase in phrases if phrase not in epilog] == []
 
