@@ -30,11 +30,12 @@ sizes (family emit-formula --n <= 10, idseq sample --n times --m <=
 1000000), a span check (idseq verify --points times --support monomials
 <= 4096, and sum e_i*bits(x_i) <= 16384 over the largest monomial, x_i
 the largest i-th coordinate) and the formal degree of every node of a
---circuit-file circuit (<= 1024, each input and parameter counting 1).  circuit expand's --expansion-cap
-(default 200000) is its term cap.  No report prints a number whose
-numerator or denominator has more than 4300 digits; such a command exits
-3.  A loss that overflows a float ends neural train as diverged, with
-loss inf, and makes neural gradcheck exit 2.
+--circuit-file circuit (<= 1024, each input and parameter counting 1).
+circuit expand's --expansion-cap (default 200000) is its term cap.  No
+report prints a number whose numerator or denominator has more than 4300
+digits; such a command exits 3.  A loss that overflows a float ends
+neural train as diverged, with loss inf, and makes neural gradcheck exit
+2.
 """
 
 from __future__ import annotations

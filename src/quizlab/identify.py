@@ -28,14 +28,12 @@ POWER_BITS_CAP = 2 ** 14
 # Coordinates one sample draws (n*m).  At the cap, n = 1 with m = 10^6
 # takes about 2 s, most of it printing one point per line.
 SAMPLE_COORDINATES_CAP = 10 ** 6
-# Points times support monomials in a span check.  A rejected span runs
-# Bareiss on every row: at the cap, 64 points (one repeated) against the
-# support 1, X, ..., X^63 take about 0.7 s, and about 1.7 s with values
-# of MONOMIAL_BITS_CAP bits.  80 points took 2.5 s, and 200 over 120 s.
+# Points times support monomials in a span check.  At the cap a rejected
+# span (Bareiss on every row) of 64 points against 1, X, ..., X^63 took
+# 0.7 s, and 1.7 s at MONOMIAL_BITS_CAP; 80 points took 2.5 s.
 SPAN_ENTRIES_CAP = 4096
-# The bits of the largest monomial value, bounded by sum e_i * bits(x_i)
-# with x_i the largest i-th coordinate.  Two points against X^(10^7) took
-# 2.6 s to make their values alone.
+# Sum e_i * bits(x_i), x_i the largest i-th coordinate: a bound on the
+# bits of every monomial value.  X^(10^7) at two points took 2.6 s.
 MONOMIAL_BITS_CAP = 2 ** 14
 
 
@@ -152,9 +150,8 @@ def verify_linear_span(
 
     When the m x |support| evaluation matrix has rank |support|, any two
     polynomials in the span of the support that agree on the points are
-    equal, so the points identify every carrier inside that span.  m times
-    |support| and the largest monomial value's bits are held to their caps
-    before any row is built.
+    equal, so the points identify every carrier inside that span.  Both
+    size caps are checked before any row is built.
     """
     pts = points.points if isinstance(points, IdentificationSequence) else points
     check_cap("linear span", "points*support", len(pts) * len(support), SPAN_ENTRIES_CAP)
@@ -166,7 +163,5 @@ def verify_linear_span(
 
 def _height_bits(values: Sequence) -> int:
     """Bits of the largest |numerator| or denominator among the values."""
-    if set(map(type, values)) == {int}:
-        return max(map(abs, values)).bit_length()
-    return max(max(abs(x.numerator), x.denominator) for x in values).bit_length()
-
+    numerators = map(abs, map(operator.attrgetter("numerator"), values))
+    return max(max(numerators), max(map(operator.attrgetter("denominator"), values))).bit_length()

@@ -86,11 +86,10 @@ VARIANT_INTEGRAL = "integral"
 
 RANK_PRIME = 2 ** 31 - 1  # certifies rational ranks; see the module docstring
 # Trials per lower-bound report, and trials * K^2 for its work.  A trial
-# takes 2.4 to 5.2 us per K^2 at the larger desk-cap families, most of it
-# the rank mod p: 0.34 s at easy-power-sum(l=8, n=1), K = 256, and 0.98 s
-# at neural-power(6), K = 462.  At the work cap the slowest report took
-# about 6 s as a CLI child: 16 trials at easy-power-sum(8, 1), or 1000 at
-# hypercube-shift(5).
+# takes 2.4 to 5.2 us per K^2 at the larger desk-cap families, mostly the
+# rank mod p: 0.34 s at easy-power-sum(l=8, n=1), K = 256.  At the work cap
+# the slowest report took about 6 s as a CLI child: 16 trials at
+# easy-power-sum(8, 1), or 1000 at hypercube-shift(5).
 REPORT_TRIALS_CAP = 1000
 REPORT_WORK_CAP = 2 ** 20
 

@@ -20,7 +20,6 @@ from quizlab.exact import LaurentSeries, cleared_row, modular_root_of_unity
 from quizlab.families import (
     build_circuit,
     easy_power_sum,
-    expand_family,
     hypercube_shift,
     kronecker_diag,
     neural_power,
@@ -508,21 +507,6 @@ def test_derivative_matrix_single_direction():
     assert exact_rank(matrix) == 1
 
 
-def test_derivative_matrix_rational_directions_match_the_expansion_at_t_1():
-    # Rational directions give rational coefficients, so the integer row
-    # must be divided by its denominator again.
-    cases = [
-        (easy_power_sum(1, 2), [(Fraction(3, 2), Fraction(9, 4)), (Fraction(-2, 5), Fraction(4, 25))]),
-        (neural_power(2), [(Fraction(1, 3), 2), (Fraction(-5, 4), Fraction(1, 6))]),
-    ]
-    for desc, directions in cases:
-        expected = tuple(
-            expand_family(desc, (1, *u)).coeff_vector(desc.base_support()) for u in directions
-        )
-        assert derivative_matrix(desc, directions).entries == expected
-        assert any(x.denominator > 1 for row in expected for x in row)
-
-
 @st.composite
 def power_form_directions(draw):
     """A small power form and a rational direction u of its arity."""
@@ -538,11 +522,14 @@ def power_form_directions(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(power_form_directions())
-@example((easy_power_sum(2, 2), [Fraction(3, 2), Fraction(-1, 4)]))
-@example((neural_power(3), [Fraction(1, 3), Fraction(2), Fraction(-5, 6)]))
+@example((easy_power_sum(1, 2), [Fraction(3, 2), Fraction(9, 4)]))
+@example((easy_power_sum(2, 2), [Fraction(-2, 5), Fraction(4, 25)]))
+@example((neural_power(2), [Fraction(-5, 4), Fraction(1, 6)]))
+@example((neural_power(3), [Fraction(1, 3), 2, Fraction(-5, 6)]))
 def test_derivative_rows_match_the_circuit_slope(case):
     # The circuit route shares no code with power_form_row: the slope along
     # t -> (t, u) is the expansion at t = 1 less the expansion at t = 0.
+    # Rational directions give rational rows, divided by their denominator.
     desc, u = case
     circ = build_circuit(desc)
     slope = circ.expand((1, *u)) - circ.expand((0, *u))
