@@ -523,9 +523,9 @@ def power_form_directions(draw):
 @settings(max_examples=60, deadline=None)
 @given(power_form_directions())
 @example((easy_power_sum(1, 2), [Fraction(3, 2), Fraction(9, 4)]))
-@example((easy_power_sum(2, 2), [Fraction(-2, 5), Fraction(4, 25)]))
+@example((easy_power_sum(1, 2), [Fraction(-2, 5), Fraction(4, 25)]))
+@example((neural_power(2), [Fraction(1, 3), 2]))
 @example((neural_power(2), [Fraction(-5, 4), Fraction(1, 6)]))
-@example((neural_power(3), [Fraction(1, 3), 2, Fraction(-5, 6)]))
 def test_derivative_rows_match_the_circuit_slope(case):
     # The circuit route shares no code with power_form_row: the slope along
     # t -> (t, u) is the expansion at t = 1 less the expansion at t = 0.

@@ -8,7 +8,7 @@ interpreter.  All of it runs under ``sys.settrace``.  For each function in
 ``src/quizlab``, the script then prints the executable lines that no
 traffic reached, or that the function was never called:
 
-    PYTHONPATH=src python tests/trace_traffic.py [--seed N]
+    PYTHONPATH=src python tests/trace_traffic.py
 
 A function missing from the output ran every line.  The script only reads
 the benchmark's workload module, and it writes no file.
@@ -16,7 +16,6 @@ the benchmark's workload module, and it writes no file.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import dis
 import inspect
@@ -32,6 +31,7 @@ from capture_corpus import read_argv_lines, replay, replay_environment
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = Path(quizlab.__file__).resolve().parent
+SEED = 1  # the benchmark pools' seed
 
 
 def _functions(path: Path) -> dict[str, tuple[int, set[int]]]:
@@ -123,10 +123,7 @@ def _spans(lines: list[int]) -> str:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seed", type=int, default=1, help="benchmark pool seed")
-    seed = parser.parse_args().seed
-    reached = _traced(lambda: (_replay_corpus(), _replay_workloads(seed)))
+    reached = _traced(lambda: (_replay_corpus(), _replay_workloads(SEED)))
     for path in sorted(PACKAGE.glob("*.py")):
         hit = reached.get(str(path), set())
         for name, (first, lines) in sorted(_functions(path).items(), key=lambda kv: kv[1][0]):
