@@ -9,16 +9,25 @@ or known only below some order, and every operation propagates that bound.
 The Laurent rules (trim, add, multiply, truncate) are functions on the
 stored (low, coeffs, bound) triples, for Fraction and int coefficients
 alike, so the circuit's integer kernel uses the same rules as
-``LaurentSeries``.  A shared ring-adapter protocol (``RationalRing``,
-``LaurentRing``) lets circuit evaluation and polynomial arithmetic run over
-either backend with one code path.  The prime-field helpers choose the
-modulus and the root of unity of the modular rank certificate; they work on
-plain int residues.
+``LaurentSeries``.
+
+A ring adapter (``zero``, ``one``, ``from_rational``, ``add``, ``sub``,
+``mul``, ``neg``, ``is_zero``, ``to_str``) gives ``Polynomial``, the
+circuit node loop, the product of roots and the protocol's value
+formatting one code path over every coefficient ring.  ``RationalRing``
+is Python's operators, ``Fraction`` and ``rational_to_str``, so
+``RATIONALS`` keeps plain ints ints; ``LaurentRing`` binds the same
+members to ``LaurentSeries``, with methods only for the truncating sum,
+difference and product.
+
+The prime-field helpers choose the modulus and the root of unity of the
+modular rank certificate; they work on plain int residues.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Collection
@@ -462,54 +471,31 @@ def laurent_limit(a: LaurentSeries) -> Fraction:
 
 @dataclass(frozen=True)
 class RationalRing:
-    """Adapter for exact rational arithmetic."""
+    """Adapter for exact rational arithmetic: Python's own operators, so
+    plain ints stay ints (the integer product of roots relies on it)."""
 
-    @property
-    def zero(self) -> Fraction:
-        return Fraction(0)
-
-    @property
-    def one(self) -> Fraction:
-        return Fraction(1)
-
-    def from_rational(self, q: Fraction) -> Fraction:
-        return Fraction(q)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def is_zero(self, a) -> bool:
-        return a == 0
-
-    def to_str(self, a) -> str:
-        return rational_to_str(a)
+    zero, one = Fraction(0), Fraction(1)
+    from_rational = Fraction
+    add = staticmethod(operator.add)
+    sub = staticmethod(operator.sub)
+    mul = staticmethod(operator.mul)
+    neg = staticmethod(operator.neg)
+    is_zero = staticmethod(operator.not_)
+    to_str = staticmethod(rational_to_str)
 
 
 @dataclass(frozen=True)
 class LaurentRing:
-    """Adapter for truncated Laurent arithmetic at a fixed precision."""
+    """Adapter for truncated Laurent arithmetic at a fixed precision; only
+    the sum, difference and product truncate."""
 
     precision: int = DEFAULT_LAURENT_PRECISION
 
-    @property
-    def zero(self) -> LaurentSeries:
-        return LaurentSeries.zero()
-
-    @property
-    def one(self) -> LaurentSeries:
-        return LaurentSeries.from_rational(1)
-
-    def from_rational(self, q: Fraction) -> LaurentSeries:
-        return LaurentSeries.from_rational(Fraction(q))
+    zero, one = LaurentSeries.zero(), LaurentSeries.from_rational(1)
+    from_rational = staticmethod(LaurentSeries.from_rational)
+    neg = staticmethod(operator.neg)
+    is_zero = staticmethod(LaurentSeries.is_zero)
+    to_str = str
 
     def add(self, a, b):
         return (a + b).truncate(self.precision)
@@ -519,15 +505,6 @@ class LaurentRing:
 
     def mul(self, a, b):
         return (a * b).truncate(self.precision)
-
-    def neg(self, a):
-        return -a
-
-    def is_zero(self, a) -> bool:
-        return a.is_zero()
-
-    def to_str(self, a) -> str:
-        return str(a)
 
 
 RATIONALS = RationalRing()

@@ -140,13 +140,7 @@ class FamilyDescriptor:
 
     @property
     def param_arity(self) -> int:
-        return {
-            EASY_POWER_SUM: self.n + 1 if self.n else 0,
-            UNIVARIATE_D: 1,
-            NEURAL_POWER: (self.n or 0) + 1,
-            HYPERCUBE_SHIFT: (self.n or 0) + 1,
-            KRONECKER_DIAG: (self.k or 0) + 1,
-        }[self.variant]
+        return 1 if self.variant == UNIVARIATE_D else self.input_arity + 1
 
     @property
     def input_arity(self) -> int:

@@ -341,10 +341,6 @@ class PolynomialRing:
     def zero(self) -> Polynomial:
         return Polynomial.zero(self.nvars, self.coeff_ring)
 
-    @property
-    def one(self) -> Polynomial:
-        return Polynomial.constant(self.nvars, self.coeff_ring.one, self.coeff_ring)
-
     def variable(self, index: int) -> Polynomial:
         return Polynomial.variable(self.nvars, index, self.coeff_ring)
 
@@ -367,12 +363,3 @@ class PolynomialRing:
 
     def mul(self, a: Polynomial, b: Polynomial) -> Polynomial:
         return self._capped(a * b)
-
-    def neg(self, a: Polynomial) -> Polynomial:
-        return -a
-
-    def is_zero(self, a: Polynomial) -> bool:
-        return a.is_zero()
-
-    def to_str(self, a: Polynomial) -> str:
-        return str(a)

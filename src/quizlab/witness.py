@@ -73,6 +73,7 @@ from .families import (
     HYPERCUBE_SHIFT,
     KRONECKER_DIAG,
     NEURAL_POWER,
+    UNIVARIATE_D,
     FamilyDescriptor,
     power_form_row,
     univariate_d,
@@ -85,11 +86,12 @@ VARIANT_DERIVATIVE = "derivative"
 VARIANT_INTEGRAL = "integral"
 
 RANK_PRIME = 2 ** 31 - 1  # certifies rational ranks; see the module docstring
-# Trials per lower-bound report, and trials * K^2 for its work.  A trial
-# takes 2.4 to 5.2 us per K^2 at the larger desk-cap families, mostly the
-# rank mod p: 0.34 s at easy-power-sum(l=8, n=1), K = 256.  At the work cap
-# the slowest report took about 6 s as a CLI child: 16 trials at
-# easy-power-sum(8, 1), or 1000 at hypercube-shift(5).
+# Trials per lower-bound report, and trials * K^2 for the work of a family
+# that is sampled (univariate-d is ranked once).  A trial takes 2.4 to 5.2
+# us per K^2 at the larger desk-cap families, mostly the rank mod p: 0.34 s
+# at easy-power-sum(l=8, n=1), K = 256.  At the work cap the slowest report
+# took about 6 s as a CLI child: 16 trials at easy-power-sum(8, 1), or 1000
+# at hypercube-shift(5).
 REPORT_TRIALS_CAP = 1000
 REPORT_WORK_CAP = 2 ** 20
 
@@ -594,35 +596,34 @@ def lower_bound_report(
     easy-power-sum, ray-distinct directions for neural-power.  Directions
     and hypercube points live in a nonempty Zariski-open set, so a random
     draw from the integer box [1, 4K] achieves rank K generically.
-    The univariate family is deterministic (modular root-of-unity matrix).
-    Trials and then trials * K^2 are held to their caps before any draw.
+    The univariate family is deterministic (modular root-of-unity matrix),
+    so its one rank stands for every trial.  Trials, and then trials * K^2
+    for the sampled families, are held to their caps before any draw.
     """
     if trials < 1:
         raise QuizlabError(f"need at least one trial, got {trials}")
     check_cap("witness report", "trials", trials, REPORT_TRIALS_CAP)
     k_expected = expected_rank(desc)
-    check_cap("witness report", "trials*K^2", trials * k_expected ** 2, REPORT_WORK_CAP)
+    seeds = [seed * 1_000_003 + trial for trial in range(trials)]
     started = time.monotonic()
-    ranks: list[int] = []
-    seeds: list[int] = []
-    for trial in range(trials):
-        trial_seed = seed * 1_000_003 + trial
-        seeds.append(trial_seed)
-        rng = random.Random(trial_seed)
+    if desc.variant == UNIVARIATE_D:
+        ranks = [roots_of_unity_rank(desc.d, VARIANT_BASE)] * trials
+    else:
+        check_cap("witness report", "trials*K^2", trials * k_expected ** 2, REPORT_WORK_CAP)
+        ranks = []
         box = 4 * k_expected
-        if desc.variant == EASY_POWER_SUM:
-            rhos = _sample_distinct(rng, k_expected, box)
-            towers = [[rho ** (2 ** (i * desc.l)) for i in range(desc.n)] for rho in rhos]
-            matrix = derivative_matrix(desc, towers)
-        elif desc.variant == NEURAL_POWER:
-            matrix = derivative_matrix(desc, _sample_directions(rng, k_expected, box, desc.n))
-        elif desc.variant in (HYPERCUBE_SHIFT, KRONECKER_DIAG):
-            n = desc.input_arity
-            matrix = hypercube_lk_matrix(n, sample_hypercube_points(rng, n))
-        else:  # univariate-d, deterministic modular witness
-            ranks.append(roots_of_unity_rank(desc.d, VARIANT_BASE))
-            continue
-        ranks.append(exact_rank(matrix))
+        for trial_seed in seeds:
+            rng = random.Random(trial_seed)
+            if desc.variant == EASY_POWER_SUM:
+                rhos = _sample_distinct(rng, k_expected, box)
+                towers = [[rho ** (2 ** (i * desc.l)) for i in range(desc.n)] for rho in rhos]
+                matrix = derivative_matrix(desc, towers)
+            elif desc.variant == NEURAL_POWER:
+                matrix = derivative_matrix(desc, _sample_directions(rng, k_expected, box, desc.n))
+            else:  # hypercube-shift and kronecker-diag
+                n = desc.input_arity
+                matrix = hypercube_lk_matrix(n, sample_hypercube_points(rng, n))
+            ranks.append(exact_rank(matrix))
     success = sum(1 for r in ranks if r == k_expected)
     return WitnessReport(
         family=desc.label(),

@@ -238,9 +238,10 @@ def sparse_root_product(roots, ring):
 
 
 class GenericRationals:
-    """RationalRing's methods on a class that is no RationalRing, so that
+    """RationalRing's members on a class that is no RationalRing, so that
     library code which runs rationals on integers takes its generic ring
-    path instead: the reference for those integer paths."""
+    path instead: the reference for those integer paths.  ``to_str`` is a
+    plain function, so it needs ``staticmethod`` not to bind as a method."""
 
     zero, one = RationalRing.zero, RationalRing.one
     from_rational, add, sub, mul, neg = (
@@ -250,7 +251,7 @@ class GenericRationals:
         RationalRing.mul,
         RationalRing.neg,
     )
-    is_zero, to_str = RationalRing.is_zero, RationalRing.to_str
+    is_zero, to_str = RationalRing.is_zero, staticmethod(RationalRing.to_str)
 
 
 def hypercube_lk_coefficients(n):

@@ -22,6 +22,7 @@ from quizlab.exact import LaurentSeries
 from quizlab.families import (
     TASK_CHARPOLY,
     TASK_ELIMINATION,
+    UNIVARIATE_D,
     build_circuit,
     easy_power_sum,
     elimination_poly,
@@ -50,6 +51,7 @@ from quizlab.witness import (
     hypercube_size,
     lower_bound_report,
     roots_of_unity_matrix,
+    roots_of_unity_rank,
 )
 from conftest import OVER_DEGREE_CIRCUIT_FILES
 
@@ -220,11 +222,29 @@ def test_report_work_cap_accepts_the_most_trials_under_it(desc, monkeypatch):
         monkeypatch.setattr(witness, name, lambda *args: None)
     for name in ("exact_rank", "roots_of_unity_rank"):
         monkeypatch.setattr(witness, name, lambda *args: k)
-    most = min(REPORT_TRIALS_CAP, REPORT_WORK_CAP // k ** 2)
+    # univariate-d is ranked once, so its work is not charged per trial.
+    most = REPORT_TRIALS_CAP
+    if desc.variant != UNIVARIATE_D:
+        most = min(most, REPORT_WORK_CAP // k ** 2)
     assert lower_bound_report(desc, trials=most, seed=0).success_count == most
-    if most < REPORT_TRIALS_CAP:
-        with pytest.raises(CapExceededError, match=r"^witness report cap: trials\*K\^2="):
-            lower_bound_report(desc, trials=most + 1, seed=0)
+    over = r"trials\*K\^2=" if most < REPORT_TRIALS_CAP else "trials="
+    with pytest.raises(CapExceededError, match=f"^witness report cap: {over}"):
+        lower_bound_report(desc, trials=most + 1, seed=0)
+
+
+def test_univariate_report_ranks_its_matrix_once(monkeypatch):
+    ranked = []
+
+    def rank(*args):
+        ranked.append(args)
+        return roots_of_unity_rank(*args)
+
+    monkeypatch.setattr(witness, "roots_of_unity_rank", rank)
+    report = lower_bound_report(univariate_d(64), trials=1000, seed=3)
+    assert ranked == [(64, VARIANT_BASE)]
+    assert report.achieved_ranks == (65,) * 1000
+    assert report.success_count == 1000
+    assert report.seeds == tuple(3 * 1_000_003 + trial for trial in range(1000))
 
 
 def test_span_caps_accept_a_check_at_each_cap():

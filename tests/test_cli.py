@@ -573,7 +573,8 @@ def test_help_epilog_states_every_cap():
         "neural train and neural gradcheck hold --n to the neural-power cap too, before any draw",
         f"formal degree of every node of a --circuit-file circuit (<= {DEGREE_CAP},",
         f"idseq sample --n times --m <= {SAMPLE_COORDINATES_CAP}",
-        f"witness report --trials times K^2 <= {REPORT_WORK_CAP}, K its expected rank",
+        f"witness report --trials times K^2 <= {REPORT_WORK_CAP}, K its expected rank,"
+        " for every family but univariate-d, which is ranked once",
         f"idseq verify --points times --support monomials <= {SPAN_ENTRIES_CAP}",
         f"sum e_i*bits(x_i) <= {MONOMIAL_BITS_CAP} over the largest monomial",
     ]

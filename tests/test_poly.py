@@ -17,6 +17,7 @@ from quizlab.poly import (
     monomials_of_degree,
     multilinear_monomials,
     product_of_linear_roots,
+    root_product_coefficients,
     sort_support,
 )
 from conftest import (
@@ -159,6 +160,15 @@ def test_product_of_linear_roots_over_rationals(roots):
     expected = subset_root_product(roots, Fraction(1), operator.add, operator.mul, operator.neg)
     assert [got.coefficient((k,)) for k in range(len(roots) + 1)] == expected
     assert all(type(c) is Fraction for c in got.terms.values())
+
+
+@given(st.lists(st.integers(-1000, 1000), max_size=7) | with_repeats(st.integers(-3, 3)))
+@example([])
+@example([0, 0, -1, 3, 3])
+def test_root_product_coefficients_keep_integer_roots_integer(roots):
+    coeffs = root_product_coefficients(roots)
+    assert all(type(c) is int for c in coeffs)
+    assert coeffs == subset_root_product(roots, 1, operator.add, operator.mul, operator.neg)
 
 
 @given(with_repeats(laurent_roots | st.just(LaurentSeries.zero())), st.integers(1, 3))

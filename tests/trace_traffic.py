@@ -11,7 +11,9 @@ traffic reached, or that the function was never called:
     PYTHONPATH=src python tests/trace_traffic.py
 
 A function missing from the output ran every line.  The script only reads
-the benchmark's workload module, and it writes no file.
+the benchmark's workload module, and it writes no file.  ``KEPT`` names
+each function that the traffic never calls and why it stays;
+``test_trace_traffic.py`` holds the never-called set to exactly those.
 """
 
 from __future__ import annotations
@@ -32,6 +34,22 @@ from capture_corpus import read_argv_lines, replay, replay_environment
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = Path(quizlab.__file__).resolve().parent
 SEED = 1  # the benchmark pools' seed
+
+# Package functions (module.qualname) that the traffic never calls, each
+# with the reason it stays.
+KEPT = {
+    "poly.Polynomial.__neg__": "test oracles negate a polynomial",
+    "poly.Polynomial.is_zero": "test asserts call it",
+    "poly.Polynomial.__hash__": (
+        "without it the frozen dataclass would hash its fields, and the terms dict has no hash"
+    ),
+    "exact.LaurentSeries.__bool__": (
+        "the Laurent null-row rule: a truncated all-zero window stays truthy "
+        "(test_laurent_solve_bounds_each_row_by_its_own_entries)"
+    ),
+    "kronecker.SquareMatrix.__matmul__": "perfbench traces it as a layer boundary",
+    "errors.TermOutsideSupportError.__init__": "an error path",
+}
 
 
 def _functions(path: Path) -> dict[str, tuple[int, set[int]]]:
@@ -122,19 +140,47 @@ def _spans(lines: list[int]) -> str:
     return ", ".join(parts)
 
 
-def main() -> int:
+def _clear_caches() -> None:
+    """Empty the package's memo caches, so that a run after other work in
+    the same process calls what a fresh process would."""
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("quizlab."):
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+
+
+def missed_lines() -> list[tuple[str, int, str, list[int], int]]:
+    """Replay the traffic and return (file, first line, qualified name,
+    missed lines, executable lines) for each function it did not run whole."""
+    _clear_caches()
     reached = _traced(lambda: (_replay_corpus(), _replay_workloads(SEED)))
+    out = []
     for path in sorted(PACKAGE.glob("*.py")):
         hit = reached.get(str(path), set())
         for name, (first, lines) in sorted(_functions(path).items(), key=lambda kv: kv[1][0]):
             missed = sorted(lines - hit)
-            if not missed:
-                continue
-            where = f"{path.name}:{first} {name}"
-            if len(missed) == len(lines):
-                print(f"{where}: never called ({len(lines)} lines)")
-            else:
-                print(f"{where}: {_spans(missed)} of {len(lines)} lines not reached")
+            if missed:
+                out.append((path.name, first, name, missed, len(lines)))
+    return out
+
+
+def never_called() -> set[str]:
+    """The module.qualname of each function that the traffic never calls."""
+    return {
+        f"{file.removesuffix('.py')}.{name}"
+        for file, _, name, missed, total in missed_lines()
+        if len(missed) == total
+    }
+
+
+def main() -> int:
+    for file, first, name, missed, total in missed_lines():
+        where = f"{file}:{first} {name}"
+        if len(missed) == total:
+            print(f"{where}: never called ({total} lines)")
+        else:
+            print(f"{where}: {_spans(missed)} of {total} lines not reached")
     return 0
 
 
