@@ -13,7 +13,15 @@ directions no Fraction is made.  Over the rationals each row
 is cleared of its denominators, and one fraction-free
 loop (Bareiss 1968) serves both callers: run forward only, it gives the
 rank; run as Gauss-Jordan on [A' | diag(s)], it compiles a linear system
-once (``compile_system``) for any number of right-hand sides.  A compiled
+once (``compile_system``) for any number of right-hand sides.  A game's
+questions compile through ``compile_questions``, which inverts the three
+shapes of the built-in strategies in closed form on integers, with no
+elimination: Lagrange's basis for distinct points in one variable, forward
+differences and Stirling numbers for a lower set asked at itself (Chung
+and Yao 1977; Gasca and Sauer 2000), and the same passes, homogenized, for
+the forms of degree n in n variables asked at their own exponents.  Every
+route ends in one canonical form, so each gives the system Bareiss would,
+equal under ``==``, and every other matrix is eliminated.  A compiled
 solve is integer work too, over the rationals and over Laurent series
 alike: the compiled rows act on b one power of e at a time, each power a
 rational column cleared to integers once, and each unknown takes one
@@ -79,7 +87,12 @@ from .families import (
     univariate_d,
     vertex_monomials,
 )
-from .poly import Monomial, root_product_coefficients
+from .poly import (
+    Monomial,
+    monomials_below_degree,
+    monomials_of_degree,
+    root_product_coefficients,
+)
 
 VARIANT_BASE = "base"
 VARIANT_DERIVATIVE = "derivative"
@@ -325,28 +338,196 @@ def compile_system(matrix_rows: Sequence[Sequence[Fraction]]) -> CompiledSystem:
         scale, cleared = cleared_row(row)
         grid.append(cleared + [scale if j == i else 0 for j in range(m)])
     pivot_cols, prev = _bareiss(grid, n, above=True)
+    return _canonical_system(n, pivot_cols, [row[n:] for row in grid], prev)
+
+
+def _canonical_system(
+    unknowns: int, pivot_cols: Sequence[int], rows: Sequence[Sequence[int]], common: int
+) -> CompiledSystem:
+    """The canonical system of integer rows, the first len(pivot_cols) over
+    the denominator ``common`` and the rest null rows: each row is divided
+    by its content and signed so that its denominator is positive.  Every
+    compile route ends here, so two routes to the same A give equal systems."""
     rank = len(pivot_cols)
-    rows: list[tuple[int, ...]] = []
+    reduced: list[tuple[int, ...]] = []
     denominators: list[int] = []
-    for i, row in enumerate(grid):
-        e = row[n:]
-        # Pivot rows carry the common pivot as their denominator; null rows
-        # only need their direction.  Dividing out the content keeps them small.
-        d = prev if i < rank else 0
+    for i, e in enumerate(rows):
+        # Pivot rows carry the common denominator; null rows only need their
+        # direction.  Dividing out the content keeps them small.
+        d = common if i < rank else 0
         g = math.gcd(d, *e)
         if d < 0:
             g = -g
-        rows.append(tuple([x // g for x in e]))
+        reduced.append(tuple([x // g for x in e]))
         if i < rank:
             denominators.append(d // g)
-    return CompiledSystem(n, tuple(pivot_cols), tuple(rows), tuple(denominators))
+    return CompiledSystem(unknowns, tuple(pivot_cols), tuple(reduced), tuple(denominators))
+
+
+def compile_questions(
+    points: Sequence[Sequence[int]], support: Sequence[Monomial]
+) -> CompiledSystem:
+    """The system of the questions' evaluation matrix A on the support,
+    equal to ``compile_system``'s.
+
+    A square, invertible A of one of three shapes is inverted in closed
+    form, on integers: m distinct integer points against 1, X, ...,
+    X^(m-1) (``_lagrange_inverse``), a lower set asked at itself
+    (``_lower_set_inverse``), and the forms of degree n >= 2 in n variables
+    asked at their own exponents (``_slice_inverse``).  The shape is read
+    from the points and the support alone.  A^-1 then goes through
+    ``compile_system``'s last step (``_canonical_system``), so the two
+    systems are equal.  Every other A is eliminated by ``compile_system``.
+    """
+    _check_arity(points, support)
+    if len(points) == len(support) > 0:
+        for inverse in (_lagrange_inverse, _lower_set_inverse, _slice_inverse):
+            found = inverse(points, support)
+            if found is not None:
+                rows, scale = found
+                return _canonical_system(len(rows), range(len(rows)), rows, scale)
+    return compile_system(evaluation_matrix(points, support).entries)
+
+
+def _lagrange_inverse(points, support) -> tuple[list[list[int]], int] | None:
+    """A^-1 for m distinct integer points x_j in one variable against the
+    powers X^0..X^(m-1), in any order: column j of A^-1 is the Lagrange
+    basis polynomial Q_j / w_j, with P = prod (X - x_j), Q_j = P / (X - x_j)
+    by synthetic division and w_j = Q_j(x_j) = prod_(i != j) (x_j - x_i).
+    O(m^2) integer operations.  None for any other shape."""
+    m = len(support)
+    if len(support[0]) != 1 or sorted(e for (e,) in support) != list(range(m)):
+        return None
+    xs = [x for (x,) in points]
+    if any(type(x) is not int for x in xs) or len(set(xs)) != m:
+        return None
+    quotients = _root_quotients(xs)
+    weights = [math.prod([x - y for y in xs if y != x]) for x in xs]
+    scale = math.lcm(*weights)
+    factors = [scale // w for w in weights]
+    by_power = [[q * f for q, f in zip(row, factors)] for row in zip(*quotients)]
+    return [by_power[e] for (e,) in support], scale
+
+
+def _root_quotients(roots: Sequence[int]) -> list[list[int]]:
+    """P / (X - r) for each r of the distinct integer roots, P = prod (X - r),
+    by synthetic division: each quotient's coefficients, degree ascending."""
+    p = root_product_coefficients(roots)
+    quotients = []
+    for r in roots:
+        q = [0] * len(roots)
+        carry = 0
+        for deg in range(len(roots), 0, -1):
+            carry = p[deg] + r * carry
+            q[deg - 1] = carry
+        quotients.append(q)
+    return quotients
+
+
+def _lower_set_inverse(points, support) -> tuple[list[list[int]], int] | None:
+    """A^-1 for a lower set S (every exponent vector's predecessors are in
+    S) asked at its own exponent vectors, in any order.
+
+    The interpolant's coefficients in the falling-factorial basis
+    (x)_c = prod_i x_i (x_i - 1) ... (x_i - c_i + 1) are the forward
+    differences of the values at the origin over c!, and S being lower,
+    each uses only points of S (Chung and Yao 1977; Gasca and Sauer 2000).
+    So the rows of the identity, one per point, go through every forward-
+    difference pass, axis by axis; then row c is scaled by L / c!, L the
+    lcm of the c!; then every Stirling pass, axis by axis, takes the
+    falling factorials to monomials.  A pass runs along the lines of S in
+    one axis.  The two kinds of pass are never interleaved: a Stirling pass
+    in one axis before a difference pass in another would sum over the
+    lines of the points instead of those of the exponents.  A^-1 is the
+    result over L.  None for any other shape.
+    """
+    index = {mono: k for k, mono in enumerate(support)}
+    m = len(support)
+    if len(index) != m or any(e < 0 for mono in support for e in mono):
+        return None
+    lines = []
+    for axis in range(len(support[0])):
+        step = [0] * len(support[0])
+        step[axis] = 1
+        for mono in support:
+            if mono[axis] and tuple(map(operator.sub, mono, step)) not in index:
+                return None
+            if not mono[axis]:
+                line = [index[mono]]
+                top = tuple(map(operator.add, mono, step))
+                while top in index:
+                    line.append(index[top])
+                    top = tuple(map(operator.add, top, step))
+                if len(line) > 1:
+                    lines.append(line)
+    grid: list = [None] * m
+    for j, point in enumerate(points):
+        k = index.get(tuple(point))
+        if k is None or grid[k] is not None:
+            return None
+        grid[k] = [0] * m
+        grid[k][j] = 1
+    for line in lines:  # forward differences: row c becomes the c-th difference
+        for order in range(1, len(line)):
+            for pos in range(len(line) - 1, order - 1, -1):
+                grid[line[pos]] = list(map(operator.sub, grid[line[pos]], grid[line[pos - 1]]))
+    weights = [math.prod(map(math.factorial, mono)) for mono in support]
+    scale = math.lcm(*weights)
+    for k, w in enumerate(weights):
+        if w != scale:
+            grid[k] = [x * (scale // w) for x in grid[k]]
+    for line in lines:  # Stirling: (x)_(c+1) = (x)_c (x - c), Horner from the top
+        for node in range(len(line) - 2, 0, -1):
+            for pos in range(node, len(line) - 1):
+                upper = grid[line[pos + 1]]
+                grid[line[pos]] = [a - node * b for a, b in zip(grid[line[pos]], upper)]
+    return grid, scale
+
+
+def _slice_inverse(points, support) -> tuple[list[list[int]], int] | None:
+    """A^-1 for the forms of degree n in n >= 2 variables, asked at their
+    own exponent vectors a (|a| = n), in any order.
+
+    On the plane x_n = n - (x_1 + ... + x_(n-1)) a form F is a polynomial
+    f of degree at most n in n - 1 variables, and the points a go to the
+    lower set |c| <= n, so ``_lower_set_inverse`` gives f's coefficients
+    g_c = G_c / L.  Homogenizing f with (x_1 + ... + x_n) / n, which is 1
+    on the plane, gives back F: F_a = sum_(c <= a') g_c (n - |c|)! /
+    prod_i (a_i - c_i)! * n^|c| / n^n, a' the first n - 1 exponents of a
+    and c_n = 0.  None for any other shape.
+    """
+    n = len(support[0])
+    if n < 2 or set(support) != set(monomials_of_degree(n, n)) or len(set(support)) != len(support):
+        return None
+    if set(map(tuple, points)) != set(support):
+        return None
+    plane = monomials_below_degree(n - 1, n + 1)
+    found = _lower_set_inverse([point[:-1] for point in points], plane)
+    if found is None:
+        return None
+    grid, scale = found
+    part = dict(zip(plane, grid))
+    # n^n F = sum_k n^k f_k s^(n-k), f_k the part of f of degree k and
+    # s = x_1 + ... + x_n, by Horner's rule in s: each layer holds the
+    # forms of one degree, by exponent vector.
+    layer = {(0,) * n: part[(0,) * (n - 1)]}
+    for k in range(1, n + 1):
+        above: dict = {}
+        for b, row in layer.items():
+            for i in range(n):
+                up = (*b[:i], b[i] + 1, *b[i + 1 :])
+                above[up] = list(map(operator.add, above[up], row)) if up in above else row
+        for c in monomials_of_degree(n - 1, k):
+            above[(*c, 0)] = [x + n ** k * y for x, y in zip(above[(*c, 0)], part[c])]
+        layer = above
+    return [layer[a] for a in support], scale * n ** n
 
 
 def solve_exact(system: CompiledSystem, rhs: Sequence) -> list:
-    """The unique x with A x = b, for A compiled once (``compile_system``)
-    and b of ints, Fractions or Laurent series: a game strategy carries its
-    questions' system, so a round only applies the compiled map.  Errors as
-    ``CompiledSystem.solve``."""
+    """The unique x with A x = b, for A compiled once (``compile_questions``
+    or ``compile_system``) and b of ints, Fractions or Laurent series: a
+    game strategy carries its questions' system, so a round only applies
+    the compiled map.  Errors as ``CompiledSystem.solve``."""
     return system.solve(rhs)
 
 
@@ -480,16 +661,10 @@ def hypercube_lk_matrix(n: int, points: Sequence[Sequence[int]]) -> ExactMatrix:
     size = hypercube_size(n)
     if len(points) != size:
         raise QuizlabError(f"need exactly {size} points, got {len(points)}")
-    # f0 = prod_{j<size} (Y - j) as integer coefficients, degree ascending.
-    f0 = root_product_coefficients(range(size))
-    rows = [[0] * size for _ in range(size)]
-    for j in range(size):
-        # synthetic division f0 / (Y - j): the quotient's Y^(deg-1) coefficient
-        # is carry, and the T-linear part of B_k is -sum_j m_j * quotient_j[size-k]
-        carry = 0
-        for deg in range(size, 0, -1):
-            carry = f0[deg] + j * carry
-            rows[size - deg][j] = -carry
+    # With f0 = prod_{j<size} (Y - j) and q_j = f0 / (Y - j), degree
+    # ascending, the T-linear part of B_k is -sum_j m_j * q_j[size - 1 - k].
+    quotients = _root_quotients(range(size))
+    rows = [[-q[size - 1 - k] for q in quotients] for k in range(size)]
     columns = []
     for u in points:
         if len(u) != n:

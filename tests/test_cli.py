@@ -386,7 +386,7 @@ def test_game_input_error_precedes_the_strategy(argv, message, monkeypatch, caps
     def no_compile(*args, **kwargs):
         raise AssertionError("the questions were compiled before the input was checked")
 
-    monkeypatch.setattr(protocol, "compile_system", no_compile)
+    monkeypatch.setattr(protocol, "compile_questions", no_compile)
     code, out, err = run_cli(argv, capsys)
     assert (code, out, err) == (2, "", f"error: {message}\n")
 

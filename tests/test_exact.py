@@ -28,6 +28,7 @@ from quizlab.exact import (
     rational_to_str,
     smallest_prime_modulus,
     substitute_cleared,
+    window_truncate,
 )
 from conftest import (
     naive_laurent,
@@ -98,6 +99,25 @@ def test_laurent_cancellation_sum():
     a = LaurentSeries.from_pairs([(0, 1), (1, 1)])
     b = LaurentSeries.from_pairs([(0, 1), (1, -1)])
     assert LaurentRing().add(a, b) == LaurentSeries.from_rational(2)
+
+
+@pytest.mark.parametrize("precision", [1, 2])
+def test_laurent_ring_truncates_every_sum_difference_and_product(precision):
+    ring = LaurentRing(precision)
+    operands = [
+        LaurentSeries.from_pairs([(0, 1), (2, 1)]),
+        LaurentSeries.from_pairs([(2, -1)]),
+        LaurentSeries.from_pairs([(-1, 2), (0, 1), (1, 3)]),
+        LaurentSeries(0, (Fraction(1), Fraction(2)), 2),
+        LaurentSeries.from_rational(Fraction(1, 3)),
+    ]
+    for a in operands:
+        for b in operands:
+            for op, exact in ((ring.add, a + b), (ring.sub, a - b), (ring.mul, a * b)):
+                assert op(a, b) == LaurentSeries(*window_truncate(exact.window, precision))
+    # A value the ring has cut stays cut: (1 + e^2) + (-e^2) is 1 + O(e^precision).
+    cut = ring.add(LaurentSeries.from_rational(1), eps(2))
+    assert ring.add(cut, eps(2, -1)) == LaurentSeries(0, (Fraction(1),), precision)
 
 
 def test_laurent_monomial_product():

@@ -298,13 +298,13 @@ def test_verdict_matches_naive_coefficient_oracle(case):
 
 def test_strategy_compiles_its_system_once(monkeypatch, rng):
     compiled = []
-    compile_system = protocol.compile_system
+    compile_questions = protocol.compile_questions
 
-    def counting_compile(rows):
-        compiled.append(rows)
-        return compile_system(rows)
+    def counting_compile(points, support):
+        compiled.append((points, support))
+        return compile_questions(points, support)
 
-    monkeypatch.setattr(protocol, "compile_system", counting_compile)
+    monkeypatch.setattr(protocol, "compile_questions", counting_compile)
     desc = hypercube_shift(2, TASK_ELIMINATION)
     strategy = builtin_strategy(desc, seed=1)
     assert compiled == []
@@ -725,7 +725,7 @@ def test_approx_target_of_the_wrong_arity_is_refused(
     def no_compile(*args, **kwargs):
         raise AssertionError("the questions were compiled before the target was checked")
 
-    monkeypatch.setattr(protocol, "compile_system", no_compile)
+    monkeypatch.setattr(protocol, "compile_questions", no_compile)
     config = ApproxGameConfig(
         germ=germ, mode=mode, sample_schedule=tuple(Fraction(1, 2 ** k) for k in range(1, 9))
     )
@@ -766,10 +766,9 @@ def test_every_support_spans_at_its_own_exponents(desc):
     assert spans(builtin_strategy(desc).question_points.points, support)
 
 
-# One round at the desk cap, set-up included, within a wall budget of several
-# times its measured time (0.65 s for neural-power(5), 15 ms or less for the
-# others).  easy-power-sum(4, 2), easy-power-sum(8, 1), univariate-d(64) and
-# neural-power(6) still compile for seconds to minutes, and are left out.
+# One round at every family's desk cap, set-up included, within a wall budget
+# of several times its measured time: 0.25 s for easy-power-sum(8, 1), 0.14 s
+# for neural-power(6), and 40 ms or less for the others.
 @pytest.mark.parametrize(
     "desc, budget_s",
     [
@@ -777,10 +776,15 @@ def test_every_support_spans_at_its_own_exponents(desc):
         (kronecker_diag(5, TASK_CHARPOLY), 2.0),
         (easy_power_sum(2, 4), 2.0),
         (easy_power_sum(1, 8), 2.0),
-        (neural_power(5), 10.0),
+        (easy_power_sum(4, 2), 2.0),
+        (easy_power_sum(8, 1), 3.0),
+        (univariate_d(64), 2.0),
+        (neural_power(5), 2.0),
+        (neural_power(6), 2.0),
     ],
     ids=["hypercube-shift-5", "kronecker-diag-5", "easy-power-sum-2-4", "easy-power-sum-1-8",
-         "neural-power-5"],
+         "easy-power-sum-4-2", "easy-power-sum-8-1", "univariate-d-64", "neural-power-5",
+         "neural-power-6"],
 )
 def test_game_exact_at_the_desk_cap_accepts_within_budget(desc, budget_s):
     hidden = [Fraction((-1) ** j * (j + 1), 1 + j % 2) for j in range(desc.param_arity)]

@@ -27,6 +27,7 @@ from quizlab.families import (
 )
 from quizlab import witness
 from quizlab.poly import Polynomial
+from quizlab.protocol import builtin_strategy
 from quizlab.witness import (
     RANK_PRIME,
     VARIANT_BASE,
@@ -485,6 +486,128 @@ def test_laurent_solve_bounds_each_row_by_its_own_entries():
     # window whose known terms all cancel.
     with pytest.raises(InconsistentSystemError):
         compile_system([[1], [1]]).solve([LaurentSeries(0, (), 0), LaurentSeries(0, (), 0)])
+
+
+def _eliminated(points, support) -> CompiledSystem:
+    """The oracle: Bareiss on the evaluation matrix."""
+    return compile_system(evaluation_matrix(points, support).entries)
+
+
+def _in_closed_form(points, support) -> CompiledSystem:
+    """``compile_questions``, failing if it falls back to elimination."""
+
+    def no_elimination(rows):
+        raise AssertionError("a closed-form shape was eliminated")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(witness, "compile_system", no_elimination)
+        return witness.compile_questions(points, support)
+
+
+# Every built-in family at every size whose Bareiss compile takes under about
+# 1 s, save univariate-d past 32: only 36, 40 and 44 of those are taken, to
+# hold the test near 2 s.  neural-power(1) is a fallback case below.
+CLOSED_FORM_FAMILIES = (
+    [univariate_d(d) for d in [*range(1, 33), 36, 40, 44]]
+    + [hypercube_shift(n) for n in range(1, 6)]
+    + [kronecker_diag(k) for k in range(1, 6)]
+    + [easy_power_sum(l, n) for l in range(1, 9) for n in range(1, 9)
+       if n * l <= 8 and (l, n) not in [(4, 2), (6, 1), (7, 1), (8, 1)]]
+    + [neural_power(n) for n in range(2, 6)]
+)
+
+
+@pytest.mark.parametrize("desc", CLOSED_FORM_FAMILIES, ids=lambda desc: desc.label())
+def test_builtin_questions_compile_in_closed_form_to_the_eliminated_system(desc):
+    strategy = builtin_strategy(desc)
+    points, support = strategy.question_points.points, strategy.target_support
+    assert _in_closed_form(points, support) == _eliminated(points, support)
+
+
+@pytest.mark.parametrize(
+    "desc", [hypercube_shift(3), easy_power_sum(2, 2), neural_power(3), neural_power(4)],
+    ids=lambda desc: desc.label(),
+)
+def test_closed_forms_take_points_and_support_in_any_order(desc):
+    rng = random.Random(5)
+    support = list(desc.base_support())
+    for _ in range(3):
+        points = rng.sample(support, len(support))
+        order = rng.sample(support, len(support))
+        assert _in_closed_form(points, order) == _eliminated(points, order)
+
+
+@st.composite
+def lower_sets(draw):
+    """A random lower set in 1 to 3 variables, asked at itself in a random
+    order, on a support in another."""
+    n = draw(st.integers(1, 3))
+    tops = draw(st.lists(st.tuples(*[st.integers(0, 5 - n)] * n), min_size=1, max_size=4))
+    closed = {
+        below for top in tops for below in itertools.product(*[range(e + 1) for e in top])
+    }
+    return draw(st.permutations(sorted(closed))), draw(st.permutations(sorted(closed)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(lower_sets())
+def test_lower_set_closed_form_equals_elimination(case):
+    points, support = case
+    assert _in_closed_form(points, support) == _eliminated(points, support)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(-60, 60), min_size=1, max_size=24, unique=True), st.randoms())
+def test_lagrange_closed_form_equals_elimination(xs, rng):
+    points = [(x,) for x in xs]
+    support = [(e,) for e in rng.sample(range(len(xs)), len(xs))]
+    assert _in_closed_form(points, support) == _eliminated(points, support)
+
+
+def _compiled_outcome(compile_, points, support, rhs):
+    """The compiled system and its solve at rhs, or the error either raised."""
+    try:
+        system = compile_(points, support)
+    except QuizlabError as error:
+        return type(error), str(error)
+    try:
+        return system, system.solve(rhs)
+    except QuizlabError as error:
+        return system, type(error), str(error)
+
+
+@pytest.mark.parametrize(
+    "points, support, rhs",
+    [
+        ([(0,), (1,), (1,)], [(0,), (1,), (2,)], [0, 1, 2]),
+        ([(0,), (1,), (1,)], [(0,), (1,), (2,)], [0, 1, 1]),
+        ([(0,), (1,), (-1,), (2,)], [(0,), (1,), (2,)], [1, 2, 4, 7]),
+        ([(0,), (1,), (-1,), (2,)], [(0,), (1,), (2,)], [1, 2, 4, 8]),
+        ([(0,), (2,)], [(0,), (2,)], [3, 5]),
+        ([(0, 0), (1, 0), (0, 2)], [(0, 0), (1, 0), (0, 2)], [1, 2, 3]),
+        ([(0, 0), (1, 1)], [(0, 0), (1, 1)], [1, 2]),
+        ([(Fraction(1, 2),), (1,)], [(0,), (1,)], [1, 2]),
+        ([(0, 0), (Fraction(1, 2), 0), (0, 1)], [(0, 0), (1, 0), (0, 1)], [1, 2, 3]),
+        ([(1,)], [(1,)], [Fraction(7, 3)]),
+        ([(0,), (1, 0)], [(0,), (1,)], [1, 2]),
+    ],
+    ids=["repeated-point-inconsistent", "repeated-point-underdetermined", "one-point-more",
+         "one-point-more-inconsistent", "gap-in-one-variable", "gap-in-two-variables",
+         "not-lower-in-two-variables", "non-integer-point", "non-integer-lower-set",
+         "neural-power-1", "mixed-arity"],
+)
+def test_near_closed_form_shapes_get_the_eliminated_result(points, support, rhs):
+    eliminations = []
+
+    def counted(rows):
+        eliminations.append(rows)
+        return compile_system(rows)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(witness, "compile_system", counted)
+        found = _compiled_outcome(witness.compile_questions, points, support, rhs)
+    assert found == _compiled_outcome(_eliminated, points, support, rhs)
+    assert len(eliminations) == isinstance(found[0], CompiledSystem)
 
 
 def test_derivative_matrix_power_sum():
